@@ -4,17 +4,7 @@ the Calogero-Moser side, and orbit-closure structure on the Hilbert
 scheme of points in the plane.
 """
 
-from .exactalg import (
-    LaurentPolynomial,
-    NonPolynomialError,
-    QPolynomial,
-    RationalFunction,
-    laurent_arith,
-    laurent_as_ratfun,
-    poly_gcd,
-    ratfun_arith,
-    ratfun_to_laurent,
-)
+from .exactalg import LaurentPolynomial, NonPolynomialError
 from .partitions import (
     DEFAULT_CAP,
     CapExceededError,

@@ -62,6 +62,11 @@ def _print_kv(pairs):
         print(f"{key:<{width}}  {value}")
 
 
+def _joined(values) -> str:
+    """Comma form of a list of integers, as partitions print."""
+    return ",".join(str(v) for v in values)
+
+
 def _partition_arg(text: str) -> Partition:
     try:
         return parse_partition(text)
@@ -147,6 +152,7 @@ def _laurent_json(p) -> list:
 
 def _cmd_part_info(args) -> int:
     lam = args.partition
+    hook_poly = hook_polynomial(lam)
     data = {
         "partition": lam.to_json(),
         "size": lam.size,
@@ -156,7 +162,7 @@ def _cmd_part_info(args) -> int:
         "is_staircase": is_staircase(lam),
         "all_hooks_odd": all_hooks_odd(lam),
         "hooks": list(hook_lengths(lam)),
-        "hook_polynomial": _laurent_json(hook_polynomial(lam)),
+        "hook_polynomial": _laurent_json(hook_poly),
         "n_stat": n_stat(lam),
         "dim_irrep": dim_irrep(lam),
         "diagonals": list(diagonals(lam)),
@@ -168,18 +174,18 @@ def _cmd_part_info(args) -> int:
     else:
         _print_kv([
             ("partition", str(lam)),
-            ("size", lam.size),
-            ("transpose", str(transpose(lam))),
-            ("steep", is_steep(lam)),
-            ("staircase", is_staircase(lam)),
-            ("all hooks odd", all_hooks_odd(lam)),
-            ("hooks", ",".join(str(h) for h in hook_lengths(lam))),
-            ("hook polynomial", hook_polynomial(lam).to_text()),
-            ("n statistic", n_stat(lam)),
-            ("irreducible dim", dim_irrep(lam)),
-            ("diagonals", ",".join(str(d) for d in diagonals(lam))),
-            ("u_map", str(u_map(lam))),
-            ("Borel stable", is_borel_stable(lam)),
+            ("size", data["size"]),
+            ("transpose", _joined(data["transpose"])),
+            ("steep", data["is_steep"]),
+            ("staircase", data["is_staircase"]),
+            ("all hooks odd", data["all_hooks_odd"]),
+            ("hooks", _joined(data["hooks"])),
+            ("hook polynomial", hook_poly.to_text()),
+            ("n statistic", data["n_stat"]),
+            ("irreducible dim", data["dim_irrep"]),
+            ("diagonals", _joined(data["diagonals"])),
+            ("u_map", _joined(data["u_map"])),
+            ("Borel stable", data["is_borel_stable"]),
         ])
     return 0
 
@@ -323,6 +329,8 @@ def _cmd_verify(args) -> int:
         raise UsageError(
             f"unknown check {unknown[0]!r}; run `cmhilb verify --list` for names"
         )
+    if args.max_n < 1 or args.max_m < 1:
+        raise UsageError("--max-n and --max-m must be at least 1")
     limits = Limits(max_n=args.max_n, max_m=args.max_m)
     ok = run_checks(args.checks, limits, out=print)
     return 0 if ok else 1

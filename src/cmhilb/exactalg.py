@@ -1,10 +1,10 @@
 """Exact arithmetic in a single variable q.
 
-Two coefficient domains cover everything downstream: Laurent polynomials
-with integer coefficients (every character in this package lives here) and
-quotients of rational-coefficient polynomials (intermediate sums that only
-collapse to Laurent form after cancellation).  All arithmetic is exact;
-there is no floating point and no series truncation anywhere.
+One coefficient domain covers everything: Laurent polynomials with integer
+coefficients.  Every quotient the package forms is known to be exact, so
+division is `exact_div`, which raises NonPolynomialError on any remainder;
+that error is the single alarm for an upstream sum that failed to cancel.
+There is no floating point and no series truncation anywhere.
 """
 
 from __future__ import annotations
@@ -175,12 +175,21 @@ class LaurentPolynomial:
             total += c * fx ** e
         return int(total) if total.denominator == 1 else total
 
-    def exact_div(self, divisor: "LaurentPolynomial") -> "LaurentPolynomial":
-        """Exact quotient by another Laurent polynomial.
+    def exact_div(self, divisor) -> "LaurentPolynomial":
+        """Exact quotient by another Laurent polynomial or by a nonzero int.
 
         Raises NonPolynomialError if the division leaves a remainder or
         would need non-integer coefficients.
         """
+        if isinstance(divisor, int):
+            if not divisor:
+                raise ZeroDivisionError("division by zero")
+            data = {}
+            for e, c in self._terms.items():
+                data[e], leftover = divmod(c, divisor)
+                if leftover:
+                    raise NonPolynomialError(f"coefficient of q^{e} not divisible by {divisor}")
+            return LaurentPolynomial(data)
         if not divisor:
             raise ZeroDivisionError("division by the zero polynomial")
         if not self:
@@ -242,407 +251,3 @@ def _dense(p: LaurentPolynomial) -> list:
     for e, c in p._terms.items():
         out[e - lo] = c
     return out
-
-
-def laurent_arith(a: LaurentPolynomial, b: LaurentPolynomial, op: str) -> LaurentPolynomial:
-    """Named dispatch for add/sub/mul, handy for table-driven callers."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown Laurent operation {op!r}")
-
-
-class QPolynomial:
-    """Dense polynomial with Fraction coefficients, ascending order."""
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self._coeffs = tuple(cs)
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def one(cls):
-        return cls((1,))
-
-    @classmethod
-    def constant(cls, c):
-        return cls((c,))
-
-    @classmethod
-    def monomial(cls, k: int, coeff=1):
-        if k < 0:
-            raise ValueError("QPolynomial exponents are nonnegative")
-        return cls((0,) * k + (coeff,))
-
-    @classmethod
-    def from_laurent(cls, p: LaurentPolynomial) -> "QPolynomial":
-        if not p:
-            return cls()
-        if p.min_exponent() < 0:
-            raise ValueError("Laurent polynomial has negative exponents")
-        out = [0] * (p.max_exponent() + 1)
-        for e, c in p.terms.items():
-            out[e] = c
-        return cls(out)
-
-    @property
-    def coeffs(self) -> tuple:
-        return self._coeffs
-
-    @property
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return len(self._coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def __bool__(self):
-        return bool(self._coeffs)
-
-    @property
-    def leading(self) -> Fraction:
-        if not self._coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self._coeffs[-1]
-
-    def valuation(self) -> int:
-        """Index of the lowest nonzero coefficient."""
-        if not self._coeffs:
-            raise ValueError("zero polynomial has no valuation")
-        for i, c in enumerate(self._coeffs):
-            if c:
-                return i
-        raise AssertionError("unreachable")
-
-    def shift_down(self, k: int) -> "QPolynomial":
-        """Exact division by q**k; the k lowest coefficients must vanish."""
-        if any(self._coeffs[:k]):
-            raise ValueError("polynomial not divisible by this power of q")
-        return QPolynomial(self._coeffs[k:])
-
-    def __add__(self, other):
-        if not isinstance(other, QPolynomial):
-            return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return QPolynomial(out)
-
-    def __neg__(self):
-        return QPolynomial(tuple(-c for c in self._coeffs))
-
-    def __sub__(self, other):
-        if not isinstance(other, QPolynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, QPolynomial):
-            return NotImplemented
-        if not self._coeffs or not other._coeffs:
-            return QPolynomial()
-        out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
-        for i, a in enumerate(self._coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other._coeffs):
-                if b:
-                    out[i + j] += a * b
-        return QPolynomial(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("exponent must be nonnegative")
-        out = QPolynomial.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def scale(self, c) -> "QPolynomial":
-        c = Fraction(c)
-        if not c:
-            return QPolynomial()
-        return QPolynomial(tuple(c * v for v in self._coeffs))
-
-    def __divmod__(self, other):
-        if not isinstance(other, QPolynomial):
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self._coeffs)
-        dn = other._coeffs
-        dd = len(dn) - 1
-        lead = dn[-1]
-        if len(rem) < len(dn):
-            return QPolynomial(), self
-        quot = [Fraction(0)] * (len(rem) - dd)
-        for i in range(len(quot) - 1, -1, -1):
-            c = rem[i + dd] / lead
-            if not c:
-                continue
-            quot[i] = c
-            for j, b in enumerate(dn):
-                rem[i + j] -= c * b
-        return QPolynomial(quot), QPolynomial(rem)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def exact_div(self, other) -> "QPolynomial":
-        q, r = divmod(self, other)
-        if not r.is_zero:
-            raise NonPolynomialError("division leaves a nonzero remainder")
-        return q
-
-    def monic(self) -> "QPolynomial":
-        if not self._coeffs:
-            return self
-        lead = self._coeffs[-1]
-        if lead == 1:
-            return self
-        return self.scale(1 / lead)
-
-    def evaluate(self, x):
-        total = Fraction(0)
-        fx = Fraction(x)
-        for c in reversed(self._coeffs):
-            total = total * fx + c
-        return int(total) if total.denominator == 1 else total
-
-    def __eq__(self, other):
-        if not isinstance(other, QPolynomial):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self):
-        return hash(self._coeffs)
-
-    def to_text(self) -> str:
-        if not self._coeffs:
-            return "0"
-        pieces = []
-        for e, c in enumerate(self._coeffs):
-            if not c:
-                continue
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                var = "q" if e == 1 else f"q^{e}"
-                body = var if mag == 1 else f"{mag}*{var}"
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(pieces)
-
-    def __repr__(self):
-        return self.to_text()
-
-
-def poly_gcd(a: QPolynomial, b: QPolynomial) -> QPolynomial:
-    """Monic gcd via the exact rational-coefficient Euclidean algorithm."""
-    while b:
-        a, b = b, a % b
-    return a.monic()
-
-
-def _as_qpoly(value) -> QPolynomial:
-    if isinstance(value, QPolynomial):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return QPolynomial.constant(value)
-    raise TypeError(f"cannot interpret {value!r} as a polynomial")
-
-
-class RationalFunction:
-    """Reduced quotient of two rational-coefficient polynomials in q.
-
-    Canonical form: numerator and denominator share no nonconstant factor
-    and the denominator is monic, so equality is structural.
-    """
-
-    __slots__ = ("numerator", "denominator")
-
-    def __init__(self, numerator, denominator=None):
-        num = _as_qpoly(numerator)
-        den = QPolynomial.one() if denominator is None else _as_qpoly(denominator)
-        if den.is_zero:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero:
-            num, den = QPolynomial.zero(), QPolynomial.one()
-        else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-            lead = den.leading
-            if lead != 1:
-                num = num.scale(1 / lead)
-                den = den.scale(1 / lead)
-        self.numerator = num
-        self.denominator = den
-
-    @property
-    def is_zero(self) -> bool:
-        return self.numerator.is_zero
-
-    def __bool__(self):
-        return not self.numerator.is_zero
-
-    def _coerce(self, other):
-        if isinstance(other, RationalFunction):
-            return other
-        if isinstance(other, (int, Fraction, QPolynomial)):
-            return RationalFunction(other)
-        return None
-
-    def __add__(self, other):
-        rf = self._coerce(other)
-        if rf is None:
-            return NotImplemented
-        return RationalFunction(
-            self.numerator * rf.denominator + rf.numerator * self.denominator,
-            self.denominator * rf.denominator,
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = RationalFunction.__new__(RationalFunction)
-        out.numerator = -self.numerator
-        out.denominator = self.denominator
-        return out
-
-    def __sub__(self, other):
-        rf = self._coerce(other)
-        if rf is None:
-            return NotImplemented
-        return self + (-rf)
-
-    def __rsub__(self, other):
-        rf = self._coerce(other)
-        if rf is None:
-            return NotImplemented
-        return rf - self
-
-    def __mul__(self, other):
-        rf = self._coerce(other)
-        if rf is None:
-            return NotImplemented
-        return RationalFunction(
-            self.numerator * rf.numerator, self.denominator * rf.denominator
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        rf = self._coerce(other)
-        if rf is None:
-            return NotImplemented
-        if rf.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(
-            self.numerator * rf.denominator, self.denominator * rf.numerator
-        )
-
-    def __rtruediv__(self, other):
-        rf = self._coerce(other)
-        if rf is None:
-            return NotImplemented
-        return rf / self
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, QPolynomial)):
-            other = RationalFunction(other)
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return self.numerator == other.numerator and self.denominator == other.denominator
-
-    def __hash__(self):
-        return hash((self.numerator, self.denominator))
-
-    def evaluate(self, x):
-        bottom = self.denominator.evaluate(x)
-        if not bottom:
-            raise ZeroDivisionError(f"denominator vanishes at {x}")
-        top = self.numerator.evaluate(x)
-        val = Fraction(top) / Fraction(bottom)
-        return int(val) if val.denominator == 1 else val
-
-    def __repr__(self):
-        if self.denominator == QPolynomial.one():
-            return self.numerator.to_text()
-        return f"({self.numerator.to_text()}) / ({self.denominator.to_text()})"
-
-
-def ratfun_arith(a: RationalFunction, b: RationalFunction, op: str) -> RationalFunction:
-    """Named dispatch for add/sub/mul/div on rational functions."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown rational operation {op!r}")
-
-
-def laurent_as_ratfun(p: LaurentPolynomial) -> RationalFunction:
-    """View an integer Laurent polynomial as a rational function."""
-    if not p:
-        return RationalFunction(0)
-    lo = p.min_exponent()
-    if lo >= 0:
-        return RationalFunction(QPolynomial.from_laurent(p))
-    return RationalFunction(
-        QPolynomial.from_laurent(p.shifted(-lo)), QPolynomial.monomial(-lo)
-    )
-
-
-def ratfun_to_laurent(f: RationalFunction) -> LaurentPolynomial:
-    """Convert back to Laurent form; the division must be exact.
-
-    A failure here is a correctness alarm: it means an upstream sum that
-    should have collapsed to a Laurent polynomial did not.
-    """
-    if f.is_zero:
-        return LaurentPolynomial()
-    num, den = f.numerator, f.denominator
-    vn, vd = num.valuation(), den.valuation()
-    shift = vn - vd
-    quot = num.shift_down(vn).exact_div(den.shift_down(vd))
-    terms = {}
-    for e, c in enumerate(quot.coeffs):
-        if c:
-            if c.denominator != 1:
-                raise NonPolynomialError("quotient has non-integer coefficients")
-            terms[shift + e] = int(c)
-    return LaurentPolynomial(terms)

@@ -7,10 +7,10 @@ the pairing of Schur functions becomes
 
     sum over mu of chi^lam(mu) chi^delta(mu) / (z_mu prod_i (1 - q^(mu_i))).
 
-The sum is assembled over the common denominator prod_k (1-q^k)^floor(n/k),
-reduced by cyclotomic cancellation, and only then converted to Laurent
-form, so any inexactness upstream trips an alarm instead of passing
-silently.
+The sum is assembled as an integer numerator over the common denominator
+n! prod_k (1-q^k)^floor(n/k).  Every quotient taken from it is exact, so
+each one is a single exact division, and any inexactness upstream trips
+NonPolynomialError instead of passing silently.
 """
 
 from __future__ import annotations
@@ -18,19 +18,13 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial
 
-from .exactalg import (
-    LaurentPolynomial,
-    NonPolynomialError,
-    QPolynomial,
-    RationalFunction,
-    laurent_as_ratfun,
-    ratfun_to_laurent,
-)
+from .exactalg import LaurentPolynomial
 from .partitions import (
     DEFAULT_CAP,
     Partition,
     dim_irrep,
     enumerate_partitions,
+    hook_lengths,
     hook_polynomial,
     n_stat,
     staircase,
@@ -131,16 +125,6 @@ def q_factorial(n: int) -> LaurentPolynomial:
 
 
 @lru_cache(maxsize=None)
-def _cyclotomic(d: int) -> LaurentPolynomial:
-    """The d-th cyclotomic polynomial, via (q^d - 1) / prod of proper divisors."""
-    out = LaurentPolynomial({0: -1, d: 1})
-    for e in range(1, d):
-        if d % e == 0:
-            out = out.exact_div(_cyclotomic(e))
-    return out
-
-
-@lru_cache(maxsize=None)
 def _common_denominator(n: int) -> LaurentPolynomial:
     """prod_k (1-q^k)^floor(n/k); every class product for size n divides it."""
     out = LaurentPolynomial.one()
@@ -160,8 +144,32 @@ def _class_quotient_terms(n: int, mu_parts: tuple) -> tuple:
     return _common_denominator(n).exact_div(den).sorted_terms()
 
 
-def graded_multiplicity(lam: Partition, delta: Partition) -> RationalFunction:
-    """Hall pairing of s_lam with the plethystic image of s_delta, reduced.
+@lru_cache(maxsize=None)
+def _class_weights(n: int) -> tuple:
+    """n! / z_mu for each mu in the order of character_table(n).partitions."""
+    nfact = factorial(n)
+    return tuple(nfact // centralizer_order(mu) for mu in character_table(n).partitions)
+
+
+def _pairing_numerator(lam: Partition, delta: Partition) -> LaurentPolynomial:
+    """N = sum over mu of chi^lam(mu) chi^delta(mu) (n!/z_mu) D / prod_i (1 - q^(mu_i)),
+    D = _common_denominator(n); the Hall pairing is N / (n! D)."""
+    n = lam.size
+    table = character_table(n)
+    acc = {}
+    for mu, w in zip(table.partitions, _class_weights(n)):
+        weight = table.value(lam, mu) * table.value(delta, mu) * w
+        if not weight:
+            continue
+        for e, c in _class_quotient_terms(n, mu.parts):
+            acc[e] = acc.get(e, 0) + weight * c
+    return LaurentPolynomial(acc)
+
+
+def graded_multiplicity(lam: Partition, delta: Partition) -> tuple:
+    """Hall pairing of s_lam with the plethystic image of s_delta, as an
+    unreduced integer pair (numerator, denominator) of Laurent polynomials
+    whose quotient is the pairing; the denominator is n! prod_k (1-q^k)^floor(n/k).
 
     This is the graded multiplicity of the irreducible labeled by lam in
     the polynomial-ring module induced from the one labeled by delta.
@@ -171,52 +179,7 @@ def graded_multiplicity(lam: Partition, delta: Partition) -> RationalFunction:
             f"size mismatch: |{lam}| = {lam.size} but |{delta}| = {delta.size}"
         )
     n = lam.size
-    if n == 0:
-        return RationalFunction(1)
-    table = character_table(n)
-    nfact = factorial(n)
-    acc = {}
-    for mu in table.partitions:
-        weight = (
-            table.value(lam, mu)
-            * table.value(delta, mu)
-            * (nfact // centralizer_order(mu))
-        )
-        if not weight:
-            continue
-        for e, c in _class_quotient_terms(n, mu.parts):
-            acc[e] = acc.get(e, 0) + weight * c
-    num = LaurentPolynomial(acc)
-    if not num:
-        return RationalFunction(0)
-    # The full denominator is nfact * prod_k (1-q^k)^e_k with e_k = floor(n/k).
-    # Split it into cyclotomic factors and cancel them out of the numerator,
-    # so the canonical-form reduction below only sees small coprime inputs.
-    sign = 1
-    phi_mult = {}
-    for k in range(1, n + 1):
-        e = n // k
-        if e % 2:
-            sign = -sign
-        for d in range(1, k + 1):
-            if k % d == 0:
-                phi_mult[d] = phi_mult.get(d, 0) + e
-    for d in sorted(phi_mult, reverse=True):
-        phi = _cyclotomic(d)
-        while phi_mult[d]:
-            try:
-                num = num.exact_div(phi)
-            except NonPolynomialError:
-                break
-            phi_mult[d] -= 1
-    den = LaurentPolynomial.one()
-    for d in sorted(phi_mult):
-        for _ in range(phi_mult[d]):
-            den = den * _cyclotomic(d)
-    return RationalFunction(
-        QPolynomial.from_laurent(num),
-        QPolynomial.from_laurent(den).scale(sign * nfact),
-    )
+    return _pairing_numerator(lam, delta), _common_denominator(n).scaled(factorial(n))
 
 
 def fake_degree(lam: Partition) -> LaurentPolynomial:
@@ -237,8 +200,23 @@ def regular_fiber_character(m: int) -> LaurentPolynomial:
     top = hook_polynomial(delta) * LaurentPolynomial.monomial(
         -n_stat(delta), dim_irrep(delta)
     )
-    f = laurent_as_ratfun(top) / laurent_as_ratfun(_one_minus_q(1) ** n)
-    return ratfun_to_laurent(f)
+    return top.exact_div(_one_minus_q(1) ** n)
+
+
+@lru_cache(maxsize=None)
+def _staircase_cofactor(m: int) -> LaurentPolynomial:
+    """D / H_delta for the staircase delta of index m, D the common
+    denominator of its size: the hooks of delta are odd and each length h
+    occurs at most floor(n/h) times, so H_delta divides D factor by factor
+    and the quotient is the product of the remaining (1 - q^k)."""
+    n = m * (m + 1) // 2
+    exps = {k: n // k for k in range(1, n + 1)}
+    for h in hook_lengths(staircase(m)):
+        exps[h] -= 1
+    out = LaurentPolynomial.one()
+    for k, e in exps.items():
+        out = out * _one_minus_q(k) ** e
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -246,8 +224,10 @@ def isotypic_character(lam: Partition) -> LaurentPolynomial:
     """Torus character of the multiplicity space attached to lam inside the
     staircase fiber; palindromic with nonnegative integer coefficients.
 
-    Only triangular sizes carry such a fiber, so any other size is
-    rejected rather than approximated.
+    It is q^(-n(delta)) H_delta(q) times the Hall pairing N / (n! D), that
+    is q^(-n(delta)) N / (n! D/H_delta), both divisions exact.  Only
+    triangular sizes carry such a fiber, so any other size is rejected
+    rather than approximated.
     """
     m = triangular_index(lam.size)
     if m is None:
@@ -255,5 +235,5 @@ def isotypic_character(lam: Partition) -> LaurentPolynomial:
             f"|{lam}| = {lam.size} is not a triangular number"
         )
     delta = staircase(m)
-    shift = hook_polynomial(delta) * LaurentPolynomial.monomial(-n_stat(delta))
-    return ratfun_to_laurent(laurent_as_ratfun(shift) * graded_multiplicity(lam, delta))
+    num = _pairing_numerator(lam, delta).exact_div(_staircase_cofactor(m))
+    return num.exact_div(factorial(lam.size)).shifted(-n_stat(delta))

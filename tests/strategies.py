@@ -2,22 +2,18 @@
 
 import hypothesis.strategies as st
 
-from cmhilb import LaurentPolynomial, Partition, QPolynomial, RationalFunction
+from cmhilb import LaurentPolynomial, Partition
 
 laurent_polys = st.dictionaries(
     st.integers(-6, 6), st.integers(-9, 9), max_size=6
 ).map(LaurentPolynomial)
 
-small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+nonzero_laurent_polys = laurent_polys.filter(bool)
 
-qpolys = st.lists(small_fractions, max_size=5).map(QPolynomial)
-
-nonzero_qpolys = qpolys.filter(lambda p: not p.is_zero)
-
-
-@st.composite
-def ratfuns(draw):
-    return RationalFunction(draw(qpolys), draw(nonzero_qpolys))
+# Nonzero and not a unit +-q^j, so it never divides p + q^j for a multiple p.
+non_unit_laurent_polys = nonzero_laurent_polys.filter(
+    lambda p: [c for _, c in p.sorted_terms()] not in ([1], [-1])
+)
 
 
 @st.composite

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from cmhilb import LaurentPolynomial, NonPolynomialError, verify
 from cmhilb.cli import main
 
 
@@ -28,6 +29,42 @@ def test_part_info_text(capsys):
     assert code == 0
     assert "staircase" in out
     assert "1,2,3" in out  # diagonals of the staircase
+
+
+# (text label, JSON key) in the order `part info` prints them
+PART_INFO_ROWS = [
+    ("partition", "partition"),
+    ("size", "size"),
+    ("transpose", "transpose"),
+    ("steep", "is_steep"),
+    ("staircase", "is_staircase"),
+    ("all hooks odd", "all_hooks_odd"),
+    ("hooks", "hooks"),
+    ("hook polynomial", "hook_polynomial"),
+    ("n statistic", "n_stat"),
+    ("irreducible dim", "dim_irrep"),
+    ("diagonals", "diagonals"),
+    ("u_map", "u_map"),
+    ("Borel stable", "is_borel_stable"),
+]
+
+
+@pytest.mark.parametrize("partition", ["", "1", "3,2,1", "4,3,3,1,1", "5,5,2", "2,2,2,1"])
+def test_part_info_text_matches_json(capsys, partition):
+    code, text, _ = run_cli(capsys, "part", "info", partition)
+    assert code == 0
+    _, out, _ = run_cli(capsys, "part", "info", partition, "--format", "json")
+    data = json.loads(out)
+    width = max(len(label) for label, _ in PART_INFO_ROWS)
+    expected = []
+    for label, key in PART_INFO_ROWS:
+        value = data[key]
+        if key == "hook_polynomial":
+            value = LaurentPolynomial.from_json(value).to_text()
+        elif isinstance(value, list):
+            value = ",".join(str(v) for v in value)
+        expected.append(f"{label:<{width}}  {value}\n")
+    assert text == "".join(expected)
 
 
 def test_exponents_table_text(capsys):
@@ -173,6 +210,29 @@ def test_verify_all_passes(capsys):
     lines = out.strip().splitlines()
     assert all(line.startswith("PASS") for line in lines[:-1])
     assert lines[-1].endswith("checks passed")
+
+
+@pytest.mark.parametrize("limit", [["--max-m", "0"], ["--max-n", "0"], ["--max-n", "-1"]])
+def test_verify_rejects_empty_limits(capsys, limit):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "all", *limit])
+    assert err.value.code == 2
+    assert "checks passed" not in capsys.readouterr().out
+
+
+def test_verify_reports_raising_check(capsys, monkeypatch):
+    def boom(limits):
+        raise NonPolynomialError("division leaves a nonzero remainder")
+
+    monkeypatch.setitem(verify.CHECKS, "boom", boom)
+    code, out, err = run_cli(capsys, "verify", "boom", "staircase-n-stat")
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL boom: raised NonPolynomialError: division leaves a nonzero remainder",
+        "PASS staircase-n-stat",
+        "1/2 checks passed",
+    ]
+    assert "Traceback" not in err
 
 
 def test_verify_list(capsys):

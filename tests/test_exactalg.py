@@ -1,20 +1,11 @@
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from cmhilb import (
-    LaurentPolynomial,
-    NonPolynomialError,
-    QPolynomial,
-    RationalFunction,
-    laurent_arith,
-    laurent_as_ratfun,
-    poly_gcd,
-    ratfun_arith,
-    ratfun_to_laurent,
-)
-from strategies import laurent_polys, nonzero_qpolys, qpolys, ratfuns
+from cmhilb import LaurentPolynomial, NonPolynomialError
+from strategies import laurent_polys, non_unit_laurent_polys, nonzero_laurent_polys
 
 Q = LaurentPolynomial.monomial(1)
 QINV = LaurentPolynomial.monomial(-1)
@@ -26,16 +17,14 @@ def test_binomial_square():
 
 
 def test_geometric_telescope():
-    assert laurent_arith(
-        LaurentPolynomial({0: 1, 1: -1}),
-        LaurentPolynomial({0: 1, 1: 1, 2: 1}),
-        "mul",
+    assert LaurentPolynomial({0: 1, 1: -1}) * LaurentPolynomial(
+        {0: 1, 1: 1, 2: 1}
     ) == LaurentPolynomial({0: 1, 3: -1})
 
 
 @given(laurent_polys)
 def test_additive_identity(p):
-    assert laurent_arith(p, LaurentPolynomial.zero(), "add") == p
+    assert p + LaurentPolynomial.zero() == p
     assert p * LaurentPolynomial.one() == p
 
 
@@ -94,91 +83,22 @@ def test_evaluate():
     assert p.evaluate(Fraction(1, 2)) == Fraction(5, 2)
 
 
-def test_ratfun_add():
-    one_over = RationalFunction(QPolynomial.one(), QPolynomial((1, -1)))
-    two_over = RationalFunction(QPolynomial.constant(2), QPolynomial((1, -1)))
-    assert ratfun_arith(one_over, one_over, "add") == two_over
+@given(laurent_polys, nonzero_laurent_polys)
+def test_exact_div_inverts_multiplication(a, b):
+    assert (a * b).exact_div(b) == a
 
 
-def test_ratfun_reduces_common_factor():
-    f = RationalFunction(QPolynomial((1, 0, -1)), QPolynomial((1, -1)))
-    assert f == RationalFunction(QPolynomial((1, 1)))
-    assert f.denominator == QPolynomial.one()
-
-
-@given(ratfuns())
-def test_ratfun_self_division(f):
-    if f:
-        assert ratfun_arith(f, f, "div") == RationalFunction(1)
-
-
-def test_ratfun_division_by_zero():
-    f = RationalFunction(QPolynomial.one(), QPolynomial((1, -1)))
-    with pytest.raises(ZeroDivisionError):
-        ratfun_arith(f, RationalFunction(0), "div")
-    with pytest.raises(ZeroDivisionError):
-        RationalFunction(QPolynomial.one(), QPolynomial.zero())
-
-
-@given(ratfuns(), ratfuns(), ratfuns())
-def test_ratfun_ring_axioms(f, g, h):
-    assert (f + g) + h == f + (g + h)
-    assert (f * g) * h == f * (g * h)
-    assert f * (g + h) == f * g + f * h
-    assert f + g == g + f
-    assert f * g == g * f
-
-
-@given(ratfuns(), nonzero_qpolys)
-def test_reduction_is_canonical(f, blower):
-    blown = RationalFunction(f.numerator * blower, f.denominator * blower)
-    assert blown == f
-
-
-@given(ratfuns())
-def test_normalization_idempotent(f):
-    assert RationalFunction(f.numerator, f.denominator) == f
-    assert f.denominator.is_zero or f.denominator.leading == 1
-
-
-@given(qpolys, nonzero_qpolys)
-def test_gcd_divides_both(a, b):
-    g = poly_gcd(a, b)
-    if g:
-        assert (a % g).is_zero
-        assert (b % g).is_zero
-
-
-def test_ratfun_to_laurent_geometric():
-    f = laurent_as_ratfun(LaurentPolynomial({-1: 1, 2: -1}))  # q^-1 (1 - q^3)
-    f = f / laurent_as_ratfun(LaurentPolynomial({0: 1, 1: -1}))
-    assert ratfun_to_laurent(f) == LaurentPolynomial({-1: 1, 0: 1, 1: 1})
-
-
-def test_ratfun_to_laurent_constant():
-    assert ratfun_to_laurent(RationalFunction(5)) == LaurentPolynomial({0: 5})
-
-
-def test_ratfun_to_laurent_rejects_series():
-    f = RationalFunction(QPolynomial.one(), QPolynomial((1, -1)))
+@given(laurent_polys, non_unit_laurent_polys, st.integers(-6, 6))
+def test_exact_div_rejects_remainder(a, b, j):
     with pytest.raises(NonPolynomialError):
-        ratfun_to_laurent(f)
+        (a * b + LaurentPolynomial.monomial(j)).exact_div(b)
 
 
-def test_ratfun_to_laurent_rejects_fractional():
+@given(laurent_polys, st.integers(2, 9))
+def test_exact_div_by_integer(a, k):
+    assert a.scaled(k).exact_div(k) == a
+    assert a.scaled(-k).exact_div(-k) == a
     with pytest.raises(NonPolynomialError):
-        ratfun_to_laurent(RationalFunction(Fraction(5, 2)))
-
-
-@given(laurent_polys)
-def test_laurent_ratfun_roundtrip(p):
-    assert ratfun_to_laurent(laurent_as_ratfun(p)) == p
-
-
-def test_unknown_ops_rejected():
-    p = LaurentPolynomial.one()
-    with pytest.raises(ValueError):
-        laurent_arith(p, p, "pow")
-    f = RationalFunction(1)
-    with pytest.raises(ValueError):
-        ratfun_arith(f, f, "mod")
+        (a.scaled(k) + LaurentPolynomial.one()).exact_div(k)
+    with pytest.raises(ZeroDivisionError):
+        a.exact_div(0)

@@ -4,10 +4,9 @@ import pytest
 
 from cmhilb import (
     LaurentPolynomial,
+    NonPolynomialError,
     NonTriangularSizeError,
     Partition,
-    QPolynomial,
-    RationalFunction,
     centralizer_order,
     character_table,
     dim_irrep,
@@ -21,6 +20,7 @@ from cmhilb import (
     regular_fiber_character,
     transpose,
 )
+from cmhilb import symfun
 
 
 # ---------------------------------------------------------------------------
@@ -142,44 +142,63 @@ def test_orthogonality_small():
             assert table.value(lam, Partition((1,) * n)) == dim_irrep(lam)
 
 
+# graded_multiplicity returns an unreduced pair (num, den); each expected
+# value a / b is checked as the cross-multiplied identity num * b == den * a.
+
+Q = LaurentPolynomial.monomial(1)
+
+
+def _one_minus_q(k):
+    return LaurentPolynomial({0: 1, k: -1})
+
+
 def test_graded_multiplicity_one_variable():
-    got = graded_multiplicity(Partition((1,)), Partition((1,)))
-    assert got == RationalFunction(QPolynomial.one(), QPolynomial((1, -1)))
+    num, den = graded_multiplicity(Partition((1,)), Partition((1,)))
+    assert num * _one_minus_q(1) == den
 
 
 def test_graded_multiplicity_trivial_constant_term():
     for n in range(1, 7):
         lam = Partition((n,))
-        assert graded_multiplicity(lam, lam).evaluate(0) == 1
+        num, den = graded_multiplicity(lam, lam)
+        assert den.evaluate(0) == factorial(n)
+        assert num.evaluate(0) == den.evaluate(0)
 
 
 def test_graded_multiplicity_mixed_pair():
     # hand value: chi^(3) is trivial, chi^(2,1) is (2, 0, -1) on the classes
     # (1,1,1), (2,1), (3) with centralizer orders 6, 2, 3, so the pairing is
     # 2/(6 (1-q)^3) - 1/(3 (1-q^3)) = q / ((1-q)^2 (1-q^3))
-    got = graded_multiplicity(Partition((3,)), Partition((2, 1)))
-    den = QPolynomial((1, -1)) ** 2 * QPolynomial((1, 0, 0, -1))
-    assert got == RationalFunction(QPolynomial((0, 1)), den)
+    num, den = graded_multiplicity(Partition((3,)), Partition((2, 1)))
+    assert num * _one_minus_q(1) ** 2 * _one_minus_q(3) == den * Q
 
 
 def test_graded_multiplicity_symmetric():
     for n in (3, 4):
         for lam in enumerate_partitions(n):
             for delta in enumerate_partitions(n):
-                assert graded_multiplicity(lam, delta) == graded_multiplicity(delta, lam)
+                num, den = graded_multiplicity(lam, delta)
+                num_t, den_t = graded_multiplicity(delta, lam)
+                assert num * den_t == num_t * den
 
 
 def test_graded_multiplicity_two_one():
-    got = graded_multiplicity(Partition((2, 1)), Partition((2, 1)))
-    den = QPolynomial((1, -1)) ** 2 * QPolynomial((1, 0, 0, -1))
-    assert got == RationalFunction(QPolynomial((1, 0, 1)), den)
+    num, den = graded_multiplicity(Partition((2, 1)), Partition((2, 1)))
+    assert num * _one_minus_q(1) ** 2 * _one_minus_q(3) == den * LaurentPolynomial({0: 1, 2: 1})
     # and through the character pipeline it lands on q + q^-1 exactly
     shift = hook_polynomial(Partition((2, 1))) * LaurentPolynomial.monomial(-1)
-    from cmhilb import laurent_as_ratfun, ratfun_to_laurent
+    assert shift * num == LaurentPolynomial({1: 1, -1: 1}) * den
 
-    assert ratfun_to_laurent(laurent_as_ratfun(shift) * got) == LaurentPolynomial(
-        {1: 1, -1: 1}
-    )
+
+def test_isotypic_rejects_inexact_numerator(monkeypatch):
+    # A numerator that D/H_delta divides but n! does not, and one that
+    # D/H_delta does not divide, must both trip the exactness alarm.
+    lam = Partition((2, 1))
+    cofactor = symfun._staircase_cofactor(2)
+    for bad in (cofactor, cofactor + LaurentPolynomial.one()):
+        monkeypatch.setattr(symfun, "_pairing_numerator", lambda lam, delta, bad=bad: bad)
+        with pytest.raises(NonPolynomialError):
+            isotypic_character.__wrapped__(lam)
 
 
 # ---------------------------------------------------------------------------
