@@ -9,6 +9,8 @@ import json
 import time
 from math import factorial
 
+import pytest
+
 from cmhilb import (
     LaurentPolynomial,
     Partition,
@@ -103,6 +105,14 @@ def test_02_layered_fiber_identity(capsys):
         assert main(["verify", "fiber-layer-factorization", "--max-m", "10"]) == 0
         capsys.readouterr()
     print(capsys.readouterr().out, end="")
+
+
+@pytest.mark.slow
+def test_02b_layered_fiber_identity_m5(capsys):
+    with _Budget("layered-fiber-identity-m5", 300):
+        assert layered_fiber_character(5) == regular_fiber_character(5)
+        assert main(["verify", "fiber-layer-factorization", "--max-m", "5"]) == 0
+        capsys.readouterr()
 
 
 def test_03_staircase_tangent_product():

@@ -83,6 +83,53 @@ def test_evaluate():
     assert p.evaluate(Fraction(1, 2)) == Fraction(5, 2)
 
 
+@given(nonzero_laurent_polys)
+def test_ratfun_self_division(f):
+    assert f.exact_div(f) == LaurentPolynomial.one()
+
+
+def test_ratfun_division_by_zero():
+    f = LaurentPolynomial({0: 1, 1: -1})
+    with pytest.raises(ZeroDivisionError):
+        f.exact_div(LaurentPolynomial.zero())
+    with pytest.raises(ZeroDivisionError):
+        f.exact_div(0)
+
+
+def test_ratfun_to_laurent_geometric():
+    f = LaurentPolynomial({-1: 1, 2: -1})  # q^-1 (1 - q^3)
+    assert f.exact_div(LaurentPolynomial({0: 1, 1: -1})) == LaurentPolynomial(
+        {-1: 1, 0: 1, 1: 1}
+    )
+
+
+def test_ratfun_to_laurent_constant():
+    ten = LaurentPolynomial({0: 10})
+    assert ten.exact_div(LaurentPolynomial({0: 2})) == LaurentPolynomial({0: 5})
+    assert ten.exact_div(2) == LaurentPolynomial({0: 5})
+
+
+def test_ratfun_to_laurent_rejects_series():
+    with pytest.raises(NonPolynomialError):
+        LaurentPolynomial.one().exact_div(LaurentPolynomial({0: 1, 1: -1}))
+
+
+def test_ratfun_to_laurent_rejects_fractional():
+    five = LaurentPolynomial({0: 5})
+    with pytest.raises(NonPolynomialError):
+        five.exact_div(2)
+    with pytest.raises(NonPolynomialError):
+        five.exact_div(LaurentPolynomial({0: 2}))
+
+
+@given(laurent_polys, st.integers(-6, 6))
+def test_laurent_ratfun_roundtrip(p, k):
+    assert p.exact_div(LaurentPolynomial.one()) == p
+    assert p.exact_div(1) == p
+    shift = LaurentPolynomial.monomial(k)
+    assert (p * shift).exact_div(shift) == p
+
+
 @given(laurent_polys, nonzero_laurent_polys)
 def test_exact_div_inverts_multiplication(a, b):
     assert (a * b).exact_div(b) == a
