@@ -16,8 +16,6 @@ import sys
 
 from .exactalg import NonPolynomialError
 from .orbits import (
-    CALOGERO_MOSER,
-    HILBERT,
     closure_graph,
     cm_orbit,
     hilb_orbit,
@@ -74,6 +72,18 @@ def _partition_arg(text: str) -> Partition:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _size_arg(text: str) -> int:
+    """A size or a bound, which must be a positive integer: size 0 holds
+    only the empty partition, and a bound below 1 leaves nothing to check."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cmhilb",
@@ -91,6 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = part_sub.add_parser("info", help="hooks, diagonals, rectification and statistics")
     p.add_argument("partition", type=_partition_arg, help='comma form, e.g. "4,3,3,1,1"')
     add_format(p)
+    p.set_defaults(func=_cmd_part_info)
 
     cm = sub.add_parser("cm", help="Calogero-Moser space")
     cm_sub = cm.add_subparsers(dest="command", required=True)
@@ -98,25 +109,30 @@ def build_parser() -> argparse.ArgumentParser:
     p = cm_sub.add_parser("tangent", help="tangent-space character at a fixed point")
     p.add_argument("partition", type=_partition_arg)
     add_format(p)
+    p.set_defaults(func=_cmd_cm_tangent)
 
     p = cm_sub.add_parser("orbit", help="orbit and stabilizer of a fixed point")
     p.add_argument("partition", type=_partition_arg)
     add_format(p)
+    p.set_defaults(func=_cmd_orbit, orbit=cm_orbit)
 
     p = cm_sub.add_parser("exponents", help="exponent table for all partitions of n")
-    p.add_argument("n", type=int)
-    p.add_argument("--max-n", type=int, default=20, help="size cap (default 20)")
+    p.add_argument("n", type=_size_arg)
+    p.add_argument("--max-n", type=_size_arg, default=20, help="size cap (default 20)")
     add_format(p, ("text", "json", "csv"))
+    p.set_defaults(func=_cmd_cm_exponents)
 
     p = cm_sub.add_parser("char-L", help="graded character of the staircase fiber")
-    p.add_argument("m", type=int)
-    p.add_argument("--max-m", type=int, default=4, help="staircase cap (default 4)")
+    p.add_argument("m", type=_size_arg)
+    p.add_argument("--max-m", type=_size_arg, default=4, help="staircase cap (default 4)")
     add_format(p)
+    p.set_defaults(func=_cmd_cm_char_l)
 
     p = cm_sub.add_parser("fixed", help="partitions of n fixed by the full group action")
-    p.add_argument("n", type=int)
-    p.add_argument("--max-n", type=int, default=20, help="size cap (default 20)")
+    p.add_argument("n", type=_size_arg)
+    p.add_argument("--max-n", type=_size_arg, default=20, help="size cap (default 20)")
     add_format(p)
+    p.set_defaults(func=_cmd_cm_fixed)
 
     hilb = sub.add_parser("hilb", help="Hilbert scheme of points in the plane")
     hilb_sub = hilb.add_subparsers(dest="command", required=True)
@@ -124,30 +140,30 @@ def build_parser() -> argparse.ArgumentParser:
     p = hilb_sub.add_parser("orbit", help="orbit, stabilizer and boundary of a fixed point")
     p.add_argument("partition", type=_partition_arg)
     add_format(p)
+    p.set_defaults(func=_cmd_orbit, orbit=hilb_orbit)
 
     p = hilb_sub.add_parser("ideal", help="monomial ideal generators and graded dimensions")
     p.add_argument("partition", type=_partition_arg)
     add_format(p)
+    p.set_defaults(func=_cmd_hilb_ideal)
 
     p = hilb_sub.add_parser("closure", help="orbit-closure graph over all partitions of n")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_size_arg)
     p.add_argument("--space", choices=("hilbert", "calogero-moser"), default="hilbert")
-    p.add_argument("--max-n", type=int, default=20, help="size cap (default 20)")
+    p.add_argument("--max-n", type=_size_arg, default=20, help="size cap (default 20)")
     add_format(p, ("text", "json", "dot"))
+    p.set_defaults(func=_cmd_hilb_closure)
 
     ver = sub.add_parser("verify", help="run named invariant checks")
     ver.add_argument("checks", nargs="*", default=["all"],
                      help='check names, or "all" (default)')
-    ver.add_argument("--max-n", type=int, default=20,
+    ver.add_argument("--max-n", type=_size_arg, default=20,
                      help="combinatorial size bound (default 20)")
-    ver.add_argument("--max-m", type=int, default=4,
+    ver.add_argument("--max-m", type=_size_arg, default=4,
                      help="staircase bound for character identities (default 4)")
     ver.add_argument("--list", action="store_true", help="list check names and exit")
+    ver.set_defaults(func=_cmd_verify)
     return parser
-
-
-def _laurent_json(p) -> list:
-    return p.to_json()
 
 
 def _cmd_part_info(args) -> int:
@@ -162,7 +178,7 @@ def _cmd_part_info(args) -> int:
         "is_staircase": is_staircase(lam),
         "all_hooks_odd": all_hooks_odd(lam),
         "hooks": list(hook_lengths(lam)),
-        "hook_polynomial": _laurent_json(hook_poly),
+        "hook_polynomial": hook_poly.to_json(),
         "n_stat": n_stat(lam),
         "dim_irrep": dim_irrep(lam),
         "diagonals": list(diagonals(lam)),
@@ -196,7 +212,7 @@ def _cmd_cm_tangent(args) -> int:
     if args.format == "json":
         print(_json_dump({
             "partition": lam.to_json(),
-            "character": _laurent_json(chi),
+            "character": chi.to_json(),
             "weights_all_odd": weights_all_odd(chi),
         }))
     else:
@@ -220,8 +236,8 @@ def _report_lines(rep):
     return lines
 
 
-def _cmd_orbit(args, space) -> int:
-    rep = cm_orbit(args.partition) if space == CALOGERO_MOSER else hilb_orbit(args.partition)
+def _cmd_orbit(args) -> int:
+    rep = args.orbit(args.partition)
     if args.format == "json":
         print(_json_dump(rep.to_json_obj()))
     else:
@@ -230,10 +246,6 @@ def _cmd_orbit(args, space) -> int:
 
 
 def _cmd_cm_exponents(args) -> int:
-    if args.n < 0:
-        raise CapExceededError("n must be nonnegative")
-    if args.n > args.max_n:
-        raise CapExceededError(f"n={args.n} exceeds --max-n {args.max_n}")
     rows = [(lam, exponents(lam)) for lam in enumerate_partitions(args.n, cap=args.max_n)]
     if args.format == "json":
         print(_json_dump({
@@ -258,15 +270,13 @@ def _cmd_cm_exponents(args) -> int:
 
 
 def _cmd_cm_char_l(args) -> int:
-    if args.m < 1:
-        raise CapExceededError("m must be at least 1")
     if args.m > args.max_m:
         raise CapExceededError(f"m={args.m} exceeds --max-m {args.max_m}")
     chi = regular_fiber_character(args.m)
     if args.format == "json":
         print(_json_dump({
             "m": args.m,
-            "character": _laurent_json(chi),
+            "character": chi.to_json(),
             "dimension": chi.evaluate(1),
         }))
     else:
@@ -276,8 +286,6 @@ def _cmd_cm_char_l(args) -> int:
 
 
 def _cmd_cm_fixed(args) -> int:
-    if args.n < 0:
-        raise CapExceededError("n must be nonnegative")
     fixed = sorted(sl2_fixed_set(args.n, cap=args.max_n), key=lambda p: p.parts)
     if args.format == "json":
         print(_json_dump({"n": args.n, "fixed": [lam.to_json() for lam in fixed]}))
@@ -304,10 +312,6 @@ def _cmd_hilb_ideal(args) -> int:
 
 
 def _cmd_hilb_closure(args) -> int:
-    if args.n < 1:
-        raise CapExceededError("n must be positive")
-    if args.n > args.max_n:
-        raise CapExceededError(f"n={args.n} exceeds --max-n {args.max_n}")
     graph = closure_graph(args.n, args.space, cap=args.max_n)
     if args.format == "json":
         print(_json_dump(graph.to_json_obj()))
@@ -329,8 +333,6 @@ def _cmd_verify(args) -> int:
         raise UsageError(
             f"unknown check {unknown[0]!r}; run `cmhilb verify --list` for names"
         )
-    if args.max_n < 1 or args.max_m < 1:
-        raise UsageError("--max-n and --max-m must be at least 1")
     limits = Limits(max_n=args.max_n, max_m=args.max_m)
     ok = run_checks(args.checks, limits, out=print)
     return 0 if ok else 1
@@ -344,31 +346,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.group == "part":
-            return _cmd_part_info(args)
-        if args.group == "cm":
-            if args.command == "tangent":
-                return _cmd_cm_tangent(args)
-            if args.command == "orbit":
-                return _cmd_orbit(args, CALOGERO_MOSER)
-            if args.command == "exponents":
-                return _cmd_cm_exponents(args)
-            if args.command == "char-L":
-                return _cmd_cm_char_l(args)
-            if args.command == "fixed":
-                return _cmd_cm_fixed(args)
-        if args.group == "hilb":
-            if args.command == "orbit":
-                return _cmd_orbit(args, HILBERT)
-            if args.command == "ideal":
-                return _cmd_hilb_ideal(args)
-            if args.command == "closure":
-                return _cmd_hilb_closure(args)
-        if args.group == "verify":
-            return _cmd_verify(args)
-    except UsageError as exc:
-        parser.error(str(exc))
-    except CapExceededError as exc:
+        return args.func(args)
+    except (UsageError, CapExceededError) as exc:
         parser.error(str(exc))
     except NonTriangularSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -376,7 +355,6 @@ def main(argv=None) -> int:
     except (NonPolynomialError, NotACharacterError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError("unhandled command")
 
 
 if __name__ == "__main__":

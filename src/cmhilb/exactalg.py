@@ -157,12 +157,6 @@ class LaurentPolynomial:
             raise ValueError("zero polynomial has no exponents")
         return max(self._terms)
 
-    def reciprocal(self) -> "LaurentPolynomial":
-        """Substitute q -> 1/q."""
-        out = LaurentPolynomial.__new__(LaurentPolynomial)
-        out._terms = {-e: v for e, v in self._terms.items()}
-        return out
-
     def is_palindromic(self) -> bool:
         return self._terms == {-e: v for e, v in self._terms.items()}
 
@@ -243,6 +237,15 @@ class LaurentPolynomial:
 
     def __repr__(self):
         return self.to_text()
+
+
+def one_minus_q_product(ks) -> LaurentPolynomial:
+    """Product of (1 - q^k) over the multiset ks, one binomial factor at a
+    time in the order given."""
+    out = LaurentPolynomial.one()
+    for k in ks:
+        out = out * LaurentPolynomial({0: 1, k: -1})
+    return out
 
 
 def _dense(p: LaurentPolynomial) -> list:

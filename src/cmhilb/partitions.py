@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, isqrt
 
-from .exactalg import LaurentPolynomial
+from .exactalg import LaurentPolynomial, one_minus_q_product
 
 DEFAULT_CAP = 30
 
@@ -98,10 +98,7 @@ def hook_lengths(lam: Partition) -> tuple:
 
 def hook_polynomial(lam: Partition) -> LaurentPolynomial:
     """Product of (1 - q^h) over the hook multiset."""
-    out = LaurentPolynomial.one()
-    for h in hook_lengths(lam):
-        out = out * LaurentPolynomial({0: 1, h: -1})
-    return out
+    return one_minus_q_product(hook_lengths(lam))
 
 
 def n_stat(lam: Partition) -> int:

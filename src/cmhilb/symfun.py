@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial
 
-from .exactalg import LaurentPolynomial
+from .exactalg import LaurentPolynomial, one_minus_q_product
 from .partitions import (
     DEFAULT_CAP,
     Partition,
@@ -112,36 +112,21 @@ def character_table(n: int) -> CharacterTable:
     return CharacterTable(n)
 
 
-def _one_minus_q(k: int) -> LaurentPolynomial:
-    return LaurentPolynomial({0: 1, k: -1})
-
-
 def q_factorial(n: int) -> LaurentPolynomial:
     """(q)_n = prod over i = 1..n of (1 - q^i)."""
-    out = LaurentPolynomial.one()
-    for i in range(1, n + 1):
-        out = out * _one_minus_q(i)
-    return out
+    return one_minus_q_product(range(1, n + 1))
 
 
 @lru_cache(maxsize=None)
 def _common_denominator(n: int) -> LaurentPolynomial:
     """prod_k (1-q^k)^floor(n/k); every class product for size n divides it."""
-    out = LaurentPolynomial.one()
-    for k in range(1, n + 1):
-        f = _one_minus_q(k)
-        for _ in range(n // k):
-            out = out * f
-    return out
+    return one_minus_q_product(k for k in range(1, n + 1) for _ in range(n // k))
 
 
 @lru_cache(maxsize=None)
 def _class_quotient_terms(n: int, mu_parts: tuple) -> tuple:
     """Terms of _common_denominator(n) / prod_i (1 - q^(mu_i))."""
-    den = LaurentPolynomial.one()
-    for p in mu_parts:
-        den = den * _one_minus_q(p)
-    return _common_denominator(n).exact_div(den).sorted_terms()
+    return _common_denominator(n).exact_div(one_minus_q_product(mu_parts)).sorted_terms()
 
 
 @lru_cache(maxsize=None)
@@ -200,7 +185,7 @@ def regular_fiber_character(m: int) -> LaurentPolynomial:
     top = hook_polynomial(delta) * LaurentPolynomial.monomial(
         -n_stat(delta), dim_irrep(delta)
     )
-    return top.exact_div(_one_minus_q(1) ** n)
+    return top.exact_div(one_minus_q_product((1,) * n))
 
 
 @lru_cache(maxsize=None)
@@ -213,10 +198,7 @@ def _staircase_cofactor(m: int) -> LaurentPolynomial:
     exps = {k: n // k for k in range(1, n + 1)}
     for h in hook_lengths(staircase(m)):
         exps[h] -= 1
-    out = LaurentPolynomial.one()
-    for k, e in exps.items():
-        out = out * _one_minus_q(k) ** e
-    return out
+    return one_minus_q_product(k for k, e in exps.items() for _ in range(e))
 
 
 @lru_cache(maxsize=None)

@@ -5,6 +5,7 @@ pass); the CLI runs any subset and reports one line per check.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import random
@@ -20,6 +21,7 @@ from .partitions import (
     dim_irrep,
     enumerate_partitions,
     hook_lengths,
+    hook_polynomial,
     is_staircase,
     is_steep,
     n_stat,
@@ -29,6 +31,7 @@ from .partitions import (
     u_map,
 )
 from .sl2 import (
+    NotACharacterError,
     SL2Character,
     decompose,
     exponents,
@@ -250,7 +253,7 @@ def check_sl2_decompose_roundtrip(limits):
     try:
         decompose(LaurentPolynomial({1: 1, -1: 1, 0: -1}))
         bad.append("a non-character was decomposed without complaint")
-    except Exception:
+    except NotACharacterError:
         pass
     return bad
 
@@ -310,7 +313,23 @@ def check_borel_stability(limits):
     return bad
 
 
-_W0_CONJUGATE = {"SL2": "SL2", "B": "B_minus", "B_minus": "B", "T": "T", "N_T": "N_T"}
+_ORBIT_MODEL = {"SL2": "point", "B": "P1", "B_minus": "P1", "T": "SL2_mod_T", "N_T": "SL2_mod_NT"}
+_CONTAINS_BOREL = ("SL2", "B", "B_minus")
+
+
+def _derivation_stabilizer(lam: Partition) -> str:
+    """Stabilizer read off the derivation tests alone: the ideal of lam is
+    stable under x d/dy when is_borel_stable(lam), and under y d/dx when the
+    x <-> y swap of it is, i.e. when is_borel_stable(transpose(lam))."""
+    lamt = transpose(lam)
+    under_x_dy, under_y_dx = is_borel_stable(lam), is_borel_stable(lamt)
+    if under_x_dy and under_y_dx:
+        return "SL2"
+    if under_x_dy:
+        return "B"
+    if under_y_dx:
+        return "B_minus"
+    return "N_T" if lam == lamt else "T"
 
 
 def check_hilbert_orbit_classification(limits):
@@ -318,29 +337,19 @@ def check_hilbert_orbit_classification(limits):
     for n in range(min(limits.max_n, 30) + 1):
         for lam in enumerate_partitions(n):
             rep = hilb_orbit(lam)
-            lamt = transpose(lam)
-            steep_side = is_steep(lam) or is_steep(lamt)
-            if rep.closed != steep_side:
-                bad.append(f"closedness disagrees with steepness at {lam}")
-            if is_staircase(lam):
-                expected = "SL2"
-            elif is_steep(lam):
-                expected = "B"
-            elif is_steep(lamt):
-                expected = "B_minus"
-            elif lam == lamt:
-                expected = "N_T"
-            else:
-                expected = "T"
-            if rep.stabilizer != expected:
-                bad.append(f"stabilizer at {lam} is {rep.stabilizer}, expected {expected}")
-            if rep.closed and rep.boundary is not None:
-                bad.append(f"closed orbit at {lam} reports a boundary")
-            if not rep.closed and rep.boundary != u_map(lam):
-                bad.append(f"boundary at {lam} is not the rectification")
-            mirror = hilb_orbit(lamt)
-            if mirror.stabilizer != _W0_CONJUGATE[rep.stabilizer]:
-                bad.append(f"transpose stabilizer at {lam} is not the conjugate")
+            expected = _derivation_stabilizer(lam)
+            if (rep.stabilizer, rep.orbit_model) != (expected, _ORBIT_MODEL[expected]):
+                got = f"{rep.stabilizer} ({rep.orbit_model})"
+                bad.append(f"orbit at {lam} is {got}, expected {expected}")
+            if rep.closed != (expected in _CONTAINS_BOREL):
+                bad.append(f"closedness at {lam} disagrees with the derivation test")
+            if rep.closed:
+                if rep.boundary is not None:
+                    bad.append(f"closed orbit at {lam} reports a boundary")
+            elif rep.boundary is None or not (
+                is_borel_stable(rep.boundary) and diagonals(rep.boundary) == diagonals(lam)
+            ):
+                bad.append(f"boundary at {lam} is not steep with the same antidiagonal profile")
     return bad
 
 
@@ -369,15 +378,19 @@ def check_cm_orbit_classification(limits):
         for lam in enumerate_partitions(n):
             rep = cm_orbit(lam)
             lamt = transpose(lam)
-            if not rep.closed:
+            # every orbit here is closed, so no stabilizer is a Borel: a point
+            # stable under one derivation only shares its orbit with its
+            # transpose and keeps T
+            expected = _derivation_stabilizer(lam)
+            if expected in ("B", "B_minus"):
+                expected = "T"
+            if (rep.stabilizer, rep.orbit_model) != (expected, _ORBIT_MODEL[expected]):
+                got = f"{rep.stabilizer} ({rep.orbit_model})"
+                bad.append(f"orbit at {lam} is {got}, expected {expected}")
+            if not rep.closed or rep.boundary is not None:
                 bad.append(f"Calogero-Moser orbit at {lam} is not closed")
-            if (rep.stabilizer == "SL2") != is_staircase(lam):
-                bad.append(f"point stabilizer SL2 misassigned at {lam}")
-            if lam != lamt:
-                if rep.stabilizer != "T" or rep.partner != lamt:
-                    bad.append(f"shared orbit with the transpose misreported at {lam}")
-            elif not is_staircase(lam) and rep.stabilizer != "N_T":
-                bad.append(f"self-transpose stabilizer misreported at {lam}")
+            if rep.partner != (lamt if expected == "T" else None):
+                bad.append(f"shared orbit with the transpose misreported at {lam}")
     return bad
 
 
@@ -400,37 +413,59 @@ def check_monomial_ideal_dims(limits):
     return bad
 
 
+def _cli_json_cases():
+    """(argv, decode, expected): decode turns the JSON that argv prints back
+    into library values, which must equal the expected library values."""
+    lam, hooked = Partition((4, 3, 3, 1, 1)), Partition((2, 1))
+    cm_rep, hilb_rep = cm_orbit(Partition((3, 1))), hilb_orbit(Partition((2, 2)))
+    ideal = monomial_ideal(hooked)
+    laurent = LaurentPolynomial.from_json
+    return [
+        (["part", "info", "4,3,3,1,1"],
+         lambda o: (laurent(o["hook_polynomial"]), Partition(o["u_map"]), tuple(o["diagonals"])),
+         (hook_polynomial(lam), u_map(lam), diagonals(lam))),
+        (["cm", "orbit", "3,1"],
+         lambda o: (o["stabilizer"], o["closed"], Partition(o["partner"])),
+         (cm_rep.stabilizer, cm_rep.closed, cm_rep.partner)),
+        (["cm", "exponents", "6"],
+         lambda o: [(Partition(r["partition"]), tuple(r["exponents"])) for r in o["rows"]],
+         [(mu, exponents(mu)) for mu in enumerate_partitions(6)]),
+        (["cm", "char-L", "2"],
+         lambda o: (laurent(o["character"]), o["dimension"]),
+         (regular_fiber_character(2), factorial(3))),
+        (["cm", "tangent", "2,1"], lambda o: laurent(o["character"]), tangent_character(hooked)),
+        (["cm", "fixed", "6"], lambda o: {Partition(p) for p in o["fixed"]}, sl2_fixed_set(6)),
+        (["hilb", "orbit", "2,2"],
+         lambda o: (o["stabilizer"], o["closed"], Partition(o["boundary"]["partition"])),
+         (hilb_rep.stabilizer, hilb_rep.closed, hilb_rep.boundary)),
+        (["hilb", "ideal", "2,1"],
+         lambda o: (tuple(map(tuple, o["generators"])), tuple(o["graded_dims"])),
+         (ideal.generators, ideal.graded_dims)),
+        (["hilb", "closure", "4"],
+         lambda o: tuple((Partition(a), Partition(b)) for a, b in o["edges"]),
+         closure_graph(4, HILBERT).edges),
+    ]
+
+
 def check_cli_json_roundtrip(limits):
     from .cli import main
 
     bad = []
-    commands = [
-        ["part", "info", "4,3,3,1,1", "--format", "json"],
-        ["cm", "orbit", "3,1", "--format", "json"],
-        ["cm", "exponents", "6", "--format", "json"],
-        ["cm", "char-L", "2", "--format", "json"],
-        ["cm", "tangent", "2,1", "--format", "json"],
-        ["cm", "fixed", "7", "--format", "json"],
-        ["hilb", "orbit", "2,2", "--format", "json"],
-        ["hilb", "ideal", "2,1", "--format", "json"],
-        ["hilb", "closure", "4", "--format", "json"],
-    ]
-    import contextlib
-
-    for argv in commands:
+    for argv, decode, expected in _cli_json_cases():
+        command = " ".join(argv)
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
-            code = main(argv)
+            code = main([*argv, "--format", "json"])
         if code != 0:
-            bad.append(f"command {' '.join(argv)} exited with {code}")
+            bad.append(f"command {command} exited with {code}")
             continue
         try:
-            parsed = json.loads(buf.getvalue())
-        except json.JSONDecodeError:
-            bad.append(f"command {' '.join(argv)} did not emit valid JSON")
+            got = decode(json.loads(buf.getvalue()))
+        except (ValueError, KeyError, TypeError):
+            bad.append(f"command {command} did not emit the expected JSON fields")
             continue
-        if json.loads(json.dumps(parsed, sort_keys=True)) != parsed:
-            bad.append(f"command {' '.join(argv)} JSON does not round trip")
+        if got != expected:
+            bad.append(f"command {command} JSON decodes to {got}, expected {expected}")
     return bad
 
 

@@ -7,38 +7,16 @@ runtime so the suite doubles as a report.
 
 import json
 import time
-from math import factorial
 
 import pytest
 
 from cmhilb import (
-    LaurentPolynomial,
     Partition,
-    dim_irrep,
-    enumerate_partitions,
+    diagonals,
     exponents,
-    fake_degree,
-    hilb_orbit,
-    irreducible_character,
-    is_borel_stable,
-    is_staircase,
-    is_steep,
-    isotypic_character,
     layered_fiber_character,
     regular_fiber_character,
-    sl2_fixed_set,
-    staircase,
-    tangent_character,
-    transpose,
-    triangular_index,
     u_map,
-    weights_all_odd,
-    cm_orbit,
-    closure_graph,
-    centralizer_order,
-    character_table,
-    diagonals,
-    HILBERT,
 )
 from cmhilb.cli import main
 
@@ -98,12 +76,17 @@ def test_01_exponent_table_six_boxes(capsys):
     print(capsys.readouterr().out, end="")
 
 
+def _verify(capsys, *args):
+    """Run named `verify` checks through the CLI and require every one to pass."""
+    assert main(["verify", *args]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines and all(line.startswith("PASS ") for line in lines[:-1])
+    assert lines[-1] == f"{len(lines) - 1}/{len(lines) - 1} checks passed"
+
+
 def test_02_layered_fiber_identity(capsys):
     with _Budget("layered-fiber-identity-m10", 10):
-        for m in range(1, 11):
-            assert layered_fiber_character(m) == regular_fiber_character(m)
-        assert main(["verify", "fiber-layer-factorization", "--max-m", "10"]) == 0
-        capsys.readouterr()
+        _verify(capsys, "fiber-layer-factorization", "--max-m", "10")
     print(capsys.readouterr().out, end="")
 
 
@@ -115,103 +98,56 @@ def test_02b_layered_fiber_identity_m5(capsys):
         capsys.readouterr()
 
 
-def test_03_staircase_tangent_product():
+def test_03_staircase_tangent_product(capsys):
     with _Budget("staircase-tangent-product", 1):
-        for m in range(1, 9):
-            assert tangent_character(staircase(m)) == irreducible_character(
-                m
-            ) * irreducible_character(m - 1)
+        _verify(capsys, "tangent-factorization")
+    print(capsys.readouterr().out, end="")
 
 
-def test_04_odd_weight_fixed_points():
+def test_04_odd_weight_fixed_points(capsys):
     with _Budget("odd-weight-fixed-points", 30):
-        for n in range(1, 22):
-            m = triangular_index(n)
-            expected = {staircase(m)} if m is not None else set()
-            assert sl2_fixed_set(n) == expected
-            for lam in enumerate_partitions(n):
-                assert weights_all_odd(tangent_character(lam)) == is_staircase(lam)
+        _verify(capsys, "odd-weight-fixed-points", "--max-n", "21")
+    print(capsys.readouterr().out, end="")
 
 
-def test_05_u_map_and_closure():
+def test_05_u_map_and_closure(capsys):
     with _Budget("u-map-and-closure", 10):
         running = Partition((4, 3, 3, 1, 1))
         assert diagonals(running) == (1, 2, 3, 4, 2)
         assert u_map(running) == Partition((5, 4, 2, 1))
-        for n in range(1, 21):
-            for lam in enumerate_partitions(n):
-                u = u_map(lam)
-                assert is_steep(u)
-                assert u.size == lam.size
-                assert (u == lam) == is_steep(lam)
-                assert is_staircase(u) == is_staircase(lam)
-            for src, dst in closure_graph(n, HILBERT).edges:
-                assert is_steep(dst) and not is_staircase(dst)
-                assert dst.size == src.size
+        _verify(capsys, "diagonal-u-map", "closure-edges", "--max-n", "20")
+    print(capsys.readouterr().out, end="")
 
 
-def test_06_stabilizer_classification():
+def test_06_stabilizer_classification(capsys):
     with _Budget("stabilizer-classification", 10):
-        for n in range(1, 21):
-            for lam in enumerate_partitions(n):
-                lamt = transpose(lam)
-                rep = hilb_orbit(lam)
-                if is_staircase(lam):
-                    assert rep.stabilizer == "SL2" and rep.orbit_model == "point"
-                elif is_steep(lam):
-                    assert rep.stabilizer == "B" and rep.closed
-                elif is_steep(lamt):
-                    assert rep.stabilizer == "B_minus" and rep.closed
-                elif lam == lamt:
-                    assert rep.stabilizer == "N_T" and not rep.closed
-                else:
-                    assert rep.stabilizer == "T" and not rep.closed
-                assert rep.closed == (is_steep(lam) or is_steep(lamt))
-                assert is_borel_stable(lam) == is_steep(lam)
-                cm = cm_orbit(lam)
-                assert cm.closed
-                if is_staircase(lam):
-                    assert cm.stabilizer == "SL2"
-                elif lam == lamt:
-                    assert cm.stabilizer == "N_T"
-                else:
-                    assert cm.stabilizer == "T" and cm.partner == lamt
+        _verify(
+            capsys,
+            "hilbert-orbit-classification",
+            "cm-orbit-classification",
+            "borel-stability",
+            "--max-n",
+            "20",
+        )
+    print(capsys.readouterr().out, end="")
 
 
-def test_07_duality_and_dimension_bookkeeping():
+def test_07_duality_and_dimension_bookkeeping(capsys):
     with _Budget("duality-and-dimensions", 120):
-        for m in range(1, 5):
-            n = m * (m + 1) // 2
-            full = regular_fiber_character(m)
-            assert full.evaluate(1) == factorial(n)
-            total = LaurentPolynomial.zero()
-            for lam in enumerate_partitions(n):
-                e = exponents(lam)
-                assert e == exponents(transpose(lam))
-                assert sum(x + 1 for x in e) == dim_irrep(lam)
-                total = total + isotypic_character(lam).scaled(dim_irrep(lam))
-            assert total == full
+        _verify(capsys, "regular-fiber-decomposition", "exponent-duality", "--max-m", "4")
+    print(capsys.readouterr().out, end="")
 
 
-def test_08_kernel_checks():
+def test_08_kernel_checks(capsys):
     with _Budget("kernel-checks", 120):
-        for n in range(1, 13):
-            table = character_table(n)
-            parts = table.partitions
-            weights = [factorial(n) // centralizer_order(mu) for mu in parts]
-            for i, lam in enumerate(parts):
-                for nu in parts[: i + 1]:
-                    total = sum(
-                        w * table.value(lam, mu) * table.value(nu, mu)
-                        for w, mu in zip(weights, parts)
-                    )
-                    assert total == (factorial(n) if lam == nu else 0)
-            for lam in parts:
-                f = fake_degree(lam)
-                assert all(c > 0 for _, c in f.sorted_terms())
-                assert f.evaluate(1) == dim_irrep(lam)
-        # every conversion in the isotypic pipeline must succeed exactly
-        for m in range(5):
-            for lam in enumerate_partitions(m * (m + 1) // 2):
-                chi = isotypic_character(lam)
-                assert chi.is_palindromic()
+        _verify(
+            capsys,
+            "character-orthogonality",
+            "fake-degree",
+            "isotypic-characters",
+            "--max-n",
+            "12",
+            "--max-m",
+            "4",
+        )
+    print(capsys.readouterr().out, end="")

@@ -1,11 +1,15 @@
+import contextlib
 import csv
 import io
 import json
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
-from cmhilb import LaurentPolynomial, NonPolynomialError, verify
+from cmhilb import LaurentPolynomial, NonPolynomialError, cli, verify
 from cmhilb.cli import main
+from strategies import partitions
 
 
 def run_cli(capsys, *argv):
@@ -255,6 +259,17 @@ def test_bad_partition_is_usage_error(capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "command", [["cm", "exponents"], ["cm", "fixed"], ["hilb", "closure"]], ids="-".join
+)
+@pytest.mark.parametrize("size", ["0", "-1"])
+def test_nonpositive_size_is_usage_error(capsys, command, size):
+    with pytest.raises(SystemExit) as err:
+        main([*command, size])
+    assert err.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_closure_cap_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["hilb", "closure", "25"])
@@ -269,3 +284,51 @@ def test_output_is_deterministic(capsys):
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("name, wrong, command", [
+    ("regular_fiber_character", lambda m: LaurentPolynomial.one(), "cm char-L 2"),
+    ("exponents", lambda lam: (0,), "cm exponents 6"),
+], ids=["char-L", "exponents"])
+def test_cli_json_roundtrip_catches_wrong_payload(monkeypatch, name, wrong, command):
+    monkeypatch.setattr(cli, name, wrong)
+    failures = verify.CHECKS["cli-json-roundtrip"](verify.Limits())
+    assert failures
+    assert all(f.startswith(f"command {command} JSON decodes to") for f in failures)
+
+
+# (command words, argument kind, formats, bound flag) for every non-verify command
+GRAMMAR = [
+    (["part", "info"], "partition", ("text", "json"), None),
+    (["cm", "tangent"], "partition", ("text", "json"), None),
+    (["cm", "orbit"], "partition", ("text", "json"), None),
+    (["cm", "exponents"], "size", ("text", "json", "csv"), "--max-n"),
+    (["cm", "char-L"], "size", ("text", "json"), "--max-m"),
+    (["cm", "fixed"], "size", ("text", "json"), "--max-n"),
+    (["hilb", "orbit"], "partition", ("text", "json"), None),
+    (["hilb", "ideal"], "partition", ("text", "json"), None),
+    (["hilb", "closure"], "size", ("text", "json", "dot"), "--max-n"),
+]
+sizes = st.integers(-2, 10).map(str)
+
+
+@st.composite
+def cli_argvs(draw):
+    words, kind, formats, bound = draw(st.sampled_from(GRAMMAR))
+    argv = [*words, draw(sizes) if kind == "size" else str(draw(partitions(max_size=12)))]
+    if bound and draw(st.booleans()):
+        argv += [bound, draw(sizes)]
+    if words[-1] == "closure" and draw(st.booleans()):
+        argv += ["--space", draw(st.sampled_from(["hilbert", "calogero-moser"]))]
+    return argv + ["--format", draw(st.sampled_from(formats))]
+
+
+@given(cli_argvs())
+def test_main_returns_or_exits_with_usage_code(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2
+        else:
+            assert code in (0, 1)

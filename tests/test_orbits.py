@@ -1,6 +1,9 @@
+import sys
+
 import pytest
 from hypothesis import given
 
+import cmhilb.partitions as partitions_module
 from cmhilb import (
     CALOGERO_MOSER,
     HILBERT,
@@ -9,7 +12,6 @@ from cmhilb import (
     closure_graph,
     cm_orbit,
     diagonals,
-    enumerate_partitions,
     hilb_orbit,
     is_borel_stable,
     is_staircase,
@@ -19,6 +21,7 @@ from cmhilb import (
     transpose,
     u_map,
 )
+from cmhilb.verify import CHECKS, Limits
 from strategies import partitions
 
 
@@ -76,9 +79,20 @@ def test_borel_stability_examples():
 
 
 def test_borel_stability_is_steepness():
-    for n in range(13):
-        for lam in enumerate_partitions(n):
-            assert is_borel_stable(lam) == is_steep(lam)
+    assert CHECKS["borel-stability"](Limits(max_n=12)) == []
+
+
+def test_orbit_check_catches_wrong_steepness(monkeypatch):
+    real = partitions_module.is_steep
+
+    def wrong(lam):  # reads every even-size steep non-staircase as non-steep
+        return real(lam) and (lam.size % 2 == 1 or is_staircase(lam))
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cmhilb") and getattr(module, "is_steep", None) is real:
+            monkeypatch.setattr(module, "is_steep", wrong)
+    assert hilb_orbit(Partition((3, 1))).stabilizer != "B"
+    assert CHECKS["hilbert-orbit-classification"](Limits(max_n=12))
 
 
 def test_hilb_orbit_running_example():
@@ -150,17 +164,11 @@ def test_closure_graph_four():
 
 
 def test_closure_graph_edges_target_steep_non_staircase():
-    for n in range(1, 13):
-        graph = closure_graph(n, HILBERT)
-        for src, dst in graph.edges:
-            assert is_steep(dst)
-            assert not is_staircase(dst)
-            assert dst.size == src.size
+    assert CHECKS["closure-edges"](Limits(max_n=12)) == []
 
 
 def test_cm_closure_graph_edgeless():
-    for n in range(1, 10):
-        assert closure_graph(n, CALOGERO_MOSER).edges == ()
+    assert CHECKS["closure-edges"](Limits(max_n=12)) == []
 
 
 def test_closure_graph_serializations():

@@ -1,5 +1,3 @@
-from math import factorial
-
 import pytest
 from hypothesis import given
 
@@ -22,6 +20,7 @@ from cmhilb import (
     triangular_index,
     u_map,
 )
+from cmhilb.verify import CHECKS, Limits
 from strategies import partitions
 
 
@@ -98,8 +97,7 @@ def test_dim_irrep():
 
 
 def test_dimension_squares_sum_to_factorial():
-    for n in range(9):
-        assert sum(dim_irrep(lam) ** 2 for lam in enumerate_partitions(n)) == factorial(n)
+    assert CHECKS["dimension-squares"](Limits(max_n=8)) == []
 
 
 def test_is_steep():
@@ -149,9 +147,7 @@ def test_staircase_and_odd_hooks():
 
 
 def test_odd_hooks_iff_staircase_exhaustive():
-    for n in range(13):
-        for lam in enumerate_partitions(n):
-            assert all_hooks_odd(lam) == is_staircase(lam)
+    assert CHECKS["odd-hooks-staircase"](Limits(max_n=12)) == []
 
 
 def test_enumerate_partitions():

@@ -8,7 +8,6 @@ from cmhilb import (
     NonTriangularSizeError,
     Partition,
     centralizer_order,
-    character_table,
     dim_irrep,
     enumerate_partitions,
     fake_degree,
@@ -18,8 +17,8 @@ from cmhilb import (
     mn_character,
     q_factorial,
     regular_fiber_character,
-    transpose,
 )
+from cmhilb.verify import CHECKS, Limits
 from cmhilb import symfun
 
 
@@ -128,18 +127,7 @@ def test_centralizer_order():
 
 
 def test_orthogonality_small():
-    for n in range(1, 9):
-        table = character_table(n)
-        parts = table.partitions
-        weights = [factorial(n) // centralizer_order(mu) for mu in parts]
-        for lam in parts:
-            for nu in parts:
-                total = sum(
-                    w * table.value(lam, mu) * table.value(nu, mu)
-                    for w, mu in zip(weights, parts)
-                )
-                assert total == (factorial(n) if lam == nu else 0)
-            assert table.value(lam, Partition((1,) * n)) == dim_irrep(lam)
+    assert CHECKS["character-orthogonality"](Limits(max_n=8)) == []
 
 
 # graded_multiplicity returns an unreduced pair (num, den); each expected
@@ -274,20 +262,8 @@ def test_isotypic_rejects_non_triangular():
 
 
 def test_isotypic_dimension_and_symmetry():
-    for m in range(4):
-        n = m * (m + 1) // 2
-        for lam in enumerate_partitions(n):
-            chi = isotypic_character(lam)
-            assert chi.is_palindromic()
-            assert all(c > 0 for _, c in chi.sorted_terms())
-            assert chi.evaluate(1) == dim_irrep(lam)
-            assert chi == isotypic_character(transpose(lam))
+    assert CHECKS["isotypic-characters"](Limits(max_m=3)) == []
 
 
 def test_fiber_decomposes_into_isotypic_pieces():
-    for m in (2, 3):
-        n = m * (m + 1) // 2
-        total = LaurentPolynomial.zero()
-        for lam in enumerate_partitions(n):
-            total = total + isotypic_character(lam).scaled(dim_irrep(lam))
-        assert total == regular_fiber_character(m)
+    assert CHECKS["regular-fiber-decomposition"](Limits(max_m=3)) == []
