@@ -50,6 +50,11 @@ from .symfun import NonTriangularSizeError, regular_fiber_character
 from .verify import CHECKS, Limits, run_checks
 
 
+# Cells allowed in a partition argument: hook polynomials and closure data
+# of larger shapes take seconds and grow without bound, so they are refused.
+PARTITION_CELL_CAP = 200
+
+
 def _json_dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
@@ -346,6 +351,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        lam = getattr(args, "partition", None)
+        if lam is not None and lam.size > PARTITION_CELL_CAP:
+            raise CapExceededError(
+                f"partition of {lam.size} cells exceeds the cap {PARTITION_CELL_CAP}"
+            )
         return args.func(args)
     except (UsageError, CapExceededError) as exc:
         parser.error(str(exc))

@@ -240,11 +240,17 @@ class LaurentPolynomial:
 
 
 def one_minus_q_product(ks) -> LaurentPolynomial:
-    """Product of (1 - q^k) over the multiset ks, one binomial factor at a
-    time in the order given."""
-    out = LaurentPolynomial.one()
+    """Product of (1 - q^k) over the multiset ks of positive integers.
+
+    The coefficients stay in one dense list, and each factor is a
+    shift-subtract: c_i -= c_(i-k), for every i at once.
+    """
+    coeffs = [1]
     for k in ks:
-        out = out * LaurentPolynomial({0: 1, k: -1})
+        padded = coeffs + [0] * k
+        coeffs = padded[:k] + [a - b for a, b in zip(padded[k:], coeffs)]
+    out = LaurentPolynomial.__new__(LaurentPolynomial)
+    out._terms = {e: c for e, c in enumerate(coeffs) if c}
     return out
 
 

@@ -1,7 +1,17 @@
 """Symmetric-group characters and graded fiber characters.
 
-Irreducible character values come from the border-strip recursion on beta
-sets.  Graded multiplicities are Hall-pairing sums over conjugacy classes:
+Irreducible character values come from the Murnaghan-Nakayama rule in
+two independent forms.  `character_table(n)` builds whole columns from
+smaller tables: since p_mu = p_(mu_1) p_(mu_2, mu_3, ...), the column at mu
+is the column of the size n - mu_1 table at (mu_2, mu_3, ...) with a border
+strip of mu_1 cells added to each row, signed by (-1)^height.  Strip
+additions are moves on beta sets, worked out once per (row, strip size)
+within one build.  Each table is stored as index-addressed rows of ints,
+and the smaller ones stay in `character_table`'s cache.  `mn_character`
+removes strips from lam instead, with a memo local to each call, so no
+memo keyed by (lam, mu) outlives it.
+
+Graded multiplicities are Hall-pairing sums over conjugacy classes:
 under the substitution that sends each power sum p_k to p_k / (1 - q^k),
 the pairing of Schur functions becomes
 
@@ -47,16 +57,15 @@ def centralizer_order(mu: Partition) -> int:
     return z
 
 
-@lru_cache(maxsize=None)
-def _strip_removals(parts: tuple, k: int) -> tuple:
+def _strip_removals(parts: tuple, k: int) -> list:
     """Partitions obtained by removing one border strip of k cells, with sign.
 
     Beta-set encoding b_i = parts_i + (len - 1 - i): a strip removal moves
     one entry down by k onto a free slot; the sign is (-1)^height where
     height counts the entries jumped over.
     """
-    ell = len(parts)
-    beta = [parts[i] + (ell - 1 - i) for i in range(ell)]
+    shifts = range(len(parts) - 1, -1, -1)
+    beta = [p + s for p, s in zip(parts, shifts)]
     bset = set(beta)
     out = []
     for b in beta:
@@ -64,51 +73,110 @@ def _strip_removals(parts: tuple, k: int) -> tuple:
         if nb < 0 or nb in bset:
             continue
         height = sum(1 for c in beta if nb < c < b)
-        new = sorted((c for c in beta if c != b), reverse=True) + [nb]
-        new.sort(reverse=True)
-        newparts = tuple(
-            p for p in (new[j] - (ell - 1 - j) for j in range(ell)) if p
-        )
+        new = sorted([c for c in beta if c != b] + [nb], reverse=True)
+        newparts = tuple([c - s for c, s in zip(new, shifts) if c > s])
         out.append((newparts, -1 if height % 2 else 1))
-    return tuple(out)
+    return out
 
 
-@lru_cache(maxsize=None)
-def _mn(lam: tuple, mu: tuple) -> int:
-    if not mu:
-        return 1 if not lam else 0
-    k, rest = mu[0], mu[1:]
-    total = 0
-    for sub, sign in _strip_removals(lam, k):
-        total += sign * _mn(sub, rest)
-    return total
+def _strip_additions(parts: tuple, k: int) -> list:
+    """Partitions obtained by adding one border strip of k cells, with sign.
+
+    The beta set is padded with k zero parts, since a strip of k cells adds
+    at most k rows; an addition moves one entry up by k onto a free slot,
+    and the sign is (-1)^height, height the number of entries jumped over.
+    """
+    shifts = range(len(parts) + k - 1, -1, -1)
+    beta = [p + s for p, s in zip(parts, shifts)] + list(range(k - 1, -1, -1))
+    bset = set(beta)
+    out = []
+    for b in beta:
+        nb = b + k
+        if nb in bset:
+            continue
+        height = sum(1 for c in beta if b < c < nb)
+        new = sorted([c for c in beta if c != b] + [nb], reverse=True)
+        newparts = tuple([c - s for c, s in zip(new, shifts) if c > s])
+        out.append((newparts, -1 if height % 2 else 1))
+    return out
 
 
 def mn_character(lam: Partition, mu: Partition) -> int:
-    """Irreducible character value chi^lam(mu) by border-strip recursion."""
+    """Irreducible character value chi^lam(mu) by border-strip removal.
+
+    Independent of CharacterTable, which adds strips instead; the memo
+    lives for this one call.
+    """
     if lam.size != mu.size:
         raise ValueError(f"size mismatch: |{lam}| = {lam.size} but |{mu}| = {mu.size}")
-    return _mn(lam.parts, mu.parts)
+    cycle = mu.parts
+    memo = {}
+
+    def mn(parts: tuple, i: int) -> int:
+        if i == len(cycle):
+            return 0 if parts else 1
+        key = (parts, i)
+        if key not in memo:
+            memo[key] = sum(
+                sign * mn(sub, i + 1) for sub, sign in _strip_removals(parts, cycle[i])
+            )
+        return memo[key]
+
+    return mn(lam.parts, 0)
 
 
 class CharacterTable:
-    """All irreducible character values of one symmetric group, built once."""
+    """All irreducible character values of one symmetric group, built once
+    column by column from smaller tables.
+
+    Row i holds chi^lam(mu) for lam the i-th entry of .partitions and mu
+    running over .partitions in the same order.
+    """
 
     def __init__(self, n: int):
         self.n = n
         self.partitions = tuple(enumerate_partitions(n, cap=max(n, DEFAULT_CAP)))
-        self._values = {
-            (lam.parts, mu.parts): _mn(lam.parts, mu.parts)
-            for lam in self.partitions
-            for mu in self.partitions
-        }
+        self._index = {lam.parts: i for i, lam in enumerate(self.partitions)}
+        if not n:
+            self._rows = ((1,),)
+            return
+        additions = {}
+        columns = [self._column(mu.parts, additions) for mu in self.partitions]
+        self._rows = tuple(zip(*columns))
+
+    def _column(self, mu: tuple, additions: dict) -> list:
+        """chi^lam(mu) for every lam; `additions` memoises, per (k, row of
+        the smaller table), the rows reached by adding a k-strip and their signs."""
+        k = mu[0]
+        sub = character_table(self.n - k)
+        j = sub._index[mu[1:]]
+        column = [0] * len(self.partitions)
+        for r, row in enumerate(sub._rows):
+            v = row[j]
+            if not v:
+                continue
+            targets = additions.get((k, r))
+            if targets is None:
+                targets = additions[(k, r)] = [
+                    (self._index[parts], sign)
+                    for parts, sign in _strip_additions(sub.partitions[r].parts, k)
+                ]
+            for i, sign in targets:
+                column[i] += sign * v
+        return column
+
+    def row(self, lam: Partition) -> tuple:
+        """chi^lam(mu) for mu over .partitions, in order."""
+        return self._rows[self._index[lam.parts]]
 
     def value(self, lam: Partition, mu: Partition) -> int:
-        return self._values[(lam.parts, mu.parts)]
+        return self._rows[self._index[lam.parts]][self._index[mu.parts]]
 
 
 @lru_cache(maxsize=None)
 def character_table(n: int) -> CharacterTable:
+    """The table of size n; the smaller tables its columns are built from
+    stay in this cache."""
     return CharacterTable(n)
 
 
@@ -142,8 +210,8 @@ def _pairing_numerator(lam: Partition, delta: Partition) -> LaurentPolynomial:
     n = lam.size
     table = character_table(n)
     acc = {}
-    for mu, w in zip(table.partitions, _class_weights(n)):
-        weight = table.value(lam, mu) * table.value(delta, mu) * w
+    for mu, w, a, b in zip(table.partitions, _class_weights(n), table.row(lam), table.row(delta)):
+        weight = a * b * w
         if not weight:
             continue
         for e, c in _class_quotient_terms(n, mu.parts):

@@ -11,6 +11,7 @@ import json
 import random
 from dataclasses import dataclass
 from math import factorial
+from operator import mul
 
 from .exactalg import LaurentPolynomial, NonPolynomialError
 from .orbits import CALOGERO_MOSER, HILBERT, closure_graph, cm_orbit, hilb_orbit, is_borel_stable, monomial_ideal
@@ -178,18 +179,20 @@ def check_character_orthogonality(limits):
         table = character_table(n)
         parts = table.partitions
         weights = [factorial(n) // centralizer_order(mu) for mu in parts]
-        for i, lam in enumerate(parts):
-            for nu in parts[: i + 1]:
-                total = sum(
-                    w * table.value(lam, mu) * table.value(nu, mu)
-                    for w, mu in zip(weights, parts)
-                )
+        rows = [table.row(lam) for lam in parts]
+        for i, (lam, row) in enumerate(zip(parts, rows)):
+            weighted = [w * a for w, a in zip(weights, row)]
+            for nu, other in zip(parts[: i + 1], rows):
+                total = sum(map(mul, weighted, other))
                 expected = factorial(n) if lam == nu else 0
                 if total != expected:
                     bad.append(f"orthogonality fails for ({lam}), ({nu}) at n={n}")
         for lam in parts:
             if table.value(lam, Partition((1,) * n)) != dim_irrep(lam):
                 bad.append(f"character at the identity is not the dimension for {lam}")
+        # orthogonality cannot see a column with the wrong sign; this can
+        if table.row(Partition((n,))) != (1,) * len(parts):
+            bad.append(f"the trivial character is not 1 on every class at n={n}")
     return bad
 
 

@@ -277,6 +277,24 @@ def test_closure_cap_is_usage_error(capsys):
     assert main(["hilb", "closure", "21", "--max-n", "21"]) == 0
 
 
+PARTITION_COMMANDS = [
+    ["part", "info"], ["cm", "tangent"], ["cm", "orbit"], ["hilb", "orbit"], ["hilb", "ideal"],
+]
+
+
+@pytest.mark.parametrize("command", PARTITION_COMMANDS, ids="-".join)
+def test_partition_cell_cap_is_usage_error(capsys, command):
+    over = ",".join(["1"] * (cli.PARTITION_CELL_CAP + 1))
+    with pytest.raises(SystemExit) as err:
+        main([*command, over])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds the cap" in captured.err
+    at_cap = str(cli.PARTITION_CELL_CAP)
+    assert main([*command, at_cap]) == 0
+
+
 def test_output_is_deterministic(capsys):
     outputs = []
     for _ in range(2):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 
 from cmhilb import LaurentPolynomial, NonPolynomialError
+from cmhilb.exactalg import one_minus_q_product
 from strategies import laurent_polys, non_unit_laurent_polys, nonzero_laurent_polys
 
 Q = LaurentPolynomial.monomial(1)
@@ -149,3 +150,11 @@ def test_exact_div_by_integer(a, k):
         (a.scaled(k) + LaurentPolynomial.one()).exact_div(k)
     with pytest.raises(ZeroDivisionError):
         a.exact_div(0)
+
+
+@given(st.lists(st.integers(1, 30), max_size=12))
+def test_one_minus_q_product_matches_binomial_products(ks):
+    expected = LaurentPolynomial.one()
+    for k in ks:
+        expected = expected * LaurentPolynomial({0: 1, k: -1})
+    assert one_minus_q_product(ks) == expected

@@ -8,6 +8,7 @@ from cmhilb import (
     NonTriangularSizeError,
     Partition,
     centralizer_order,
+    character_table,
     dim_irrep,
     enumerate_partitions,
     fake_degree,
@@ -80,11 +81,45 @@ def brute_character_table(n):
     return chi
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def _table_values(table):
+    return {(lam.parts, mu.parts): table.value(lam, mu)
+            for lam in table.partitions for mu in table.partitions}
+
+
+@pytest.mark.parametrize("n", range(7))
 def test_characters_match_kostka_inversion_oracle(n):
     expected = brute_character_table(n)
+    assert _table_values(character_table(n)) == expected
     for (lam, mu), value in expected.items():
         assert mn_character(Partition(lam), Partition(mu)) == value
+
+
+def test_character_table_matches_strip_removal():
+    # column recursion (strip additions) against mn_character (strip removals)
+    for n in range(13):
+        table = character_table(n)
+        for lam in table.partitions:
+            row = table.row(lam)
+            assert row == tuple(mn_character(lam, mu) for mu in table.partitions)
+
+
+@pytest.fixture
+def fresh_tables():
+    character_table.cache_clear()
+    yield
+    character_table.cache_clear()
+
+
+def test_wrong_strip_addition_sign_is_caught(monkeypatch, fresh_tables):
+    # forgetting the (-1)^height sign must break the Kostka comparison and
+    # the orthogonality check
+    unsigned = symfun._strip_additions
+    monkeypatch.setattr(
+        symfun, "_strip_additions",
+        lambda parts, k: [(new, 1) for new, _ in unsigned(parts, k)],
+    )
+    assert _table_values(character_table(4)) != brute_character_table(4)
+    assert CHECKS["character-orthogonality"](Limits(max_n=4))
 
 
 def test_character_examples():
