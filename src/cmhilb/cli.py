@@ -54,6 +54,10 @@ from .verify import CHECKS, Limits, run_checks
 # of larger shapes take seconds and grow without bound, so they are refused.
 PARTITION_CELL_CAP = 200
 
+# Largest staircase index `cm char-L` accepts, whatever --max-m says: the
+# m = 20 staircase has 210 cells, in line with PARTITION_CELL_CAP.
+STAIRCASE_CAP = 20
+
 
 def _json_dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
@@ -277,16 +281,18 @@ def _cmd_cm_exponents(args) -> int:
 def _cmd_cm_char_l(args) -> int:
     if args.m > args.max_m:
         raise CapExceededError(f"m={args.m} exceeds --max-m {args.max_m}")
+    if args.m > STAIRCASE_CAP:
+        raise CapExceededError(f"m={args.m} exceeds the cap {STAIRCASE_CAP}")
     chi = regular_fiber_character(args.m)
     if args.format == "json":
         print(_json_dump({
             "m": args.m,
             "character": chi.to_json(),
-            "dimension": chi.evaluate(1),
+            "dimension": chi.coefficient_sum(),
         }))
     else:
         print(chi.to_text())
-        print(f"dimension: {chi.evaluate(1)}")
+        print(f"dimension: {chi.coefficient_sum()}")
     return 0
 
 
@@ -364,6 +370,10 @@ def main(argv=None) -> int:
         return 1
     except (NonPolynomialError, NotACharacterError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    except (MemoryError, RecursionError) as exc:
+        print(f"error: {type(exc).__name__}: the computation outgrew this process; "
+              "try a smaller size", file=sys.stderr)
         return 1
 
 

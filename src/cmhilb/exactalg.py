@@ -5,11 +5,23 @@ coefficients.  Every quotient the package forms is known to be exact, so
 division is `exact_div`, which raises NonPolynomialError on any remainder;
 that error is the single alarm for an upstream sum that failed to cancel.
 There is no floating point and no series truncation anywhere.
+
+Inside the kernel, long products and divisions run on Kronecker-packed
+ints: a polynomial is replaced by its value at q = 2^bits, so that each
+product, sum and division is one big-int operation (Harvey,
+arXiv:0712.4046).  Packing is exact for any width; only reading the
+coefficients back needs them to fit their slots, so every width comes
+from a proven bound on them.  A packed quotient is returned only after
+the bound of _proves_quotient shows that it times the divisor is the
+dividend.  Packed ints stay internal: every public function takes and
+returns Laurent polynomials, and the Hall-pairing sums in symfun use the
+helpers here.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from itertools import accumulate
+from math import comb, isqrt
 
 
 class NonPolynomialError(ArithmeticError):
@@ -160,20 +172,17 @@ class LaurentPolynomial:
     def is_palindromic(self) -> bool:
         return self._terms == {-e: v for e, v in self._terms.items()}
 
-    def evaluate(self, x):
-        """Exact value at x (int or Fraction; x must be nonzero if any
-        exponent is negative)."""
-        total = Fraction(0)
-        fx = Fraction(x)
-        for e, c in self._terms.items():
-            total += c * fx ** e
-        return int(total) if total.denominator == 1 else total
+    def coefficient_sum(self) -> int:
+        """Sum of the coefficients, which is the value at q = 1."""
+        return sum(self._terms.values())
 
     def exact_div(self, divisor) -> "LaurentPolynomial":
         """Exact quotient by another Laurent polynomial or by a nonzero int.
 
         Raises NonPolynomialError if the division leaves a remainder or
-        would need non-integer coefficients.
+        would need non-integer coefficients.  A polynomial divisor costs
+        one divmod of packed ints, at a width with room for a quotient no
+        larger than the dividend, or failing that at Mignotte's width.
         """
         if isinstance(divisor, int):
             if not divisor:
@@ -188,26 +197,11 @@ class LaurentPolynomial:
             raise ZeroDivisionError("division by the zero polynomial")
         if not self:
             return LaurentPolynomial()
-        shift = self.min_exponent() - divisor.min_exponent()
-        rem = _dense(self)
-        den = _dense(divisor)
-        if len(rem) < len(den):
-            raise NonPolynomialError("divisor has larger support than dividend")
-        quot = [0] * (len(rem) - len(den) + 1)
-        top = den[-1]
-        for i in range(len(quot) - 1, -1, -1):
-            lead = rem[i + len(den) - 1]
-            if not lead:
-                continue
-            c, leftover = divmod(lead, top)
-            if leftover:
-                raise NonPolynomialError("leading coefficient not divisible")
-            quot[i] = c
-            for j, bc in enumerate(den):
-                rem[i + j] -= c * bc
-        if any(rem):
-            raise NonPolynomialError("division leaves a nonzero remainder")
-        return LaurentPolynomial({shift + i: c for i, c in enumerate(quot) if c})
+        num, den = _dense(self), _dense(divisor)
+        top = max(map(abs, num))
+        bits = _slot_bits(top * (sum(map(abs, den)) + 1))
+        quot = _exact_quotient(_pack(num, bits), bits, len(num), top, den)
+        return _from_dense(quot, self.min_exponent() - divisor.min_exponent())
 
     def to_text(self) -> str:
         """Readable form, terms in ascending exponent: "q^-1 + 2 + q^3"."""
@@ -242,21 +236,134 @@ class LaurentPolynomial:
 def one_minus_q_product(ks) -> LaurentPolynomial:
     """Product of (1 - q^k) over the multiset ks of positive integers.
 
-    The coefficients stay in one dense list, and each factor is a
-    shift-subtract: c_i -= c_(i-k), for every i at once.
+    The product is one packed int, and each factor is one shift-subtract
+    v -= v * 2^(k*bits), smallest k first so that the int grows late.  With
+    r factors the product has l1-norm at most 2^r, so slots of
+    _slot_bits(2^r) hold every coefficient.
+    """
+    ks = sorted(ks)
+    bits = _slot_bits(1 << len(ks))
+    v = 1
+    for k in ks:
+        v -= v << (k * bits)
+    return _from_dense(_unpack(v, bits, sum(ks) + 1))
+
+
+def q_integer_product(hs) -> LaurentPolynomial:
+    """Product of the q-integers [h]_q = 1 + q + ... + q^(h-1) over the
+    multiset hs of positive integers, which is prod (1 - q^h) / (1 - q)^r
+    for r = len(hs), with no division: each factor is one sliding-window
+    sum of width h.
     """
     coeffs = [1]
-    for k in ks:
-        padded = coeffs + [0] * k
-        coeffs = padded[:k] + [a - b for a, b in zip(padded[k:], coeffs)]
-    out = LaurentPolynomial.__new__(LaurentPolynomial)
-    out._terms = {e: c for e, c in enumerate(coeffs) if c}
-    return out
+    for h in hs:
+        sums = list(accumulate(coeffs + [0] * (h - 1)))
+        coeffs = [s - t for s, t in zip(sums, [0] * h + sums)]
+    return _from_dense(coeffs)
 
 
 def _dense(p: LaurentPolynomial) -> list:
+    """Coefficients from the lowest exponent to the highest."""
     lo, hi = p.min_exponent(), p.max_exponent()
     out = [0] * (hi - lo + 1)
     for e, c in p._terms.items():
         out[e - lo] = c
     return out
+
+
+def _from_dense(coeffs, lo: int = 0) -> LaurentPolynomial:
+    """The Laurent polynomial with coefficients coeffs from q^lo upward."""
+    out = LaurentPolynomial.__new__(LaurentPolynomial)
+    out._terms = {lo + i: c for i, c in enumerate(coeffs) if c}
+    return out
+
+
+# -- Kronecker packing -------------------------------------------------------
+#
+# A polynomial sum c_i q^i with every |c_i| < 2^(bits-1) is packed as the
+# int sum c_i 2^(bits*i), its value at q = 2^bits.  The digits are balanced,
+# so signed coefficients need no carries, and bits is a whole number of
+# bytes, so packing and unpacking are byte slices.  Sums, products by
+# ints and shifts of packed ints are exact with no bound at all; a bound
+# is needed only to read the coefficients back.
+
+
+def _slot_bits(bound: int) -> int:
+    """The least whole-byte width bits with bound < 2^(bits-1): slots of
+    that width hold every coefficient of absolute value at most bound."""
+    return 8 * ((bound.bit_length() + 8) // 8)
+
+
+def _bias(bits: int, length: int) -> int:
+    """2^(bits-1) in each of length slots."""
+    return int.from_bytes((bytes(bits // 8 - 1) + b"\x80") * length, "little")
+
+
+def _pack(coeffs, bits: int) -> int:
+    """Value at q = 2^bits of the polynomial with coefficients coeffs,
+    lowest first; each must lie in [-2^(bits-1), 2^(bits-1))."""
+    size, half = bits // 8, 1 << (bits - 1)
+    raw = b"".join([(c + half).to_bytes(size, "little") for c in coeffs])
+    return int.from_bytes(raw, "little") - _bias(bits, len(coeffs))
+
+
+def _unpack(value: int, bits: int, length: int):
+    """The length balanced digits of value at base 2^bits, lowest first, or
+    None when value has no such form."""
+    size, half = bits // 8, 1 << (bits - 1)
+    biased = value + _bias(bits, length)
+    if biased < 0 or biased.bit_length() > bits * length:
+        return None
+    raw = biased.to_bytes(size * length, "little")
+    return [int.from_bytes(raw[i : i + size], "little") - half for i in range(0, len(raw), size)]
+
+
+def _proves_quotient(quot, den_l1: int, bound: int, bits: int) -> bool:
+    """Whether Q(2^bits) C(2^bits) = N(2^bits) forces Q C = N: every
+    coefficient of Q C - N is at most ||Q||_inf ||C||_1 + ||N||_inf in size,
+    and a polynomial whose coefficients all lie below 2^(bits-1) in size
+    vanishes at 2^bits only if it is zero.  bound is at least ||N||_inf."""
+    return max(map(abs, quot)) * den_l1 + bound < 1 << (bits - 1)
+
+
+def _packed_quotient(value: int, bits: int, size: int, bound: int, den: list, den_l1: int):
+    """The size coefficients of Q with Q C = N, N packed as value at width
+    bits, or None when that width cannot prove the quotient.
+
+    A nonzero remainder raises: an exact quotient with integer
+    coefficients Q makes Q(2^bits) an exact integer quotient at any width."""
+    if den_l1 >= 1 << (bits - 1):
+        return None
+    quot_value, rem = divmod(value, _pack(den, bits))
+    if rem:
+        raise NonPolynomialError("division leaves a nonzero remainder")
+    quot = _unpack(quot_value, bits, size)
+    if quot is None or not _proves_quotient(quot, den_l1, bound, bits):
+        return None
+    return quot
+
+
+def _exact_quotient(value: int, bits: int, length: int, bound: int, den: list) -> list:
+    """Coefficients of the exact quotient N / C, lowest first.
+
+    N has length coefficients with ||N||_inf <= bound < 2^(bits-1) and is
+    packed as value at width bits; C is the dense divisor with a nonzero
+    constant term.  The width given is tried first.  When it cannot prove
+    the quotient, N is repacked at a width that holds any exact quotient:
+    a factor Q of degree d of N has |q_j| <= C(d, j) ||N||_2 (Mignotte).
+    If that width cannot prove it either, there is no exact quotient.
+    """
+    size = length - len(den) + 1
+    if size < 1:
+        raise NonPolynomialError("divisor has larger support than dividend")
+    den_l1 = sum(map(abs, den))
+    quot = _packed_quotient(value, bits, size, bound, den, den_l1)
+    if quot is None:
+        num = _unpack(value, bits, length)
+        mignotte = comb(size - 1, (size - 1) // 2) * (isqrt(sum(c * c for c in num)) + 1)
+        wide = _slot_bits(mignotte * den_l1 + bound)
+        if wide > bits:
+            quot = _packed_quotient(_pack(num, wide), wide, size, bound, den, den_l1)
+        if quot is None:
+            raise NonPolynomialError("no exact quotient within Mignotte's bound")
+    return quot

@@ -18,9 +18,11 @@ the pairing of Schur functions becomes
     sum over mu of chi^lam(mu) chi^delta(mu) / (z_mu prod_i (1 - q^(mu_i))).
 
 The sum is assembled as an integer numerator over the common denominator
-n! prod_k (1-q^k)^floor(n/k).  Every quotient taken from it is exact, so
-each one is a single exact division, and any inexactness upstream trips
-NonPolynomialError instead of passing silently.
+n! prod_k (1-q^k)^floor(n/k), with each class term packed as one int
+(see exactalg), so a numerator is one small-int times big-int sum.  Every
+quotient taken from it is exact, so each one is a single exact division,
+and any inexactness upstream trips NonPolynomialError instead of passing
+silently.
 """
 
 from __future__ import annotations
@@ -28,7 +30,17 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial
 
-from .exactalg import LaurentPolynomial, one_minus_q_product
+from .exactalg import (
+    LaurentPolynomial,
+    _dense,
+    _exact_quotient,
+    _from_dense,
+    _pack,
+    _slot_bits,
+    _unpack,
+    one_minus_q_product,
+    q_integer_product,
+)
 from .partitions import (
     DEFAULT_CAP,
     Partition,
@@ -185,16 +197,27 @@ def q_factorial(n: int) -> LaurentPolynomial:
     return one_minus_q_product(range(1, n + 1))
 
 
+def _denominator_cofactor(n: int, struck) -> LaurentPolynomial:
+    """D / prod over h in struck of (1 - q^h), D = prod_k (1-q^k)^floor(n/k)
+    the common denominator of size n, with no division: the product of the
+    factors of D left when those of struck are struck from its multiset
+    (each h may occur in struck at most floor(n/h) times)."""
+    exps = {k: n // k for k in range(1, n + 1)}
+    for h in struck:
+        exps[h] -= 1
+    return one_minus_q_product(k for k, e in exps.items() for _ in range(e))
+
+
 @lru_cache(maxsize=None)
 def _common_denominator(n: int) -> LaurentPolynomial:
     """prod_k (1-q^k)^floor(n/k); every class product for size n divides it."""
-    return one_minus_q_product(k for k in range(1, n + 1) for _ in range(n // k))
+    return _denominator_cofactor(n, ())
 
 
-@lru_cache(maxsize=None)
-def _class_quotient_terms(n: int, mu_parts: tuple) -> tuple:
-    """Terms of _common_denominator(n) / prod_i (1 - q^(mu_i))."""
-    return _common_denominator(n).exact_div(one_minus_q_product(mu_parts)).sorted_terms()
+def _class_quotient_terms(n: int, mu_parts: tuple) -> list:
+    """Coefficients of D / prod_i (1 - q^(mu_i)), D the common denominator
+    of size n, lowest first."""
+    return _dense(_denominator_cofactor(n, mu_parts))
 
 
 @lru_cache(maxsize=None)
@@ -204,19 +227,40 @@ def _class_weights(n: int) -> tuple:
     return tuple(nfact // centralizer_order(mu) for mu in character_table(n).partitions)
 
 
-def _pairing_numerator(lam: Partition, delta: Partition) -> LaurentPolynomial:
-    """N = sum over mu of chi^lam(mu) chi^delta(mu) (n!/z_mu) D / prod_i (1 - q^(mu_i)),
-    D = _common_denominator(n); the Hall pairing is N / (n! D)."""
-    n = lam.size
-    table = character_table(n)
-    acc = {}
-    for mu, w, a, b in zip(table.partitions, _class_weights(n), table.row(lam), table.row(delta)):
-        weight = a * b * w
-        if not weight:
-            continue
-        for e, c in _class_quotient_terms(n, mu.parts):
-            acc[e] = acc.get(e, 0) + weight * c
-    return LaurentPolynomial(acc)
+class _PackedPairing:
+    """Hall-pairing numerators against one delta for every lam of its size,
+    as sums of Kronecker-packed class vectors.
+
+    N_lam = sum over mu of chi^lam(mu) P_mu, where P_mu is
+    chi^delta(mu) (n!/z_mu) D / prod_i (1 - q^(mu_i)) packed as one int;
+    only the classes with chi^delta(mu) != 0 carry one.  So every
+    coefficient of every N_lam is at most
+
+        bound = sum over mu of max_lam |chi^lam(mu)| |P_mu|_inf
+
+    in size, and the slots hold bound + room, room being what a later
+    division at the same width needs on top of it.
+    """
+
+    def __init__(self, delta: Partition, room: int = 0):
+        n = delta.size
+        self.table = table = character_table(n)
+        self.length = _common_denominator(n).max_exponent() + 1
+        classes = []
+        self.bound = 0
+        for j, (mu, w, b) in enumerate(zip(table.partitions, _class_weights(n), table.row(delta))):
+            if b:
+                coeffs = _class_quotient_terms(n, mu.parts)
+                column_max = max(abs(row[j]) for row in table._rows)
+                self.bound += column_max * abs(b * w) * max(map(abs, coeffs))
+                classes.append((j, b * w, coeffs))
+        self.bits = _slot_bits(self.bound + room)
+        self.vectors = [(j, weight * _pack(coeffs, self.bits)) for j, weight, coeffs in classes]
+
+    def numerator(self, lam: Partition) -> int:
+        """N_lam, packed at self.bits over self.length slots."""
+        row = self.table.row(lam)
+        return sum(row[j] * v for j, v in self.vectors if row[j])
 
 
 def graded_multiplicity(lam: Partition, delta: Partition) -> tuple:
@@ -231,8 +275,9 @@ def graded_multiplicity(lam: Partition, delta: Partition) -> tuple:
         raise ValueError(
             f"size mismatch: |{lam}| = {lam.size} but |{delta}| = {delta.size}"
         )
-    n = lam.size
-    return _pairing_numerator(lam, delta), _common_denominator(n).scaled(factorial(n))
+    pairing = _PackedPairing(delta)
+    num = _unpack(pairing.numerator(lam), pairing.bits, pairing.length)
+    return _from_dense(num), _common_denominator(lam.size).scaled(factorial(lam.size))
 
 
 def fake_degree(lam: Partition) -> LaurentPolynomial:
@@ -245,15 +290,13 @@ def fake_degree(lam: Partition) -> LaurentPolynomial:
 @lru_cache(maxsize=None)
 def regular_fiber_character(m: int) -> LaurentPolynomial:
     """Graded character of the rank-n! fiber at the staircase fixed point:
-    q^(-n(delta)) * H_delta(q) / (1-q)^n * dim(delta), delta the staircase."""
+    q^(-n(delta)) * H_delta(q) / (1-q)^n * dim(delta), delta the staircase,
+    built as dim(delta) q^(-n(delta)) times the product of [h]_q over the
+    hooks h of delta, since (1 - q^h) / (1 - q) = [h]_q."""
     if m < 0:
         raise ValueError("staircase index must be nonnegative")
     delta = staircase(m)
-    n = delta.size
-    top = hook_polynomial(delta) * LaurentPolynomial.monomial(
-        -n_stat(delta), dim_irrep(delta)
-    )
-    return top.exact_div(one_minus_q_product((1,) * n))
+    return q_integer_product(hook_lengths(delta)).scaled(dim_irrep(delta)).shifted(-n_stat(delta))
 
 
 @lru_cache(maxsize=None)
@@ -262,11 +305,26 @@ def _staircase_cofactor(m: int) -> LaurentPolynomial:
     denominator of its size: the hooks of delta are odd and each length h
     occurs at most floor(n/h) times, so H_delta divides D factor by factor
     and the quotient is the product of the remaining (1 - q^k)."""
-    n = m * (m + 1) // 2
-    exps = {k: n // k for k in range(1, n + 1)}
-    for h in hook_lengths(staircase(m)):
-        exps[h] -= 1
-    return one_minus_q_product(k for k, e in exps.items() for _ in range(e))
+    return _denominator_cofactor(m * (m + 1) // 2, hook_lengths(staircase(m)))
+
+
+@lru_cache(maxsize=None)
+def _fiber_pairing(m: int) -> tuple:
+    """The packed pairing against the staircase of index m, with the
+    divisor n! D/H_delta of its numerators as dense coefficients.
+
+    Each quotient is q^(n(delta)) times an isotypic character, which has
+    nonnegative coefficients summing to dim(lam), so its coefficients are
+    at most the largest dimension; the slots leave room for that times
+    ||n! D/H_delta||_1, which is what confirming the quotient needs.
+    """
+    delta = staircase(m)
+    n = delta.size
+    divisor = [factorial(n) * c for c in _dense(_staircase_cofactor(m))]
+    table = character_table(n)
+    identity = table._index[(1,) * n]
+    largest_dim = max(row[identity] for row in table._rows)
+    return _PackedPairing(delta, room=largest_dim * sum(map(abs, divisor))), divisor
 
 
 @lru_cache(maxsize=None)
@@ -275,15 +333,15 @@ def isotypic_character(lam: Partition) -> LaurentPolynomial:
     staircase fiber; palindromic with nonnegative integer coefficients.
 
     It is q^(-n(delta)) H_delta(q) times the Hall pairing N / (n! D), that
-    is q^(-n(delta)) N / (n! D/H_delta), both divisions exact.  Only
-    triangular sizes carry such a fiber, so any other size is rejected
-    rather than approximated.
+    is q^(-n(delta)) N / (n! D/H_delta): one exact division of the packed
+    numerator, at the width it was summed at.  Only triangular sizes carry
+    such a fiber, so any other size is rejected rather than approximated.
     """
     m = triangular_index(lam.size)
     if m is None:
         raise NonTriangularSizeError(
             f"|{lam}| = {lam.size} is not a triangular number"
         )
-    delta = staircase(m)
-    num = _pairing_numerator(lam, delta).exact_div(_staircase_cofactor(m))
-    return num.exact_div(factorial(lam.size)).shifted(-n_stat(delta))
+    pairing, divisor = _fiber_pairing(m)
+    quot = _exact_quotient(pairing.numerator(lam), pairing.bits, pairing.length, pairing.bound, divisor)
+    return _from_dense(quot, -n_stat(staircase(m)))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import factorial
 from operator import mul
 
-from .exactalg import LaurentPolynomial, NonPolynomialError
+from .exactalg import LaurentPolynomial, NonPolynomialError, one_minus_q_product
 from .orbits import CALOGERO_MOSER, HILBERT, closure_graph, cm_orbit, hilb_orbit, is_borel_stable, monomial_ideal
 from .partitions import (
     Partition,
@@ -68,13 +68,13 @@ def _random_laurent(rng, span=6, coeff=9):
     )
 
 
-def _divides(divisor, dividend) -> bool:
-    """Whether exact_div accepts the quotient; NonPolynomialError means not."""
+def _quotient(dividend, divisor):
+    """dividend.exact_div(divisor), or None when exact_div raises
+    NonPolynomialError."""
     try:
-        dividend.exact_div(divisor)
+        return dividend.exact_div(divisor)
     except NonPolynomialError:
-        return False
-    return True
+        return None
 
 
 def check_laurent_ring_axioms(limits):
@@ -94,17 +94,31 @@ def check_laurent_ring_axioms(limits):
             bad.append(f"Laurent arithmetic not commutative on trial {trial}")
         if a + zero != a or a * one != a:
             bad.append(f"Laurent identities fail on trial {trial}")
-        if b and (a * b).exact_div(b) != a:
-            bad.append(f"exact division does not invert multiplication on trial {trial}")
-        # Only the units +-q^j divide a*b + q^j, and no k >= 2 divides k*a + 1.
-        is_unit = [c for _, c in b.sorted_terms()] in ([1], [-1])
-        if b and not is_unit and _divides(b, a * b + one.shifted(rng.randint(-6, 6))):
-            bad.append(f"exact division by {b} ignored a remainder on trial {trial}")
         k = rng.randint(2, 9)
         if a.scaled(k).exact_div(k) != a:
             bad.append(f"exact division by {k} does not invert scaling on trial {trial}")
-        if _divides(k, a.scaled(k) + one):
+        if _quotient(a.scaled(k) + one, k) is not None:
             bad.append(f"exact division by {k} ignored a remainder on trial {trial}")
+    # exact division, half the trials with coefficients of 200 bits
+    for trial in range(60):
+        size = 1 << 200 if trial % 2 else 9
+        a, b = _random_laurent(rng, coeff=size), _random_laurent(rng, coeff=size)
+        if b and _quotient(a * b, b) != a:
+            bad.append(f"exact division does not invert multiplication on trial {trial}")
+        # only the units +-q^j divide a*b + q^j
+        is_unit = [c for _, c in b.sorted_terms()] in ([1], [-1])
+        if b and not is_unit and _quotient(a * b + one.shifted(rng.randint(-6, 6)), b) is not None:
+            bad.append(f"exact division by {b} ignored a remainder on trial {trial}")
+    # a quotient far larger than its dividend: (1 - q^10)^10 / (1 - q)^10
+    geometric = LaurentPolynomial({i: 1 for i in range(10)}) ** 10
+    if _quotient(LaurentPolynomial({0: 1, 10: -1}) ** 10, LaurentPolynomial({0: 1, 1: -1}) ** 10) != geometric:
+        bad.append("exact division misses a quotient larger than its dividend")
+    for ks in ([1] * 14, [1] * 30, [1, 2, 2, 3, 5, 8, 13], list(range(1, 25))):
+        expected = one
+        for k in ks:
+            expected = expected * LaurentPolynomial({0: 1, k: -1})
+        if one_minus_q_product(ks) != expected:
+            bad.append(f"product of (1 - q^k) over {ks} is wrong")
     return bad
 
 
@@ -205,7 +219,7 @@ def check_fake_degree(limits):
                 bad.append(f"fake degree of {lam} has a negative coefficient")
             if f and f.min_exponent() < 0:
                 bad.append(f"fake degree of {lam} has a negative exponent")
-            if f.evaluate(1) != dim_irrep(lam):
+            if f.coefficient_sum() != dim_irrep(lam):
                 bad.append(f"fake degree of {lam} does not sum to the dimension")
     return bad
 
@@ -215,7 +229,7 @@ def check_regular_fiber_decomposition(limits):
     for m in range(1, limits.max_m + 1):
         n = m * (m + 1) // 2
         full = regular_fiber_character(m)
-        if full.evaluate(1) != factorial(n):
+        if full.coefficient_sum() != factorial(n):
             bad.append(f"fiber dimension at m={m} is not {n}!")
         total = LaurentPolynomial.zero()
         for lam in enumerate_partitions(n, cap=max(n, 30)):
@@ -235,7 +249,7 @@ def check_isotypic_characters(limits):
                 bad.append(f"isotypic character of {lam} is not palindromic")
             if any(c < 0 for _, c in chi.sorted_terms()):
                 bad.append(f"isotypic character of {lam} has a negative coefficient")
-            if chi.evaluate(1) != dim_irrep(lam):
+            if chi.coefficient_sum() != dim_irrep(lam):
                 bad.append(f"isotypic character of {lam} has the wrong dimension")
             if chi != isotypic_character(transpose(lam)):
                 bad.append(f"isotypic character changes under transpose at {lam}")
@@ -251,7 +265,7 @@ def check_sl2_decompose_roundtrip(limits):
         )
         if decompose(char.to_laurent()) != char:
             bad.append(f"decompose does not invert reconstruction on trial {trial}")
-        if char.to_laurent().evaluate(1) != char.dimension():
+        if char.to_laurent().coefficient_sum() != char.dimension():
             bad.append(f"dimension disagrees with value at q=1 on trial {trial}")
     try:
         decompose(LaurentPolynomial({1: 1, -1: 1, 0: -1}))

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+from math import factorial
 
 import hypothesis.strategies as st
 import pytest
@@ -350,3 +351,29 @@ def test_main_returns_or_exits_with_usage_code(argv):
             assert exc.code == 2
         else:
             assert code in (0, 1)
+
+
+def test_char_l_staircase_cap_is_usage_error(capsys):
+    over = str(cli.STAIRCASE_CAP + 1)
+    with pytest.raises(SystemExit) as err:
+        main(["cm", "char-L", over, "--max-m", over])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"m={over} exceeds the cap {cli.STAIRCASE_CAP}" in captured.err
+    at_cap = str(cli.STAIRCASE_CAP)
+    assert main(["cm", "char-L", at_cap, "--max-m", at_cap]) == 0
+    assert capsys.readouterr().out.endswith(f"dimension: {factorial(210)}\n")
+
+
+@pytest.mark.parametrize("error", [MemoryError, RecursionError])
+def test_resource_exhaustion_is_computation_error(monkeypatch, capsys, error):
+    def exhausted(lam):
+        raise error("maximum recursion depth exceeded" if error is RecursionError else "")
+
+    monkeypatch.setattr(cli, "exponents", exhausted)
+    assert main(["cm", "exponents", "6"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {error.__name__}: ")

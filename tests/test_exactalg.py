@@ -1,11 +1,13 @@
-from fractions import Fraction
+import random
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
 from cmhilb import LaurentPolynomial, NonPolynomialError
-from cmhilb.exactalg import one_minus_q_product
+from cmhilb import exactalg
+from cmhilb.exactalg import _pack, _slot_bits, _unpack, one_minus_q_product, q_integer_product
+from cmhilb.verify import CHECKS, Limits, run_checks
 from strategies import laurent_polys, non_unit_laurent_polys, nonzero_laurent_polys
 
 Q = LaurentPolynomial.monomial(1)
@@ -78,10 +80,10 @@ def test_json_roundtrip(p):
 
 
 def test_evaluate():
-    p = LaurentPolynomial({-1: 1, 1: 1})
-    assert p.evaluate(1) == 2
-    assert p.evaluate(2) == Fraction(5, 2)
-    assert p.evaluate(Fraction(1, 2)) == Fraction(5, 2)
+    # the value at q = 1, the only point the package evaluates at
+    assert LaurentPolynomial({-1: 1, 1: 1}).coefficient_sum() == 2
+    assert LaurentPolynomial({-3: 4, 0: -1, 5: 2}).coefficient_sum() == 5
+    assert LaurentPolynomial.zero().coefficient_sum() == 0
 
 
 @given(nonzero_laurent_polys)
@@ -158,3 +160,130 @@ def test_one_minus_q_product_matches_binomial_products(ks):
     for k in ks:
         expected = expected * LaurentPolynomial({0: 1, k: -1})
     assert one_minus_q_product(ks) == expected
+
+
+@given(st.lists(st.integers(1, 12), max_size=8))
+def test_q_integer_product_matches_geometric_sums(hs):
+    expected = LaurentPolynomial.one()
+    for h in hs:
+        expected = expected * LaurentPolynomial({i: 1 for i in range(h)})
+    assert q_integer_product(hs) == expected
+
+
+# ---------------------------------------------------------------------------
+# Kronecker packing.  The oracle is schoolbook long division on coefficient
+# lists, which needs no coefficient bound at all.
+
+def _schoolbook_div(num, den):
+    """num / den by long division from the top, raising NonPolynomialError
+    on a remainder or a leading coefficient that does not divide."""
+    if not den:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if not num:
+        return LaurentPolynomial()
+    shift = num.min_exponent() - den.min_exponent()
+    rem = [num.coefficient(e) for e in range(num.min_exponent(), num.max_exponent() + 1)]
+    d = [den.coefficient(e) for e in range(den.min_exponent(), den.max_exponent() + 1)]
+    if len(rem) < len(d):
+        raise NonPolynomialError("divisor has larger support than dividend")
+    quot = [0] * (len(rem) - len(d) + 1)
+    for i in range(len(quot) - 1, -1, -1):
+        c, leftover = divmod(rem[i + len(d) - 1], d[-1])
+        if leftover:
+            raise NonPolynomialError("leading coefficient not divisible")
+        quot[i] = c
+        for j, bc in enumerate(d):
+            rem[i + j] -= c * bc
+    if any(rem):
+        raise NonPolynomialError("division leaves a nonzero remainder")
+    return LaurentPolynomial({shift + i: c for i, c in enumerate(quot) if c})
+
+
+big_laurent_polys = st.dictionaries(
+    st.integers(-8, 8), st.integers(-(2 ** 100), 2 ** 100), max_size=6
+).map(LaurentPolynomial)
+
+ONE_MINUS_Q = LaurentPolynomial({0: 1, 1: -1})
+
+
+@st.composite
+def divisors(draw):
+    """Nonzero divisors, among them (1 - q)^k times a small factor, whose
+    quotients can be far larger than their dividends."""
+    base = draw(nonzero_laurent_polys | big_laurent_polys.filter(bool))
+    return base * ONE_MINUS_Q ** draw(st.integers(0, 12))
+
+
+@st.composite
+def quotients(draw):
+    """Laurent quotients: arbitrary ones with coefficients up to 2^100, and
+    powers of 1 + q + ... + q^(s-1), which (1 - q)^k divides into."""
+    if draw(st.booleans()):
+        return draw(big_laurent_polys)
+    geometric = LaurentPolynomial({i: 1 for i in range(draw(st.integers(1, 8)))})
+    return (geometric ** draw(st.integers(0, 8))).shifted(draw(st.integers(-6, 6)))
+
+
+def _outcome(num, den, divide):
+    try:
+        return divide(num, den)
+    except NonPolynomialError:
+        return NonPolynomialError
+
+
+@given(quotients(), divisors(), laurent_polys)
+def test_exact_div_matches_schoolbook_oracle(a, b, r):
+    for num in (a * b, a * b + r, (a * b).scaled(3) + r):
+        expected = _outcome(num, b, _schoolbook_div)
+        assert _outcome(num, b, LaurentPolynomial.exact_div) == expected
+
+
+def test_exact_div_reaches_the_mignotte_width(monkeypatch):
+    # (1 - q^10)^10 / (1 - q)^10 has coefficients near 2^28 against 252 in
+    # the dividend: the narrow width cannot prove it and the wide one must.
+    widths = []
+    original = exactalg._packed_quotient
+
+    def spy(value, bits, *rest):
+        quot = original(value, bits, *rest)
+        widths.append((bits, quot is not None))
+        return quot
+
+    monkeypatch.setattr(exactalg, "_packed_quotient", spy)
+    num = LaurentPolynomial({0: 1, 10: -1}) ** 10
+    expected = LaurentPolynomial({i: 1 for i in range(10)}) ** 10
+    assert num.exact_div(ONE_MINUS_Q ** 10) == expected == _schoolbook_div(num, ONE_MINUS_Q ** 10)
+    assert len(widths) == 2 and widths[0][0] < widths[1][0]
+    assert [proved for _, proved in widths] == [False, True]
+
+
+def test_pack_unpack_round_trip():
+    widths = sorted({_slot_bits(bound) for bound in [0] + [2 ** k - 1 for k in range(1, 400)]})
+    assert widths == list(range(8, 408, 8))
+    for bits in widths:
+        half = 1 << (bits - 1)
+        assert _slot_bits(half - 1) == bits and _slot_bits(half) == bits + 8
+        rng = random.Random(bits)
+        coeffs = [half - 1, -1, 0, 1, -half + 1] + [rng.randrange(-half, half) for _ in range(20)] + [-half]
+        packed = _pack(coeffs, bits)
+        assert packed == sum(c << (bits * i) for i, c in enumerate(coeffs))
+        assert _unpack(packed, bits, len(coeffs)) == coeffs
+        # one slot too few, or a top digit past the balanced range, has no form
+        assert _unpack(packed, bits, len(coeffs) - 1) is None
+        assert _unpack(half << (bits * (len(coeffs) - 1)), bits, len(coeffs)) is None
+
+
+def test_laurent_check_covers_the_packed_kernel(monkeypatch):
+    assert CHECKS["laurent-ring-axioms"](Limits()) == []
+    lines = []
+    # one byte narrower than every bound asks for
+    original = exactalg._slot_bits
+    monkeypatch.setattr(exactalg, "_slot_bits", lambda bound: max(8, original(bound) - 8))
+    assert not run_checks(["laurent-ring-axioms"], Limits(), out=lines.append)
+    monkeypatch.setattr(exactalg, "_slot_bits", original)
+    # a quotient returned without the bound that proves it
+    monkeypatch.setattr(exactalg, "_proves_quotient", lambda *args: True)
+    assert not run_checks(["laurent-ring-axioms"], Limits(), out=lines.append)
+    assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == [
+        "FAIL laurent-ring-axioms"
+    ] * 2

@@ -48,7 +48,7 @@ def test_decompose_examples():
 @given(sl2_characters)
 def test_decompose_inverts_reconstruction(char):
     assert decompose(char.to_laurent()) == char
-    assert char.to_laurent().evaluate(1) == char.dimension()
+    assert char.to_laurent().coefficient_sum() == char.dimension()
 
 
 @given(partitions(max_size=10))
@@ -57,7 +57,7 @@ def test_tangent_decomposes(lam):
     # partition is a staircase; otherwise some even weight shows up
     chi = tangent_character(lam)
     assert chi.is_palindromic()
-    assert chi.evaluate(1) == 2 * lam.size
+    assert chi.coefficient_sum() == 2 * lam.size
 
 
 def test_exponents_table_rows():
