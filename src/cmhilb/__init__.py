@@ -34,6 +34,7 @@ from .symfun import (
     graded_multiplicity,
     isotypic_character,
     mn_character,
+    odd_class_table,
     q_factorial,
     regular_fiber_character,
 )
@@ -41,6 +42,7 @@ from .sl2 import (
     NotACharacterError,
     SL2Character,
     decompose,
+    exponent_runs,
     exponent_string,
     exponents,
     hook_layer_character,

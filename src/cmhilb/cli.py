@@ -40,8 +40,8 @@ from .partitions import (
 )
 from .sl2 import (
     NotACharacterError,
+    exponent_runs,
     exponent_string,
-    exponents,
     sl2_fixed_set,
     tangent_character,
     weights_all_odd,
@@ -255,26 +255,26 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_cm_exponents(args) -> int:
-    rows = [(lam, exponents(lam)) for lam in enumerate_partitions(args.n, cap=args.max_n)]
+    rows = [(lam, exponent_runs(lam)) for lam in enumerate_partitions(args.n, cap=args.max_n)]
     if args.format == "json":
         print(_json_dump({
             "n": args.n,
             "rows": [
-                {"partition": lam.to_json(), "exponents": list(exps)}
-                for lam, exps in rows
+                {"partition": lam.to_json(), "exponents": [list(run) for run in runs]}
+                for lam, runs in rows
             ],
         }))
     elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["partition", "exponents"])
-        for lam, exps in rows:
-            writer.writerow([str(lam), " ".join(str(e) for e in exps)])
+        for lam, runs in rows:
+            writer.writerow([str(lam), " ".join(f"{value}^{count}" for value, count in runs)])
         print(buf.getvalue(), end="")
     else:
         width = max(len(str(lam)) for lam, _ in rows)
-        for lam, exps in rows:
-            print(f"{str(lam):<{width}} | {exponent_string(exps)}")
+        for lam, runs in rows:
+            print(f"{str(lam):<{width}} | {exponent_string(runs)}")
     return 0
 
 

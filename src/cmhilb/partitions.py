@@ -180,10 +180,43 @@ def _partition_tuples(n: int, max_part: int) -> tuple:
     return tuple(out)
 
 
+_PARTITION_COUNTS = [1]
+
+
+def partition_count(n: int) -> int:
+    """p(n) by Euler's pentagonal recurrence
+    p(n) = sum over k >= 1 of (-1)^(k+1) (p(n - k(3k-1)/2) + p(n - k(3k+1)/2)),
+    memoised per n for the life of the process."""
+    counts = _PARTITION_COUNTS
+    for m in range(len(counts), n + 1):
+        total, k = 0, 1
+        while k * (3 * k - 1) // 2 <= m:
+            term = counts[m - k * (3 * k - 1) // 2]
+            if k * (3 * k + 1) // 2 <= m:
+                term += counts[m - k * (3 * k + 1) // 2]
+            total += term if k % 2 else -term
+            k += 1
+        counts.append(total)
+    return counts[n]
+
+
+# Most partitions `enumerate_partitions` lists for one n: p(45) = 89,134 is
+# the last count within it.
+PARTITION_BUDGET = 10**5
+
+
 def enumerate_partitions(n: int, cap: int = DEFAULT_CAP) -> list:
-    """All partitions of n in reverse lexicographic order."""
+    """All partitions of n in reverse lexicographic order.
+
+    Refused with CapExceededError when n exceeds cap or p(n) exceeds
+    PARTITION_BUDGET.
+    """
     if n < 0:
         raise ValueError("cannot partition a negative integer")
     if n > cap:
         raise CapExceededError(f"n={n} exceeds the cap {cap}; raise the cap to proceed")
+    # p grows with n, so counting up from 0 stops at the first size past the
+    # budget, and a huge n is refused as cheaply as a small one
+    if any(partition_count(m) > PARTITION_BUDGET for m in range(n + 1)):
+        raise CapExceededError(f"n={n} has more than {PARTITION_BUDGET} partitions, too many to list")
     return [Partition(t) for t in _partition_tuples(n, n)]

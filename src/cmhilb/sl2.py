@@ -120,28 +120,27 @@ def decompose(p: LaurentPolynomial) -> SL2Character:
 
 def exponents(lam: Partition) -> tuple:
     """Exponents of lam: the multiset e with the lam-multiplicity space
-    isomorphic to the direct sum of the irreducibles V(e_i), ascending."""
+    isomorphic to the direct sum of the irreducibles V(e_i), ascending,
+    one entry per copy (see exponent_runs for the compact form)."""
     return decompose(isotypic_character(lam)).exponents()
+
+
+def exponent_runs(lam: Partition) -> tuple:
+    """The exponents of lam as ascending (value, multiplicity) pairs, read
+    off its SL2 decomposition without writing out one entry per copy."""
+    return decompose(isotypic_character(lam)).items()
 
 
 _SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 
 
-def exponent_string(exps) -> str:
-    """Compact multiset notation, e.g. (0,1,1,2,2,4) -> "0,1²,2²,4"."""
-    groups = []
-    for e in exps:
-        if groups and groups[-1][0] == e:
-            groups[-1][1] += 1
-        else:
-            groups.append([e, 1])
-    pieces = []
-    for value, count in groups:
-        if count == 1:
-            pieces.append(str(value))
-        else:
-            pieces.append(f"{value}{str(count).translate(_SUPERSCRIPTS)}")
-    return ",".join(pieces)
+def exponent_string(runs) -> str:
+    """Compact multiset notation of (value, multiplicity) runs, e.g.
+    ((0, 1), (1, 2), (2, 2), (4, 1)) -> "0,1²,2²,4"."""
+    return ",".join(
+        str(value) if count == 1 else f"{value}{str(count).translate(_SUPERSCRIPTS)}"
+        for value, count in runs
+    )
 
 
 def tangent_character(lam: Partition) -> LaurentPolynomial:

@@ -4,12 +4,24 @@ Irreducible character values come from the Murnaghan-Nakayama rule in
 two independent forms.  `character_table(n)` builds whole columns from
 smaller tables: since p_mu = p_(mu_1) p_(mu_2, mu_3, ...), the column at mu
 is the column of the size n - mu_1 table at (mu_2, mu_3, ...) with a border
-strip of mu_1 cells added to each row, signed by (-1)^height.  Strip
-additions are moves on beta sets, worked out once per (row, strip size)
-within one build.  Each table is stored as index-addressed rows of ints,
-and the smaller ones stay in `character_table`'s cache.  `mn_character`
-removes strips from lam instead, with a memo local to each call, so no
-memo keyed by (lam, mu) outlives it.
+strip of mu_1 cells added to each row, signed by (-1)^height.  Each
+partition of n is held as its beta set padded to n entries, one int bit
+mask, and rows are addressed by it, so a strip addition is a few int
+operations: pad by k, move a set bit b to a clear bit b + k, and take the
+height from the bit count in between.  The rows each addition reaches
+are worked out once per (row, strip size) within one build, split into
+those reached with sign +1 and with -1.  Each table is stored as columns
+of ints, and the smaller ones stay in `character_table`'s cache.
+
+`odd_class_table(n)` is the same build restricted to the classes whose
+parts are all odd, and the recursion stays inside them.  It is all a
+Hall pairing against a 2-core delta (a staircase) needs: such a delta has
+no hook of even length, so chi^delta vanishes on every class with an even
+part.  At n = 21 it is 792 x 76 entries, built in under 0.1 s, against
+792 x 792 in about 0.33 s for the full table (2-core box, Python 3.11.7).
+
+`mn_character` removes strips from lam instead, with a memo local to each
+call, so no memo keyed by (lam, mu) outlives it.
 
 Graded multiplicities are Hall-pairing sums over conjugacy classes:
 under the substitution that sends each power sum p_k to p_k / (1 - q^k),
@@ -44,6 +56,7 @@ from .exactalg import (
 from .partitions import (
     DEFAULT_CAP,
     Partition,
+    all_hooks_odd,
     dim_irrep,
     enumerate_partitions,
     hook_lengths,
@@ -91,25 +104,33 @@ def _strip_removals(parts: tuple, k: int) -> list:
     return out
 
 
-def _strip_additions(parts: tuple, k: int) -> list:
-    """Partitions obtained by adding one border strip of k cells, with sign.
+def _beta_mask(parts: tuple, n: int) -> int:
+    """The beta set of a partition of at most n parts, padded to n entries,
+    as an int bit mask: bit parts_i + n - i is set for i = 1..n, the parts
+    padded with zeros, so the n - len(parts) padding entries are the low bits."""
+    mask = (1 << (n - len(parts))) - 1
+    for i, p in enumerate(parts, 1):
+        mask |= 1 << (p + n - i)
+    return mask
 
-    The beta set is padded with k zero parts, since a strip of k cells adds
-    at most k rows; an addition moves one entry up by k onto a free slot,
-    and the sign is (-1)^height, height the number of entries jumped over.
+
+def _mask_strip_additions(mask: int, k: int) -> list:
+    """(target mask, sign) for every border strip of k cells added to the
+    partition whose beta mask, padded to its size, is `mask`.
+
+    Padding with k more entries shifts the mask up by k and sets the k low
+    bits; a strip addition moves one set bit b up to a clear bit b + k, and
+    its sign is (-1)^height, the height being the set bits strictly between.
     """
-    shifts = range(len(parts) + k - 1, -1, -1)
-    beta = [p + s for p, s in zip(parts, shifts)] + list(range(k - 1, -1, -1))
-    bset = set(beta)
+    padded = (mask << k) | ((1 << k) - 1)
+    between = (1 << (k - 1)) - 1
+    movable = padded & ~(padded >> k)
     out = []
-    for b in beta:
-        nb = b + k
-        if nb in bset:
-            continue
-        height = sum(1 for c in beta if b < c < nb)
-        new = sorted([c for c in beta if c != b] + [nb], reverse=True)
-        newparts = tuple([c - s for c, s in zip(new, shifts) if c > s])
-        out.append((newparts, -1 if height % 2 else 1))
+    while movable:
+        low = movable & -movable
+        movable ^= low
+        height = (padded >> low.bit_length() & between).bit_count()
+        out.append((padded ^ low ^ (low << k), -1 if height & 1 else 1))
     return out
 
 
@@ -137,59 +158,96 @@ def mn_character(lam: Partition, mu: Partition) -> int:
     return mn(lam.parts, 0)
 
 
+def _odd_class(parts: tuple) -> bool:
+    """The column filter of an odd-class table: every part is odd."""
+    return all(p & 1 for p in parts)
+
+
 class CharacterTable:
-    """All irreducible character values of one symmetric group, built once
+    """Irreducible character values of one symmetric group, built once
     column by column from smaller tables.
 
-    Row i holds chi^lam(mu) for lam the i-th entry of .partitions and mu
-    running over .partitions in the same order.
+    Rows run over .partitions and are addressed by beta mask; columns run
+    over .classes, which is .partitions for a full table and only the
+    classes whose parts are all odd for an odd-class table.  Dropping the
+    first part of an odd-part class leaves one, so an odd-class table is
+    built from odd-class tables alone.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, odd: bool = False):
         self.n = n
+        self.odd = odd
         self.partitions = tuple(enumerate_partitions(n, cap=max(n, DEFAULT_CAP)))
-        self._index = {lam.parts: i for i, lam in enumerate(self.partitions)}
+        self.classes = tuple(mu for mu in self.partitions if _odd_class(mu.parts)) if odd else self.partitions
+        self._masks = [_beta_mask(lam.parts, n) for lam in self.partitions]
+        self._index = {mask: i for i, mask in enumerate(self._masks)}
+        self._class_index = {mu.parts: j for j, mu in enumerate(self.classes)}
         if not n:
-            self._rows = ((1,),)
+            self._columns = [[1]]
             return
         additions = {}
-        columns = [self._column(mu.parts, additions) for mu in self.partitions]
-        self._rows = tuple(zip(*columns))
+        self._columns = [self._column(mu.parts, additions) for mu in self.classes]
 
     def _column(self, mu: tuple, additions: dict) -> list:
-        """chi^lam(mu) for every lam; `additions` memoises, per (k, row of
-        the smaller table), the rows reached by adding a k-strip and their signs."""
+        """chi^lam(mu) for every lam: the smaller table's column at mu[1:]
+        with a mu[0]-strip added to each row.  `additions` memoises, per
+        (k, row of the smaller table), the rows a k-strip reaches, split
+        into those reached with sign +1 and with sign -1."""
         k = mu[0]
-        sub = character_table(self.n - k)
-        j = sub._index[mu[1:]]
+        sub = odd_class_table(self.n - k) if self.odd else character_table(self.n - k)
         column = [0] * len(self.partitions)
-        for r, row in enumerate(sub._rows):
-            v = row[j]
+        for r, v in enumerate(sub._columns[sub._class_index[mu[1:]]]):
             if not v:
                 continue
             targets = additions.get((k, r))
             if targets is None:
-                targets = additions[(k, r)] = [
-                    (self._index[parts], sign)
-                    for parts, sign in _strip_additions(sub.partitions[r].parts, k)
-                ]
-            for i, sign in targets:
-                column[i] += sign * v
+                plus, minus = [], []
+                for mask, sign in _mask_strip_additions(sub._masks[r], k):
+                    (plus if sign > 0 else minus).append(self._index[mask])
+                targets = additions[(k, r)] = plus, minus
+            for i in targets[0]:
+                column[i] += v
+            for i in targets[1]:
+                column[i] -= v
         return column
 
+    def row_index(self, lam: Partition) -> int:
+        """Position of lam in .partitions, found by its beta mask."""
+        return self._index[_beta_mask(lam.parts, self.n)]
+
+    def column(self, mu: Partition) -> list:
+        """chi^lam(mu) for lam over .partitions, in order; not to be modified."""
+        return self._columns[self._class_index[mu.parts]]
+
     def row(self, lam: Partition) -> tuple:
-        """chi^lam(mu) for mu over .partitions, in order."""
-        return self._rows[self._index[lam.parts]]
+        """chi^lam(mu) for mu over .classes, in order."""
+        i = self.row_index(lam)
+        return tuple(column[i] for column in self._columns)
 
     def value(self, lam: Partition, mu: Partition) -> int:
-        return self._rows[self._index[lam.parts]][self._index[mu.parts]]
+        return self.column(mu)[self.row_index(lam)]
 
 
 @lru_cache(maxsize=None)
 def character_table(n: int) -> CharacterTable:
-    """The table of size n; the smaller tables its columns are built from
-    stay in this cache."""
+    """The full table of size n; the smaller tables its columns are built
+    from stay in this cache."""
     return CharacterTable(n)
+
+
+@lru_cache(maxsize=None)
+def odd_class_table(n: int) -> CharacterTable:
+    """The table of size n on the classes whose parts are all odd, built
+    from smaller odd-class tables only, which stay in this cache."""
+    return CharacterTable(n, odd=True)
+
+
+def _pairing_table(delta: Partition) -> CharacterTable:
+    """The table a Hall pairing against delta reads.  When delta is a 2-core
+    (every hook odd, i.e. a staircase) no border strip of even length can
+    be removed from it, so by Murnaghan-Nakayama chi^delta vanishes on every
+    class with an even part and the odd-class table holds every term."""
+    return odd_class_table(delta.size) if all_hooks_odd(delta) else character_table(delta.size)
 
 
 def q_factorial(n: int) -> LaurentPolynomial:
@@ -220,20 +278,14 @@ def _class_quotient_terms(n: int, mu_parts: tuple) -> list:
     return _dense(_denominator_cofactor(n, mu_parts))
 
 
-@lru_cache(maxsize=None)
-def _class_weights(n: int) -> tuple:
-    """n! / z_mu for each mu in the order of character_table(n).partitions."""
-    nfact = factorial(n)
-    return tuple(nfact // centralizer_order(mu) for mu in character_table(n).partitions)
-
-
 class _PackedPairing:
     """Hall-pairing numerators against one delta for every lam of its size,
     as sums of Kronecker-packed class vectors.
 
     N_lam = sum over mu of chi^lam(mu) P_mu, where P_mu is
     chi^delta(mu) (n!/z_mu) D / prod_i (1 - q^(mu_i)) packed as one int;
-    only the classes with chi^delta(mu) != 0 carry one.  So every
+    only the classes with chi^delta(mu) != 0 carry one, and the table read
+    is the odd-class one when delta is a 2-core.  So every
     coefficient of every N_lam is at most
 
         bound = sum over mu of max_lam |chi^lam(mu)| |P_mu|_inf
@@ -244,23 +296,24 @@ class _PackedPairing:
 
     def __init__(self, delta: Partition, room: int = 0):
         n = delta.size
-        self.table = table = character_table(n)
+        self.table = table = _pairing_table(delta)
         self.length = _common_denominator(n).max_exponent() + 1
+        d, nfact = table.row_index(delta), factorial(n)
         classes = []
         self.bound = 0
-        for j, (mu, w, b) in enumerate(zip(table.partitions, _class_weights(n), table.row(delta))):
-            if b:
+        for mu, column in zip(table.classes, table._columns):
+            if column[d]:
+                weight = column[d] * (nfact // centralizer_order(mu))
                 coeffs = _class_quotient_terms(n, mu.parts)
-                column_max = max(abs(row[j]) for row in table._rows)
-                self.bound += column_max * abs(b * w) * max(map(abs, coeffs))
-                classes.append((j, b * w, coeffs))
+                self.bound += max(map(abs, column)) * abs(weight) * max(map(abs, coeffs))
+                classes.append((column, weight, coeffs))
         self.bits = _slot_bits(self.bound + room)
-        self.vectors = [(j, weight * _pack(coeffs, self.bits)) for j, weight, coeffs in classes]
+        self.vectors = [(column, weight * _pack(coeffs, self.bits)) for column, weight, coeffs in classes]
 
     def numerator(self, lam: Partition) -> int:
         """N_lam, packed at self.bits over self.length slots."""
-        row = self.table.row(lam)
-        return sum(row[j] * v for j, v in self.vectors if row[j])
+        i = self.table.row_index(lam)
+        return sum(column[i] * v for column, v in self.vectors if column[i])
 
 
 def graded_multiplicity(lam: Partition, delta: Partition) -> tuple:
@@ -321,9 +374,7 @@ def _fiber_pairing(m: int) -> tuple:
     delta = staircase(m)
     n = delta.size
     divisor = [factorial(n) * c for c in _dense(_staircase_cofactor(m))]
-    table = character_table(n)
-    identity = table._index[(1,) * n]
-    largest_dim = max(row[identity] for row in table._rows)
+    largest_dim = max(_pairing_table(delta).column(Partition((1,) * n)))
     return _PackedPairing(delta, room=largest_dim * sum(map(abs, divisor))), divisor
 
 

@@ -35,7 +35,7 @@ from .sl2 import (
     NotACharacterError,
     SL2Character,
     decompose,
-    exponents,
+    exponent_runs,
     irreducible_character,
     layered_fiber_character,
     sl2_fixed_set,
@@ -47,6 +47,7 @@ from .symfun import (
     character_table,
     fake_degree,
     isotypic_character,
+    odd_class_table,
     regular_fiber_character,
 )
 
@@ -210,6 +211,30 @@ def check_character_orthogonality(limits):
     return bad
 
 
+def check_staircase_odd_classes(limits):
+    """chi^delta of a staircase vanishes on every class with an even part,
+    read off the full table, and the odd-class tables agree with the full
+    ones on every odd-part class."""
+    bad = []
+    for m in range(1, 6):
+        delta = staircase(m)
+        table = character_table(delta.size)
+        for mu, value in zip(table.partitions, table.row(delta)):
+            if value and not all(p % 2 for p in mu.parts):
+                bad.append(f"chi^({delta}) is {value} on the class {mu}, which has an even part")
+    for n in range(1, min(limits.max_n, 15) + 1):
+        full, odd = character_table(n), odd_class_table(n)
+        classes = tuple(mu for mu in full.partitions if all(p % 2 for p in mu.parts))
+        if odd.classes != classes:
+            bad.append(f"odd-class table at n={n} has {len(odd.classes)} classes, "
+                       f"not the {len(classes)} odd-part ones")
+            continue
+        for lam in full.partitions:
+            if odd.row(lam) != tuple(full.value(lam, mu) for mu in classes):
+                bad.append(f"odd-class row of {lam} disagrees with the full table")
+    return bad
+
+
 def check_fake_degree(limits):
     bad = []
     for n in range(min(limits.max_n, 12) + 1):
@@ -298,10 +323,10 @@ def check_exponent_duality(limits):
     for m in range(limits.max_m + 1):
         n = m * (m + 1) // 2
         for lam in enumerate_partitions(n, cap=max(n, 30)):
-            e = exponents(lam)
-            if e != exponents(transpose(lam)):
+            runs = exponent_runs(lam)
+            if runs != exponent_runs(transpose(lam)):
                 bad.append(f"exponents change under transpose at {lam}")
-            if sum(x + 1 for x in e) != dim_irrep(lam):
+            if sum(c * (w + 1) for w, c in runs) != dim_irrep(lam):
                 bad.append(f"exponent dimension count fails at {lam}")
     return bad
 
@@ -445,8 +470,8 @@ def _cli_json_cases():
          lambda o: (o["stabilizer"], o["closed"], Partition(o["partner"])),
          (cm_rep.stabilizer, cm_rep.closed, cm_rep.partner)),
         (["cm", "exponents", "6"],
-         lambda o: [(Partition(r["partition"]), tuple(r["exponents"])) for r in o["rows"]],
-         [(mu, exponents(mu)) for mu in enumerate_partitions(6)]),
+         lambda o: [(Partition(r["partition"]), tuple(map(tuple, r["exponents"]))) for r in o["rows"]],
+         [(mu, exponent_runs(mu)) for mu in enumerate_partitions(6)]),
         (["cm", "char-L", "2"],
          lambda o: (laurent(o["character"]), o["dimension"]),
          (regular_fiber_character(2), factorial(3))),
@@ -494,6 +519,7 @@ CHECKS = {
     "staircase-n-stat": check_staircase_n_stat,
     "dimension-squares": check_dimension_squares,
     "character-orthogonality": check_character_orthogonality,
+    "staircase-odd-classes": check_staircase_odd_classes,
     "fake-degree": check_fake_degree,
     "regular-fiber-decomposition": check_regular_fiber_decomposition,
     "isotypic-characters": check_isotypic_characters,

@@ -70,7 +70,10 @@ def test_01_exponent_table_six_boxes(capsys):
             assert exponents(lam) == exps
         code = main(["cm", "exponents", "6", "--format", "json"])
         data = json.loads(capsys.readouterr().out)
-        table = {tuple(r["partition"]): tuple(r["exponents"]) for r in data["rows"]}
+        table = {
+            tuple(r["partition"]): tuple(w for w, c in r["exponents"] for _ in range(c))
+            for r in data["rows"]
+        }
         assert table == EXPECTED_EXPONENTS_N6
     # keep the PASS line visible in captured output
     print(capsys.readouterr().out, end="")
@@ -149,5 +152,21 @@ def test_08_kernel_checks(capsys):
             "12",
             "--max-m",
             "4",
+        )
+    print(capsys.readouterr().out, end="")
+
+
+@pytest.mark.slow
+def test_09_exponent_table_m6(capsys):
+    with _Budget("exponent-table-m6", 120):
+        _verify(
+            capsys,
+            "isotypic-characters",
+            "regular-fiber-decomposition",
+            "exponent-duality",
+            "--max-m",
+            "6",
+            "--max-n",
+            "21",
         )
     print(capsys.readouterr().out, end="")

@@ -92,8 +92,8 @@ def test_exponents_table_json(capsys):
     data = json.loads(out)
     assert data["n"] == 6
     table = {tuple(r["partition"]): r["exponents"] for r in data["rows"]}
-    assert table[(3, 2, 1)] == [0, 1, 1, 2, 2, 4]
-    assert table[(3, 3)] == [0, 3]
+    assert table[(3, 2, 1)] == [[0, 1], [1, 2], [2, 2], [4, 1]]
+    assert table[(3, 3)] == [[0, 1], [3, 1]]
     assert len(table) == 11
 
 
@@ -102,8 +102,10 @@ def test_exponents_table_csv(capsys):
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["partition", "exponents"]
-    assert ["2,1", "1"] in rows
+    assert ["2,1", "1^1"] in rows
     assert len(rows) == 4
+    code, out, _ = run_cli(capsys, "cm", "exponents", "6", "--format", "csv")
+    assert ["3,2,1", "0^1 1^2 2^2 4^1"] in list(csv.reader(io.StringIO(out)))
 
 
 def test_exponents_rejects_non_triangular(capsys):
@@ -271,6 +273,18 @@ def test_nonpositive_size_is_usage_error(capsys, command, size):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("size", ["60", "1000000000"])
+def test_partition_budget_is_usage_error(capsys, size):
+    # p(60) is about 9.7e5, over the enumeration budget, so the scan is
+    # refused before any partition is listed
+    with pytest.raises(SystemExit) as err:
+        main(["cm", "fixed", size, "--max-n", size])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "partitions, too many to list" in captured.err
+
+
 def test_closure_cap_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["hilb", "closure", "25"])
@@ -307,7 +321,7 @@ def test_output_is_deterministic(capsys):
 
 @pytest.mark.parametrize("name, wrong, command", [
     ("regular_fiber_character", lambda m: LaurentPolynomial.one(), "cm char-L 2"),
-    ("exponents", lambda lam: (0,), "cm exponents 6"),
+    ("exponent_runs", lambda lam: ((0, 1),), "cm exponents 6"),
 ], ids=["char-L", "exponents"])
 def test_cli_json_roundtrip_catches_wrong_payload(monkeypatch, name, wrong, command):
     monkeypatch.setattr(cli, name, wrong)
@@ -371,7 +385,7 @@ def test_resource_exhaustion_is_computation_error(monkeypatch, capsys, error):
     def exhausted(lam):
         raise error("maximum recursion depth exceeded" if error is RecursionError else "")
 
-    monkeypatch.setattr(cli, "exponents", exhausted)
+    monkeypatch.setattr(cli, "exponent_runs", exhausted)
     assert main(["cm", "exponents", "6"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

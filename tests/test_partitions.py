@@ -20,6 +20,7 @@ from cmhilb import (
     triangular_index,
     u_map,
 )
+from cmhilb.partitions import PARTITION_BUDGET, partition_count
 from cmhilb.verify import CHECKS, Limits
 from strategies import partitions
 
@@ -164,6 +165,15 @@ def test_enumerate_reverse_lex_order():
         assert seq == sorted(seq, reverse=True)
         assert len(set(seq)) == len(seq)
         assert all(sum(p) == n for p in seq)
+
+
+def test_partition_count_and_budget():
+    assert [partition_count(n) for n in range(8)] == [1, 1, 2, 3, 5, 7, 11, 15]
+    for n in range(25):
+        assert partition_count(n) == len(enumerate_partitions(n))
+    assert partition_count(45) <= PARTITION_BUDGET < partition_count(46)
+    with pytest.raises(CapExceededError):
+        enumerate_partitions(46, cap=46)
 
 
 def test_enumerate_cap():

@@ -8,6 +8,8 @@ from cmhilb import (
     Partition,
     SL2Character,
     decompose,
+    enumerate_partitions,
+    exponent_runs,
     exponent_string,
     exponents,
     hook_layer_character,
@@ -67,9 +69,18 @@ def test_exponents_table_rows():
 
 
 def test_exponent_string():
-    assert exponent_string((0, 1, 1, 2, 2, 4)) == "0,1²,2²,4"
-    assert exponent_string((0,)) == "0"
+    assert exponent_string(((0, 1), (1, 2), (2, 2), (4, 1))) == "0,1²,2²,4"
+    assert exponent_string(((0, 1),)) == "0"
+    assert exponent_string(((3, 12),)) == "3¹²"
     assert exponent_string(()) == ""
+
+
+def test_exponent_runs_compress_exponents():
+    for lam in enumerate_partitions(10):
+        runs = exponent_runs(lam)
+        assert tuple(w for w, c in runs for _ in range(c)) == exponents(lam)
+        assert all(c > 0 for _, c in runs) and [w for w, _ in runs] == sorted({w for w, _ in runs})
+    assert exponent_runs(Partition((3, 2, 1))) == ((0, 1), (1, 2), (2, 2), (4, 1))
 
 
 def test_exponent_duality_and_dimension():

@@ -107,20 +107,51 @@ def test_character_table_matches_strip_removal():
 @pytest.fixture
 def fresh_tables():
     character_table.cache_clear()
+    symfun.odd_class_table.cache_clear()
     yield
     character_table.cache_clear()
+    symfun.odd_class_table.cache_clear()
 
 
 def test_wrong_strip_addition_sign_is_caught(monkeypatch, fresh_tables):
     # forgetting the (-1)^height sign must break the Kostka comparison and
     # the orthogonality check
-    unsigned = symfun._strip_additions
+    signed = symfun._mask_strip_additions
     monkeypatch.setattr(
-        symfun, "_strip_additions",
-        lambda parts, k: [(new, 1) for new, _ in unsigned(parts, k)],
+        symfun, "_mask_strip_additions",
+        lambda mask, k: [(target, 1) for target, _ in signed(mask, k)],
     )
     assert _table_values(character_table(4)) != brute_character_table(4)
     assert CHECKS["character-orthogonality"](Limits(max_n=4))
+
+
+def test_mask_additions_invert_strip_removals():
+    # adding a k-strip to rho on bit masks reaches exactly the lam from which
+    # _strip_removals takes a k-strip back to rho, with the same sign
+    for n in range(1, 13):
+        parts_of = {symfun._beta_mask(lam.parts, n): lam.parts for lam in enumerate_partitions(n)}
+        for k in range(1, n + 1):
+            removed = {rho.parts: [] for rho in enumerate_partitions(n - k)}
+            for lam in enumerate_partitions(n):
+                for rho, sign in symfun._strip_removals(lam.parts, k):
+                    removed[rho].append((lam.parts, sign))
+            for rho, expected in removed.items():
+                added = [
+                    (parts_of[mask], sign)
+                    for mask, sign in symfun._mask_strip_additions(symfun._beta_mask(rho, n - k), k)
+                ]
+                assert sorted(added) == sorted(expected)
+
+
+def test_odd_class_tables_check():
+    assert CHECKS["staircase-odd-classes"](Limits(max_n=15)) == []
+
+
+def test_odd_class_check_catches_a_dropped_class(monkeypatch, fresh_tables):
+    # a filter that loses one odd-part class must fail the check
+    keep = symfun._odd_class
+    monkeypatch.setattr(symfun, "_odd_class", lambda parts: keep(parts) and parts != (5, 5, 5))
+    assert CHECKS["staircase-odd-classes"](Limits(max_n=15))
 
 
 def test_character_examples():
