@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -58,6 +59,18 @@ PARTITION_CELL_CAP = 200
 # m = 20 staircase has 210 cells, in line with PARTITION_CELL_CAP.
 STAIRCASE_CAP = 20
 
+# Largest staircase index of an exponent table, whatever --max-n or --max-m
+# says: `cm exponents` refuses n > 28 = 7*8/2 and `verify` refuses
+# --max-m > 7.  The n = 28 table takes about 25 s; at n = 36 one run passed
+# 90 s and 889 MB before it was stopped.
+EXPONENT_STAIRCASE_CAP = 7
+EXPONENT_SIZE_CAP = EXPONENT_STAIRCASE_CAP * (EXPONENT_STAIRCASE_CAP + 1) // 2
+
+# Checks that take a larger --max-m: the layered fiber identity lists no
+# partitions, only multiplies polynomials, and stops where `cm char-L` does
+# (about 5 s at m = 20).
+_VERIFY_MAX_M = {"fiber-layer-factorization": STAIRCASE_CAP}
+
 
 def _json_dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
@@ -93,7 +106,15 @@ def _size_arg(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and then reused for the
+    life of the process.
+
+    Every handler (`func`) and the `orbit` function of the orbit commands
+    are bound into the parser when it is built, so patching one of them
+    later has no effect: tests patch what a handler calls instead.
+    """
     parser = argparse.ArgumentParser(
         prog="cmhilb",
         description="Exact hook, character and orbit computations for "
@@ -164,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_hilb_closure)
 
     ver = sub.add_parser("verify", help="run named invariant checks")
-    ver.add_argument("checks", nargs="*", default=["all"],
+    ver.add_argument("checks", nargs="*", default=("all",),
                      help='check names, or "all" (default)')
     ver.add_argument("--max-n", type=_size_arg, default=20,
                      help="combinatorial size bound (default 20)")
@@ -255,6 +276,8 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_cm_exponents(args) -> int:
+    if args.n > EXPONENT_SIZE_CAP:
+        raise CapExceededError(f"n={args.n} exceeds the cap {EXPONENT_SIZE_CAP} of the exponent table")
     rows = [(lam, exponent_runs(lam)) for lam in enumerate_partitions(args.n, cap=args.max_n)]
     if args.format == "json":
         print(_json_dump({
@@ -344,6 +367,10 @@ def _cmd_verify(args) -> int:
         raise UsageError(
             f"unknown check {unknown[0]!r}; run `cmhilb verify --list` for names"
         )
+    selected = CHECKS if "all" in args.checks else args.checks
+    cap = min(_VERIFY_MAX_M.get(name, EXPONENT_STAIRCASE_CAP) for name in selected)
+    if args.max_m > cap:
+        raise CapExceededError(f"--max-m {args.max_m} exceeds the cap {cap} of the checks selected")
     limits = Limits(max_n=args.max_n, max_m=args.max_m)
     ok = run_checks(args.checks, limits, out=print)
     return 0 if ok else 1

@@ -205,12 +205,9 @@ def partition_count(n: int) -> int:
 PARTITION_BUDGET = 10**5
 
 
-def enumerate_partitions(n: int, cap: int = DEFAULT_CAP) -> list:
-    """All partitions of n in reverse lexicographic order.
-
-    Refused with CapExceededError when n exceeds cap or p(n) exceeds
-    PARTITION_BUDGET.
-    """
+def require_listable(n: int, cap: int = DEFAULT_CAP) -> None:
+    """Refuse, with CapExceededError, a size n whose partitions may not be
+    listed: n exceeds cap, or p(n) exceeds PARTITION_BUDGET."""
     if n < 0:
         raise ValueError("cannot partition a negative integer")
     if n > cap:
@@ -219,4 +216,10 @@ def enumerate_partitions(n: int, cap: int = DEFAULT_CAP) -> list:
     # budget, and a huge n is refused as cheaply as a small one
     if any(partition_count(m) > PARTITION_BUDGET for m in range(n + 1)):
         raise CapExceededError(f"n={n} has more than {PARTITION_BUDGET} partitions, too many to list")
+
+
+def enumerate_partitions(n: int, cap: int = DEFAULT_CAP) -> list:
+    """All partitions of n in reverse lexicographic order, refused as
+    require_listable(n, cap) says."""
+    require_listable(n, cap)
     return [Partition(t) for t in _partition_tuples(n, n)]

@@ -13,9 +13,10 @@ from .partitions import (
     DEFAULT_CAP,
     Partition,
     dim_irrep,
-    enumerate_partitions,
     hook_lengths,
+    require_listable,
     staircase,
+    triangular_index,
 )
 from .symfun import isotypic_character
 
@@ -162,14 +163,17 @@ def weights_all_odd(p: LaurentPolynomial) -> bool:
 def sl2_fixed_set(n: int, cap: int = DEFAULT_CAP) -> set:
     """Partitions of n whose tangent character has only odd weights.
 
-    Computed by filtering the full enumeration; the result is the
-    staircase alone when n is triangular and empty otherwise.
+    The weights are plus and minus the hook lengths, and only a staircase
+    has all hooks odd, so this is {staircase(m)} when
+    triangular_index(n) is m and empty otherwise; n is refused as
+    require_listable(n, cap) says, like a scan over every partition of n.
+    The check `odd-weight-fixed-points` keeps the tangent-weight route: it
+    filters every partition through weights_all_odd(tangent_character(lam))
+    and compares the result with this set.
     """
-    return {
-        lam
-        for lam in enumerate_partitions(n, cap)
-        if weights_all_odd(tangent_character(lam))
-    }
+    require_listable(n, cap)
+    m = triangular_index(n)
+    return set() if m is None else {staircase(m)}
 
 
 def hook_layer_character(m: int) -> LaurentPolynomial:

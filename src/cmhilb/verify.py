@@ -28,7 +28,6 @@ from .partitions import (
     n_stat,
     staircase,
     transpose,
-    triangular_index,
     u_map,
 )
 from .sl2 import (
@@ -332,17 +331,21 @@ def check_exponent_duality(limits):
 
 
 def check_odd_weight_fixed_points(limits):
+    """sl2_fixed_set, read off the triangular index, against the partitions
+    whose tangent character has only odd weights, found one by one."""
     bad = []
     for n in range(1, min(limits.max_n, 21) + 1):
-        m = triangular_index(n)
-        fixed = sl2_fixed_set(n)
-        expected = {staircase(m)} if m is not None else set()
-        if fixed != expected:
-            found = sorted(str(lam) for lam in fixed)
-            bad.append(f"odd-weight fixed set at n={n} is {found}")
+        odd = set()
         for lam in enumerate_partitions(n):
-            if weights_all_odd(tangent_character(lam)) != is_staircase(lam):
+            all_odd = weights_all_odd(tangent_character(lam))
+            if all_odd != is_staircase(lam):
                 bad.append(f"odd-weight criterion disagrees with staircase at {lam}")
+            if all_odd:
+                odd.add(lam)
+        fixed = sl2_fixed_set(n)
+        if fixed != odd:
+            found, expected = (sorted(str(lam) for lam in s) for s in (fixed, odd))
+            bad.append(f"odd-weight fixed set at n={n} is {found}, not {expected}")
     return bad
 
 

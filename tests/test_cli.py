@@ -2,12 +2,17 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from math import factorial
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+import cmhilb
 from cmhilb import LaurentPolynomial, NonPolynomialError, cli, verify
 from cmhilb.cli import main
 from strategies import partitions
@@ -342,21 +347,38 @@ GRAMMAR = [
     (["hilb", "ideal"], "partition", ("text", "json"), None),
     (["hilb", "closure"], "size", ("text", "json", "dot"), "--max-n"),
 ]
-sizes = st.integers(-2, 10).map(str)
+bounds = st.integers(-2, 10).map(str)
+# a leading dash reads as an option, and `-h` exits 0 with the help
+texts = st.text().filter(lambda s: not s.startswith("-"))
 
 
 @st.composite
 def cli_argvs(draw):
     words, kind, formats, bound = draw(st.sampled_from(GRAMMAR))
-    argv = [*words, draw(sizes) if kind == "size" else str(draw(partitions(max_size=12)))]
+    arg = bounds if kind == "size" else partitions(max_size=12).map(str)
+    argv = [*words, draw(st.one_of(arg, texts))]
     if bound and draw(st.booleans()):
-        argv += [bound, draw(sizes)]
+        argv += [bound, draw(bounds)]
     if words[-1] == "closure" and draw(st.booleans()):
         argv += ["--space", draw(st.sampled_from(["hilbert", "calogero-moser"]))]
     return argv + ["--format", draw(st.sampled_from(formats))]
 
 
-@given(cli_argvs())
+@st.composite
+def verify_argvs(draw):
+    """`verify` on its fast paths only: --list, or a check name that does
+    not exist, under any bounds."""
+    if draw(st.booleans()):
+        argv = ["verify", "--list"]
+    else:
+        argv = ["verify", draw(texts.filter(lambda s: s != "all" and s not in verify.CHECKS))]
+    for flag in ("--max-n", "--max-m"):
+        if draw(st.booleans()):
+            argv += [flag, str(draw(st.integers(-2, 9)))]
+    return argv
+
+
+@given(st.one_of(cli_argvs(), verify_argvs()))
 def test_main_returns_or_exits_with_usage_code(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
@@ -391,3 +413,48 @@ def test_resource_exhaustion_is_computation_error(monkeypatch, capsys, error):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {error.__name__}: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["cm", "exponents", "36", "--max-n", "36"],
+    ["verify", "--max-m", "8"],
+    ["verify", "fiber-layer-factorization", "--max-m", str(cli.STAIRCASE_CAP + 1)],
+], ids=" ".join)
+def test_exponent_staircase_cap_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds the cap" in captured.err
+
+
+def test_exponent_staircase_cap_admits_m_7(monkeypatch, capsys):
+    # the work is patched out: only the refusals are under test
+    monkeypatch.setattr(cli, "exponent_runs", lambda lam: ((0, 1),))
+    assert main(["cm", "exponents", "28", "--max-n", "28"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3718
+    seen = []
+    monkeypatch.setattr(cli, "run_checks", lambda names, limits, out: seen.append((names, limits)) or True)
+    assert main(["verify", "--max-m", "7"]) == 0
+    at_cap = str(cli.STAIRCASE_CAP)
+    assert main(["verify", "fiber-layer-factorization", "--max-m", at_cap]) == 0
+    assert seen == [
+        (("all",), verify.Limits(max_n=20, max_m=7)),
+        (["fiber-layer-factorization"], verify.Limits(max_n=20, max_m=cli.STAIRCASE_CAP)),
+    ]
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    env = dict(os.environ, PYTHONPATH=str(Path(cmhilb.__file__).parents[1]))
+    sequence = [["cm", "orbit", "3,1", "--format", "json"], ["cm", "fixed", "0"],
+                ["cm", "orbit", "3,1"], ["verify", "--list"]]
+    for argv in sequence:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr().out
+        fresh = subprocess.run([sys.executable, "-m", "cmhilb", *argv], env=env, capture_output=True, text=True)
+        assert (code, out) == (fresh.returncode, fresh.stdout), argv

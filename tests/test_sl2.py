@@ -1,7 +1,10 @@
+import sys
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+import cmhilb.partitions as partitions_module
 from cmhilb import (
     LaurentPolynomial,
     NotACharacterError,
@@ -18,6 +21,7 @@ from cmhilb import (
     sl2_fixed_set,
     staircase,
     tangent_character,
+    verify,
     weights_all_odd,
 )
 from cmhilb.verify import CHECKS, Limits
@@ -112,6 +116,31 @@ def test_fixed_sets():
     assert sl2_fixed_set(6) == {staircase(3)}
     assert sl2_fixed_set(7) == set()
     assert sl2_fixed_set(1) == {Partition((1,))}
+
+
+def test_fixed_set_check_catches_wrong_triangular_index(monkeypatch):
+    real = partitions_module.triangular_index
+
+    def wrong(n):  # misses the staircase (4,3,2,1)
+        return None if n == 10 else real(n)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cmhilb") and getattr(module, "triangular_index", None) is real:
+            monkeypatch.setattr(module, "triangular_index", wrong)
+    assert sl2_fixed_set(10) == set()
+    # the tangent weights still find (4,3,2,1), so the check must not pass
+    assert CHECKS["odd-weight-fixed-points"](Limits(max_n=12)) == [
+        "odd-weight fixed set at n=10 is [], not ['4,3,2,1']"
+    ]
+
+
+def test_fixed_set_check_catches_an_empty_fixed_set(monkeypatch):
+    monkeypatch.setattr(verify, "sl2_fixed_set", lambda n, cap=None: set())
+    failures = CHECKS["odd-weight-fixed-points"](Limits(max_n=6))
+    assert failures == [
+        f"odd-weight fixed set at n={n} is [], not ['{staircase(m)}']"
+        for m, n in ((1, 1), (2, 3), (3, 6))
+    ]
 
 
 def test_hook_layer_character():
