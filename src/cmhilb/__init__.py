@@ -6,7 +6,6 @@ scheme of points in the plane.
 
 from .exactalg import LaurentPolynomial, NonPolynomialError
 from .partitions import (
-    DEFAULT_CAP,
     CapExceededError,
     Partition,
     all_hooks_odd,

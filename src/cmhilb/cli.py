@@ -278,7 +278,7 @@ def _cmd_orbit(args) -> int:
 def _cmd_cm_exponents(args) -> int:
     if args.n > EXPONENT_SIZE_CAP:
         raise CapExceededError(f"n={args.n} exceeds the cap {EXPONENT_SIZE_CAP} of the exponent table")
-    rows = [(lam, exponent_runs(lam)) for lam in enumerate_partitions(args.n, cap=args.max_n)]
+    rows = [(lam, exponent_runs(lam)) for lam in enumerate_partitions(args.n)]
     if args.format == "json":
         print(_json_dump({
             "n": args.n,
@@ -320,7 +320,7 @@ def _cmd_cm_char_l(args) -> int:
 
 
 def _cmd_cm_fixed(args) -> int:
-    fixed = sorted(sl2_fixed_set(args.n, cap=args.max_n), key=lambda p: p.parts)
+    fixed = sorted(sl2_fixed_set(args.n), key=lambda p: p.parts)
     if args.format == "json":
         print(_json_dump({"n": args.n, "fixed": [lam.to_json() for lam in fixed]}))
     else:
@@ -346,7 +346,7 @@ def _cmd_hilb_ideal(args) -> int:
 
 
 def _cmd_hilb_closure(args) -> int:
-    graph = closure_graph(args.n, args.space, cap=args.max_n)
+    graph = closure_graph(args.n, args.space)
     if args.format == "json":
         print(_json_dump(graph.to_json_obj()))
     elif args.format == "dot":
@@ -389,6 +389,8 @@ def main(argv=None) -> int:
             raise CapExceededError(
                 f"partition of {lam.size} cells exceeds the cap {PARTITION_CELL_CAP}"
             )
+        if getattr(args, "n", 0) > getattr(args, "max_n", 0):
+            raise CapExceededError(f"n={args.n} exceeds the cap {args.max_n}; raise the cap to proceed")
         return args.func(args)
     except (UsageError, CapExceededError) as exc:
         parser.error(str(exc))

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .partitions import (
-    DEFAULT_CAP,
     Partition,
     diagonals,
     enumerate_partitions,
@@ -199,14 +198,14 @@ class ClosureGraph:
         return "\n".join(lines)
 
 
-def closure_graph(n: int, space: str, cap: int = DEFAULT_CAP) -> ClosureGraph:
+def closure_graph(n: int, space: str) -> ClosureGraph:
     """Nodes are orbit reports for all partitions of n; in the Hilbert
     scheme each non-closed orbit sends an edge to its boundary partition,
     while every Calogero-Moser orbit is closed and the graph has no edges.
     """
     if space not in (HILBERT, CALOGERO_MOSER):
         raise ValueError(f"unknown space {space!r}")
-    parts = enumerate_partitions(n, cap)
+    parts = enumerate_partitions(n)
     if space == HILBERT:
         nodes = tuple(hilb_orbit(lam) for lam in parts)
         edges = tuple(

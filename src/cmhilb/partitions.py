@@ -8,16 +8,13 @@ sits on antidiagonal k = r + c.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import factorial, isqrt
 
 from .exactalg import LaurentPolynomial, one_minus_q_product
 
-DEFAULT_CAP = 30
-
 
 class CapExceededError(ValueError):
-    """Requested size exceeds the configured enumeration cap."""
+    """A size refused before any work: over PARTITION_BUDGET partitions, or over a CLI cap."""
 
 
 @dataclass(frozen=True)
@@ -27,9 +24,11 @@ class Partition:
     parts: tuple = ()
 
     def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
+        parts = tuple(self.parts)
         object.__setattr__(self, "parts", parts)
         for i, p in enumerate(parts):
+            if not isinstance(p, int):
+                raise TypeError(f"partition parts must be integers, got {p!r}")
             if p < 1:
                 raise ValueError(f"partition parts must be positive, got {p}")
             if i and parts[i - 1] < p:
@@ -84,7 +83,6 @@ def transpose(lam: Partition) -> Partition:
     return Partition(tuple(cols))
 
 
-@lru_cache(maxsize=None)
 def hook_lengths(lam: Partition) -> tuple:
     """Hook length of every cell (arm + leg + 1), sorted descending."""
     t = transpose(lam).parts
@@ -169,15 +167,21 @@ def triangular_index(n: int) -> int | None:
     return m if m * (m + 1) // 2 == n else None
 
 
-@lru_cache(maxsize=None)
-def _partition_tuples(n: int, max_part: int) -> tuple:
-    if n == 0:
-        return ((),)
-    out = []
-    for first in range(min(n, max_part), 0, -1):
-        for rest in _partition_tuples(n - first, first):
-            out.append((first,) + rest)
-    return tuple(out)
+def _partition_tuples(n: int):
+    """The partitions of n as tuples, one at a time, in reverse lexicographic order:
+    each step lowers the last part above 1 by one and refills the cells after it
+    greedily with parts of that size (the idea of Zoghbi-Stojmenovic's ZS1)."""
+    parts = [n] if n else []
+    while True:
+        yield tuple(parts)
+        ones = 0
+        while parts and parts[-1] == 1:
+            ones += parts.pop()
+        if not parts:
+            return
+        k = parts.pop() - 1
+        whole, rest = divmod(k + 1 + ones, k)
+        parts += [k] * whole + ([rest] if rest else [])
 
 
 _PARTITION_COUNTS = [1]
@@ -205,21 +209,19 @@ def partition_count(n: int) -> int:
 PARTITION_BUDGET = 10**5
 
 
-def require_listable(n: int, cap: int = DEFAULT_CAP) -> None:
+def require_listable(n: int) -> None:
     """Refuse, with CapExceededError, a size n whose partitions may not be
-    listed: n exceeds cap, or p(n) exceeds PARTITION_BUDGET."""
+    listed: p(n) exceeds PARTITION_BUDGET."""
     if n < 0:
         raise ValueError("cannot partition a negative integer")
-    if n > cap:
-        raise CapExceededError(f"n={n} exceeds the cap {cap}; raise the cap to proceed")
     # p grows with n, so counting up from 0 stops at the first size past the
     # budget, and a huge n is refused as cheaply as a small one
     if any(partition_count(m) > PARTITION_BUDGET for m in range(n + 1)):
         raise CapExceededError(f"n={n} has more than {PARTITION_BUDGET} partitions, too many to list")
 
 
-def enumerate_partitions(n: int, cap: int = DEFAULT_CAP) -> list:
+def enumerate_partitions(n: int) -> list:
     """All partitions of n in reverse lexicographic order, refused as
-    require_listable(n, cap) says."""
-    require_listable(n, cap)
-    return [Partition(t) for t in _partition_tuples(n, n)]
+    require_listable(n) says."""
+    require_listable(n)
+    return [Partition(t) for t in _partition_tuples(n)]

@@ -10,7 +10,6 @@ from functools import lru_cache
 
 from .exactalg import LaurentPolynomial
 from .partitions import (
-    DEFAULT_CAP,
     Partition,
     dim_irrep,
     hook_lengths,
@@ -160,18 +159,18 @@ def weights_all_odd(p: LaurentPolynomial) -> bool:
     return all(e % 2 for e in p.support())
 
 
-def sl2_fixed_set(n: int, cap: int = DEFAULT_CAP) -> set:
+def sl2_fixed_set(n: int) -> set:
     """Partitions of n whose tangent character has only odd weights.
 
     The weights are plus and minus the hook lengths, and only a staircase
     has all hooks odd, so this is {staircase(m)} when
     triangular_index(n) is m and empty otherwise; n is refused as
-    require_listable(n, cap) says, like a scan over every partition of n.
+    require_listable(n) says, like a scan over every partition of n.
     The check `odd-weight-fixed-points` keeps the tangent-weight route: it
     filters every partition through weights_all_odd(tangent_character(lam))
     and compares the result with this set.
     """
-    require_listable(n, cap)
+    require_listable(n)
     m = triangular_index(n)
     return set() if m is None else {staircase(m)}
 

@@ -54,7 +54,6 @@ from .exactalg import (
     q_integer_product,
 )
 from .partitions import (
-    DEFAULT_CAP,
     Partition,
     all_hooks_odd,
     dim_irrep,
@@ -177,7 +176,7 @@ class CharacterTable:
     def __init__(self, n: int, odd: bool = False):
         self.n = n
         self.odd = odd
-        self.partitions = tuple(enumerate_partitions(n, cap=max(n, DEFAULT_CAP)))
+        self.partitions = tuple(enumerate_partitions(n))
         self.classes = tuple(mu for mu in self.partitions if _odd_class(mu.parts)) if odd else self.partitions
         self._masks = [_beta_mask(lam.parts, n) for lam in self.partitions]
         self._index = {mask: i for i, mask in enumerate(self._masks)}
@@ -266,7 +265,6 @@ def _denominator_cofactor(n: int, struck) -> LaurentPolynomial:
     return one_minus_q_product(k for k, e in exps.items() for _ in range(e))
 
 
-@lru_cache(maxsize=None)
 def _common_denominator(n: int) -> LaurentPolynomial:
     """prod_k (1-q^k)^floor(n/k); every class product for size n divides it."""
     return _denominator_cofactor(n, ())
@@ -352,7 +350,6 @@ def regular_fiber_character(m: int) -> LaurentPolynomial:
     return q_integer_product(hook_lengths(delta)).scaled(dim_irrep(delta)).shifted(-n_stat(delta))
 
 
-@lru_cache(maxsize=None)
 def _staircase_cofactor(m: int) -> LaurentPolynomial:
     """D / H_delta for the staircase delta of index m, D the common
     denominator of its size: the hooks of delta are odd and each length h

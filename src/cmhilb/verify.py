@@ -256,7 +256,7 @@ def check_regular_fiber_decomposition(limits):
         if full.coefficient_sum() != factorial(n):
             bad.append(f"fiber dimension at m={m} is not {n}!")
         total = LaurentPolynomial.zero()
-        for lam in enumerate_partitions(n, cap=max(n, 30)):
+        for lam in enumerate_partitions(n):
             total = total + isotypic_character(lam).scaled(dim_irrep(lam))
         if total != full:
             bad.append(f"sum of dim * isotypic characters misses the fiber at m={m}")
@@ -267,7 +267,7 @@ def check_isotypic_characters(limits):
     bad = []
     for m in range(limits.max_m + 1):
         n = m * (m + 1) // 2
-        for lam in enumerate_partitions(n, cap=max(n, 30)):
+        for lam in enumerate_partitions(n):
             chi = isotypic_character(lam)
             if not chi.is_palindromic():
                 bad.append(f"isotypic character of {lam} is not palindromic")
@@ -321,7 +321,7 @@ def check_exponent_duality(limits):
     bad = []
     for m in range(limits.max_m + 1):
         n = m * (m + 1) // 2
-        for lam in enumerate_partitions(n, cap=max(n, 30)):
+        for lam in enumerate_partitions(n):
             runs = exponent_runs(lam)
             if runs != exponent_runs(transpose(lam)):
                 bad.append(f"exponents change under transpose at {lam}")

@@ -290,11 +290,18 @@ def test_partition_budget_is_usage_error(capsys, size):
     assert "partitions, too many to list" in captured.err
 
 
-def test_closure_cap_is_usage_error(capsys):
+@pytest.mark.parametrize(
+    "command", [["cm", "exponents"], ["cm", "fixed"], ["hilb", "closure"]], ids="-".join
+)
+def test_closure_cap_is_usage_error(capsys, command):
     with pytest.raises(SystemExit) as err:
-        main(["hilb", "closure", "25"])
+        main([*command, "21"])
     assert err.value.code == 2
-    assert main(["hilb", "closure", "21", "--max-n", "21"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n=21 exceeds the cap 20; raise the cap to proceed" in captured.err
+    if command != ["cm", "exponents"]:  # its n = 21 table alone takes about a second
+        assert main([*command, "21", "--max-n", "21"]) == 0
 
 
 PARTITION_COMMANDS = [

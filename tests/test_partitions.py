@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 
@@ -31,6 +33,9 @@ def test_construction_validates():
     with pytest.raises(ValueError):
         Partition((2, 0))
     assert Partition(()).size == 0
+    for parts in [(2.5, 1), (2.0, 1), ("3", "1"), (3, None)]:
+        with pytest.raises(TypeError):
+            Partition(parts)
 
 
 def test_parse():
@@ -171,15 +176,29 @@ def test_partition_count_and_budget():
     assert [partition_count(n) for n in range(8)] == [1, 1, 2, 3, 5, 7, 11, 15]
     for n in range(25):
         assert partition_count(n) == len(enumerate_partitions(n))
+    assert len(enumerate_partitions(31)) == 6842
     assert partition_count(45) <= PARTITION_BUDGET < partition_count(46)
     with pytest.raises(CapExceededError):
-        enumerate_partitions(46, cap=46)
+        enumerate_partitions(46)
 
 
-def test_enumerate_cap():
-    with pytest.raises(CapExceededError):
-        enumerate_partitions(31)
-    assert len(enumerate_partitions(31, cap=31)) == 6842
+def test_enumeration_retains_nothing():
+    # no cache outlives a scan: once its list is dropped, the partitions
+    # and the hook multisets read off them are freed.  CPython keeps up to
+    # 2000 freed tuples of each length below 20 for reuse, still counted as
+    # allocated, so that store is filled before counting starts.
+    spare = [tuple(range(k)) for k in range(1, 20) for _ in range(2000)]
+    del spare
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        lams = enumerate_partitions(30)
+        hook_lengths(lams[len(lams) // 2])
+        del lams
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 * 1024
 
 
 def test_triangular_index():

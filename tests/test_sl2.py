@@ -135,7 +135,7 @@ def test_fixed_set_check_catches_wrong_triangular_index(monkeypatch):
 
 
 def test_fixed_set_check_catches_an_empty_fixed_set(monkeypatch):
-    monkeypatch.setattr(verify, "sl2_fixed_set", lambda n, cap=None: set())
+    monkeypatch.setattr(verify, "sl2_fixed_set", lambda n: set())
     failures = CHECKS["odd-weight-fixed-points"](Limits(max_n=6))
     assert failures == [
         f"odd-weight fixed set at n={n} is [], not ['{staircase(m)}']"
