@@ -61,8 +61,8 @@ STAIRCASE_CAP = 20
 
 # Largest staircase index of an exponent table, whatever --max-n or --max-m
 # says: `cm exponents` refuses n > 28 = 7*8/2 and `verify` refuses
-# --max-m > 7.  The n = 28 table takes about 25 s; at n = 36 one run passed
-# 90 s and 889 MB before it was stopped.
+# --max-m > 7.  The n = 28 table takes about 5 s; at n = 36 the odd-class
+# character table alone took about 25 s and 940 MB.
 EXPONENT_STAIRCASE_CAP = 7
 EXPONENT_SIZE_CAP = EXPONENT_STAIRCASE_CAP * (EXPONENT_STAIRCASE_CAP + 1) // 2
 

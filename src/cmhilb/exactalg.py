@@ -42,7 +42,8 @@ class LaurentPolynomial:
         if terms:
             items = terms.items() if hasattr(terms, "items") else terms
             for exp, coeff in items:
-                if not isinstance(exp, int) or not isinstance(coeff, int):
+                # exactly int: bool subclasses int but is no exponent or coefficient
+                if type(exp) is not int or type(coeff) is not int:
                     raise TypeError("exponents and coefficients must be integers")
                 if coeff:
                     total = data.get(exp, 0) + coeff
@@ -100,14 +101,10 @@ class LaurentPolynomial:
                 data[e] = total
             else:
                 del data[e]
-        out = LaurentPolynomial.__new__(LaurentPolynomial)
-        out._terms = data
-        return out
+        return _unchecked(data)
 
     def __neg__(self):
-        out = LaurentPolynomial.__new__(LaurentPolynomial)
-        out._terms = {e: -c for e, c in self._terms.items()}
-        return out
+        return _unchecked({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, LaurentPolynomial):
@@ -128,9 +125,7 @@ class LaurentPolynomial:
                     data[e] = total
                 else:
                     del data[e]
-        out = LaurentPolynomial.__new__(LaurentPolynomial)
-        out._terms = data
-        return out
+        return _unchecked(data)
 
     __rmul__ = __mul__
 
@@ -149,15 +144,11 @@ class LaurentPolynomial:
     def scaled(self, c: int) -> "LaurentPolynomial":
         if not c:
             return LaurentPolynomial()
-        out = LaurentPolynomial.__new__(LaurentPolynomial)
-        out._terms = {e: c * v for e, v in self._terms.items()}
-        return out
+        return _unchecked({e: c * v for e, v in self._terms.items()})
 
     def shifted(self, k: int) -> "LaurentPolynomial":
         """Multiply by q**k."""
-        out = LaurentPolynomial.__new__(LaurentPolynomial)
-        out._terms = {e + k: v for e, v in self._terms.items()}
-        return out
+        return _unchecked({e + k: v for e, v in self._terms.items()})
 
     def min_exponent(self) -> int:
         if not self._terms:
@@ -181,8 +172,7 @@ class LaurentPolynomial:
 
         Raises NonPolynomialError if the division leaves a remainder or
         would need non-integer coefficients.  A polynomial divisor costs
-        one divmod of packed ints, at a width with room for a quotient no
-        larger than the dividend, or failing that at Mignotte's width.
+        one divmod of packed ints (see _exact_quotient).
         """
         if isinstance(divisor, int):
             if not divisor:
@@ -192,15 +182,12 @@ class LaurentPolynomial:
                 data[e], leftover = divmod(c, divisor)
                 if leftover:
                     raise NonPolynomialError(f"coefficient of q^{e} not divisible by {divisor}")
-            return LaurentPolynomial(data)
+            return _unchecked(data)
         if not divisor:
             raise ZeroDivisionError("division by the zero polynomial")
         if not self:
             return LaurentPolynomial()
-        num, den = _dense(self), _dense(divisor)
-        top = max(map(abs, num))
-        bits = _slot_bits(top * (sum(map(abs, den)) + 1))
-        quot = _exact_quotient(_pack(num, bits), bits, len(num), top, den)
+        quot = _exact_quotient(_dense(self), _dense(divisor))
         return _from_dense(quot, self.min_exponent() - divisor.min_exponent())
 
     def to_text(self) -> str:
@@ -273,8 +260,14 @@ def _dense(p: LaurentPolynomial) -> list:
 
 def _from_dense(coeffs, lo: int = 0) -> LaurentPolynomial:
     """The Laurent polynomial with coefficients coeffs from q^lo upward."""
+    return _unchecked({lo + i: c for i, c in enumerate(coeffs) if c})
+
+
+def _unchecked(terms: dict) -> LaurentPolynomial:
+    """The Laurent polynomial with terms, an exponent -> coefficient map of
+    ints with no zero coefficient, taken as it is."""
     out = LaurentPolynomial.__new__(LaurentPolynomial)
-    out._terms = {lo + i: c for i, c in enumerate(coeffs) if c}
+    out._terms = terms
     return out
 
 
@@ -343,27 +336,27 @@ def _packed_quotient(value: int, bits: int, size: int, bound: int, den: list, de
     return quot
 
 
-def _exact_quotient(value: int, bits: int, length: int, bound: int, den: list) -> list:
-    """Coefficients of the exact quotient N / C, lowest first.
+def _exact_quotient(num: list, den: list) -> list:
+    """Coefficients of the exact quotient N / C, lowest first, for dense N
+    and C with nonzero constant terms.
 
-    N has length coefficients with ||N||_inf <= bound < 2^(bits-1) and is
-    packed as value at width bits; C is the dense divisor with a nonzero
-    constant term.  The width given is tried first.  When it cannot prove
-    the quotient, N is repacked at a width that holds any exact quotient:
-    a factor Q of degree d of N has |q_j| <= C(d, j) ||N||_2 (Mignotte).
-    If that width cannot prove it either, there is no exact quotient.
+    N is packed first at a width with room for a quotient no larger than
+    N.  When that width cannot prove the quotient, N is packed again at a
+    width that holds any exact quotient: a factor Q of degree d of N has
+    |q_j| <= C(d, j) ||N||_2 (Mignotte).  If that width cannot prove it
+    either, there is no exact quotient.
     """
-    size = length - len(den) + 1
+    size = len(num) - len(den) + 1
     if size < 1:
         raise NonPolynomialError("divisor has larger support than dividend")
-    den_l1 = sum(map(abs, den))
-    quot = _packed_quotient(value, bits, size, bound, den, den_l1)
+    top, den_l1 = max(map(abs, num)), sum(map(abs, den))
+    bits = _slot_bits(top * (den_l1 + 1))
+    quot = _packed_quotient(_pack(num, bits), bits, size, top, den, den_l1)
     if quot is None:
-        num = _unpack(value, bits, length)
         mignotte = comb(size - 1, (size - 1) // 2) * (isqrt(sum(c * c for c in num)) + 1)
-        wide = _slot_bits(mignotte * den_l1 + bound)
+        wide = _slot_bits(mignotte * den_l1 + top)
         if wide > bits:
-            quot = _packed_quotient(_pack(num, wide), wide, size, bound, den, den_l1)
+            quot = _packed_quotient(_pack(num, wide), wide, size, top, den, den_l1)
         if quot is None:
             raise NonPolynomialError("no exact quotient within Mignotte's bound")
     return quot

@@ -27,7 +27,7 @@ class Partition:
         parts = tuple(self.parts)
         object.__setattr__(self, "parts", parts)
         for i, p in enumerate(parts):
-            if not isinstance(p, int):
+            if type(p) is not int:  # bool subclasses int, but True is no part
                 raise TypeError(f"partition parts must be integers, got {p!r}")
             if p < 1:
                 raise ValueError(f"partition parts must be positive, got {p}")

@@ -29,10 +29,11 @@ the pairing of Schur functions becomes
 
     sum over mu of chi^lam(mu) chi^delta(mu) / (z_mu prod_i (1 - q^(mu_i))).
 
-The sum is assembled as an integer numerator over the common denominator
-n! prod_k (1-q^k)^floor(n/k), with each class term packed as one int
-(see exactalg), so a numerator is one small-int times big-int sum.  Every
-quotient taken from it is exact, so each one is a single exact division,
+The sum is assembled as an integer numerator over n! H_delta(q), H_delta
+the hook polynomial of delta: every class product with chi^delta(mu) != 0
+divides H_delta (see _PackedPairing).  Each class term is packed as one
+int (see exactalg), so a numerator is one small-int times big-int sum.
+Every quotient taken is exact, so each one is a single exact division,
 and any inexactness upstream trips NonPolynomialError instead of passing
 silently.
 """
@@ -45,7 +46,6 @@ from math import factorial
 from .exactalg import (
     LaurentPolynomial,
     _dense,
-    _exact_quotient,
     _from_dense,
     _pack,
     _slot_bits,
@@ -254,58 +254,37 @@ def q_factorial(n: int) -> LaurentPolynomial:
     return one_minus_q_product(range(1, n + 1))
 
 
-def _denominator_cofactor(n: int, struck) -> LaurentPolynomial:
-    """D / prod over h in struck of (1 - q^h), D = prod_k (1-q^k)^floor(n/k)
-    the common denominator of size n, with no division: the product of the
-    factors of D left when those of struck are struck from its multiset
-    (each h may occur in struck at most floor(n/h) times)."""
-    exps = {k: n // k for k in range(1, n + 1)}
-    for h in struck:
-        exps[h] -= 1
-    return one_minus_q_product(k for k, e in exps.items() for _ in range(e))
-
-
-def _common_denominator(n: int) -> LaurentPolynomial:
-    """prod_k (1-q^k)^floor(n/k); every class product for size n divides it."""
-    return _denominator_cofactor(n, ())
-
-
-def _class_quotient_terms(n: int, mu_parts: tuple) -> list:
-    """Coefficients of D / prod_i (1 - q^(mu_i)), D the common denominator
-    of size n, lowest first."""
-    return _dense(_denominator_cofactor(n, mu_parts))
-
-
 class _PackedPairing:
     """Hall-pairing numerators against one delta for every lam of its size,
     as sums of Kronecker-packed class vectors.
 
-    N_lam = sum over mu of chi^lam(mu) P_mu, where P_mu is
-    chi^delta(mu) (n!/z_mu) D / prod_i (1 - q^(mu_i)) packed as one int;
-    only the classes with chi^delta(mu) != 0 carry one, and the table read
-    is the odd-class one when delta is a 2-core.  So every
-    coefficient of every N_lam is at most
-
-        bound = sum over mu of max_lam |chi^lam(mu)| |P_mu|_inf
-
-    in size, and the slots hold bound + room, room being what a later
-    division at the same width needs on top of it.
+    N_lam = sum over mu of chi^lam(mu) W_mu, where W_mu is
+    chi^delta(mu) (n!/z_mu) H_delta / prod_i (1 - q^(mu_i)) packed as one
+    int.  Only the classes with chi^delta(mu) != 0 carry one, and for those
+    the quotient is a polynomial: with the parts of mu divisible by d taken
+    first, each removes a rim hook that lowers the d-weight of delta, and
+    H_delta holds one cyclotomic factor Phi_d per unit of d-weight (the
+    p-core argument; James-Kerber 1981).  exact_div checks it for
+    every class rather than assuming it.  The table read is the odd-class
+    one when delta is a 2-core.  Every coefficient of every N_lam is at most
+    sum over mu of max_lam |chi^lam(mu)| |W_mu|_inf in size, and the slots
+    hold that.
     """
 
-    def __init__(self, delta: Partition, room: int = 0):
+    def __init__(self, delta: Partition):
         n = delta.size
         self.table = table = _pairing_table(delta)
-        self.length = _common_denominator(n).max_exponent() + 1
+        hooks = hook_polynomial(delta)
+        self.length = hooks.max_exponent() - n + 1
         d, nfact = table.row_index(delta), factorial(n)
-        classes = []
-        self.bound = 0
+        classes, bound = [], 0
         for mu, column in zip(table.classes, table._columns):
             if column[d]:
                 weight = column[d] * (nfact // centralizer_order(mu))
-                coeffs = _class_quotient_terms(n, mu.parts)
-                self.bound += max(map(abs, column)) * abs(weight) * max(map(abs, coeffs))
+                coeffs = _dense(hooks.exact_div(one_minus_q_product(mu.parts)))
+                bound += max(map(abs, column)) * abs(weight) * max(map(abs, coeffs))
                 classes.append((column, weight, coeffs))
-        self.bits = _slot_bits(self.bound + room)
+        self.bits = _slot_bits(bound)
         self.vectors = [(column, weight * _pack(coeffs, self.bits)) for column, weight, coeffs in classes]
 
     def numerator(self, lam: Partition) -> int:
@@ -317,7 +296,7 @@ class _PackedPairing:
 def graded_multiplicity(lam: Partition, delta: Partition) -> tuple:
     """Hall pairing of s_lam with the plethystic image of s_delta, as an
     unreduced integer pair (numerator, denominator) of Laurent polynomials
-    whose quotient is the pairing; the denominator is n! prod_k (1-q^k)^floor(n/k).
+    whose quotient is the pairing; the denominator is n! H_delta(q).
 
     This is the graded multiplicity of the irreducible labeled by lam in
     the polynomial-ring module induced from the one labeled by delta.
@@ -328,7 +307,7 @@ def graded_multiplicity(lam: Partition, delta: Partition) -> tuple:
         )
     pairing = _PackedPairing(delta)
     num = _unpack(pairing.numerator(lam), pairing.bits, pairing.length)
-    return _from_dense(num), _common_denominator(lam.size).scaled(factorial(lam.size))
+    return _from_dense(num), hook_polynomial(delta).scaled(factorial(lam.size))
 
 
 def fake_degree(lam: Partition) -> LaurentPolynomial:
@@ -350,29 +329,10 @@ def regular_fiber_character(m: int) -> LaurentPolynomial:
     return q_integer_product(hook_lengths(delta)).scaled(dim_irrep(delta)).shifted(-n_stat(delta))
 
 
-def _staircase_cofactor(m: int) -> LaurentPolynomial:
-    """D / H_delta for the staircase delta of index m, D the common
-    denominator of its size: the hooks of delta are odd and each length h
-    occurs at most floor(n/h) times, so H_delta divides D factor by factor
-    and the quotient is the product of the remaining (1 - q^k)."""
-    return _denominator_cofactor(m * (m + 1) // 2, hook_lengths(staircase(m)))
-
-
 @lru_cache(maxsize=None)
-def _fiber_pairing(m: int) -> tuple:
-    """The packed pairing against the staircase of index m, with the
-    divisor n! D/H_delta of its numerators as dense coefficients.
-
-    Each quotient is q^(n(delta)) times an isotypic character, which has
-    nonnegative coefficients summing to dim(lam), so its coefficients are
-    at most the largest dimension; the slots leave room for that times
-    ||n! D/H_delta||_1, which is what confirming the quotient needs.
-    """
-    delta = staircase(m)
-    n = delta.size
-    divisor = [factorial(n) * c for c in _dense(_staircase_cofactor(m))]
-    largest_dim = max(_pairing_table(delta).column(Partition((1,) * n)))
-    return _PackedPairing(delta, room=largest_dim * sum(map(abs, divisor))), divisor
+def _fiber_pairing(m: int) -> _PackedPairing:
+    """The packed pairing against the staircase of index m."""
+    return _PackedPairing(staircase(m))
 
 
 @lru_cache(maxsize=None)
@@ -380,16 +340,16 @@ def isotypic_character(lam: Partition) -> LaurentPolynomial:
     """Torus character of the multiplicity space attached to lam inside the
     staircase fiber; palindromic with nonnegative integer coefficients.
 
-    It is q^(-n(delta)) H_delta(q) times the Hall pairing N / (n! D), that
-    is q^(-n(delta)) N / (n! D/H_delta): one exact division of the packed
-    numerator, at the width it was summed at.  Only triangular sizes carry
-    such a fiber, so any other size is rejected rather than approximated.
+    It is q^(-n(delta)) H_delta(q) times the Hall pairing N / (n! H_delta),
+    that is q^(-n(delta)) N / n!: one exact division of the numerator by
+    an int.  Only triangular sizes carry such a fiber, so any other size is
+    rejected rather than approximated.
     """
     m = triangular_index(lam.size)
     if m is None:
         raise NonTriangularSizeError(
             f"|{lam}| = {lam.size} is not a triangular number"
         )
-    pairing, divisor = _fiber_pairing(m)
-    quot = _exact_quotient(pairing.numerator(lam), pairing.bits, pairing.length, pairing.bound, divisor)
-    return _from_dense(quot, -n_stat(staircase(m)))
+    pairing = _fiber_pairing(m)
+    num = _unpack(pairing.numerator(lam), pairing.bits, pairing.length)
+    return _from_dense(num, -n_stat(staircase(m))).exact_div(factorial(lam.size))

@@ -170,3 +170,19 @@ def test_09_exponent_table_m6(capsys):
             "21",
         )
     print(capsys.readouterr().out, end="")
+
+
+@pytest.mark.slow
+def test_10_exponent_table_m7(capsys):
+    with _Budget("exponent-table-m7", 60):
+        _verify(
+            capsys,
+            "isotypic-characters",
+            "regular-fiber-decomposition",
+            "exponent-duality",
+            "--max-m",
+            "7",
+            "--max-n",
+            "28",
+        )
+    print(capsys.readouterr().out, end="")

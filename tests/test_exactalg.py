@@ -47,8 +47,9 @@ def test_neg_and_sub(p):
 
 
 def test_laurent_rejects_nonintegers():
-    with pytest.raises(TypeError):
-        LaurentPolynomial({0: 1.5})
+    for terms in ({0: 1.5}, {True: 1}, {0: True}, [(1, False)]):
+        with pytest.raises(TypeError):
+            LaurentPolynomial(terms)
 
 
 def test_laurent_invariants_hold():

@@ -33,7 +33,7 @@ def test_construction_validates():
     with pytest.raises(ValueError):
         Partition((2, 0))
     assert Partition(()).size == 0
-    for parts in [(2.5, 1), (2.0, 1), ("3", "1"), (3, None)]:
+    for parts in [(2.5, 1), (2.0, 1), ("3", "1"), (3, None), (True,), (2, True)]:
         with pytest.raises(TypeError):
             Partition(parts)
 

@@ -21,7 +21,6 @@ from cmhilb import (
 )
 from cmhilb.verify import CHECKS, Limits
 from cmhilb import symfun
-from cmhilb.exactalg import _pack
 
 
 # ---------------------------------------------------------------------------
@@ -246,13 +245,18 @@ def test_graded_multiplicity_two_one():
 
 
 def test_packed_numerator_matches_laurent_sum():
-    # N = sum over mu of chi^lam(mu) chi^delta(mu) (n!/z_mu) D / prod_i (1 - q^(mu_i)),
-    # each class term multiplied out binomial by binomial, with no packing;
-    # every coefficient must also lie within the bound the slots were sized by
+    # N = sum over mu of chi^lam(mu) chi^delta(mu) (n!/z_mu) H_delta / prod_i (1 - q^(mu_i)),
+    # checked with no division and no packing as N D = H_delta E, where
+    # D = prod_k (1 - q^k)^floor(n/k) and E is the same sum with D in place of
+    # H_delta, each D / prod_i (1 - q^(mu_i)) multiplied out binomial by
+    # binomial; every coefficient of N must also fit the slots it was summed in
     for n in (4, 6):
         table = character_table(n)
+        common = LaurentPolynomial.one()
+        for k in range(1, n + 1):
+            common = common * _one_minus_q(k) ** (n // k)
         for delta in (table.partitions[1], Partition((3, 2, 1)) if n == 6 else table.partitions[-2]):
-            bound = symfun._PackedPairing(delta).bound
+            half = 1 << (symfun._PackedPairing(delta).bits - 1)
             for lam in table.partitions:
                 expected = LaurentPolynomial.zero()
                 for mu in table.partitions:
@@ -264,22 +268,37 @@ def test_packed_numerator_matches_laurent_sum():
                         term = term * _one_minus_q(k) ** e
                     weight = table.value(lam, mu) * table.value(delta, mu) * factorial(n)
                     expected = expected + term.scaled(weight // centralizer_order(mu))
-                assert graded_multiplicity(lam, delta)[0] == expected
-                assert all(abs(c) <= bound for c in expected.terms.values())
+                num = graded_multiplicity(lam, delta)[0]
+                assert num * common == hook_polynomial(delta) * expected
+                assert all(abs(c) < half for c in num.terms.values())
 
 
 def test_isotypic_rejects_inexact_numerator(monkeypatch):
-    # A numerator that D/H_delta divides but n! does not, and one that
-    # D/H_delta does not divide, must both trip the exactness alarm.
+    # A numerator that n! does not divide must trip the exactness alarm.
     lam = Partition((2, 1))
-    cofactor = symfun._staircase_cofactor(2)
-    for bad in (cofactor, cofactor + LaurentPolynomial.one()):
-        coeffs = [bad.coefficient(e) for e in range(bad.max_exponent() + 1)]
-        monkeypatch.setattr(
-            symfun._PackedPairing, "numerator", lambda self, lam, c=coeffs: _pack(c, self.bits)
-        )
-        with pytest.raises(NonPolynomialError):
-            isotypic_character.__wrapped__(lam)
+    expected = isotypic_character.__wrapped__(lam)
+    good = symfun._fiber_pairing(2).numerator(lam)
+    monkeypatch.setattr(symfun._PackedPairing, "numerator", lambda self, lam: good + 1)
+    with pytest.raises(NonPolynomialError):
+        isotypic_character.__wrapped__(lam)
+    monkeypatch.setattr(symfun._PackedPairing, "numerator", lambda self, lam: good)
+    assert isotypic_character.__wrapped__(lam) == expected
+
+
+def test_pairing_class_vectors_are_polynomials():
+    # chi^delta(mu) != 0 forces prod_i (1 - q^(mu_i)) to divide H_delta; the
+    # pairing checks that by exact_div for every such class of every delta
+    for n in range(1, 9):
+        for delta in enumerate_partitions(n):
+            pairing = symfun._PackedPairing(delta)
+            d = pairing.table.row_index(delta)
+            assert len(pairing.vectors) == sum(1 for column in pairing.table._columns if column[d])
+            assert pairing.length == hook_polynomial(delta).max_exponent() - n + 1
+    # and the classes where chi^delta vanishes need not divide: chi^(2,1)
+    # vanishes at (2,1), and (1 - q^2)(1 - q) does not divide (1 - q^3)(1 - q)^2
+    assert character_table(3).value(Partition((2, 1)), Partition((2, 1))) == 0
+    with pytest.raises(NonPolynomialError):
+        hook_polynomial(Partition((2, 1))).exact_div(_one_minus_q(2) * _one_minus_q(1))
 
 
 # ---------------------------------------------------------------------------
