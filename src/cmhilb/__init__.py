@@ -33,7 +33,6 @@ from .symfun import (
     graded_multiplicity,
     isotypic_character,
     mn_character,
-    odd_class_table,
     q_factorial,
     regular_fiber_character,
 )

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import sys
 
@@ -60,10 +59,10 @@ PARTITION_CELL_CAP = 200
 STAIRCASE_CAP = 20
 
 # Largest staircase index of an exponent table, whatever --max-n or --max-m
-# says: `cm exponents` refuses n > 28 = 7*8/2 and `verify` refuses
-# --max-m > 7.  The n = 28 table takes about 5 s; at n = 36 the odd-class
-# character table alone took about 25 s and 940 MB.
-EXPONENT_STAIRCASE_CAP = 7
+# says: `cm exponents` refuses n > 36 = 8*9/2 and `verify` refuses
+# --max-m > 8.  The n = 36 table takes 12-28 s and 350-460 MB (2-core box);
+# n = 45 would hold 89,134 characters of up to 241 terms.
+EXPONENT_STAIRCASE_CAP = 8
 EXPONENT_SIZE_CAP = EXPONENT_STAIRCASE_CAP * (EXPONENT_STAIRCASE_CAP + 1) // 2
 
 # Checks that take a larger --max-m: the layered fiber identity lists no
@@ -280,20 +279,20 @@ def _cmd_cm_exponents(args) -> int:
         raise CapExceededError(f"n={args.n} exceeds the cap {EXPONENT_SIZE_CAP} of the exponent table")
     rows = [(lam, exponent_runs(lam)) for lam in enumerate_partitions(args.n)]
     if args.format == "json":
-        print(_json_dump({
+        # written as it is encoded: the n = 36 table is 80 MB of JSON
+        json.dump({
             "n": args.n,
             "rows": [
                 {"partition": lam.to_json(), "exponents": [list(run) for run in runs]}
                 for lam, runs in rows
             ],
-        }))
+        }, sys.stdout, indent=2, sort_keys=True)
+        print()
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["partition", "exponents"])
         for lam, runs in rows:
             writer.writerow([str(lam), " ".join(f"{value}^{count}" for value, count in runs)])
-        print(buf.getvalue(), end="")
     else:
         width = max(len(str(lam)) for lam, _ in rows)
         for lam, runs in rows:

@@ -7,6 +7,7 @@ point criterion, and the layered factorization of the full fiber.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain, repeat
 
 from .exactalg import LaurentPolynomial
 from .partitions import (
@@ -66,17 +67,11 @@ class SL2Character:
 
     def to_laurent(self) -> LaurentPolynomial:
         """Reconstruct the character polynomial exactly."""
-        out = LaurentPolynomial.zero()
-        for w, c in self._mult.items():
-            out = out + irreducible_character(w).scaled(c)
-        return out
+        return sum((irreducible_character(w).scaled(c) for w, c in self._mult.items()), LaurentPolynomial())
 
     def exponents(self) -> tuple:
         """Weights repeated with multiplicity, ascending."""
-        out = []
-        for w, c in sorted(self._mult.items()):
-            out.extend([w] * c)
-        return tuple(out)
+        return tuple(chain.from_iterable(repeat(w, c) for w, c in sorted(self._mult.items())))
 
     def __eq__(self, other):
         if not isinstance(other, SL2Character):
@@ -94,27 +89,20 @@ class SL2Character:
 
 def decompose(p: LaurentPolynomial) -> SL2Character:
     """Decompose a palindromic integer Laurent polynomial into irreducible
-    SL2 characters by peeling from the top weight.
-
-    For a genuine character the decomposition is unique; anything else hits
-    a negative multiplicity (or leftover negative weight) and raises.
-    """
-    work = p.terms
+    SL2 characters in one pass over the weights: V(v) has weight w >= 0
+    exactly when v - w is even and nonnegative, so the multiplicity of V(w)
+    is c_w - c_(w+2).  Anything not palindromic, or with a negative
+    multiplicity, is no character and raises."""
+    if not p.is_palindromic():
+        raise NotACharacterError("not an SL2 character: not palindromic")
+    coeffs = p.terms
     mult = {}
-    while work:
-        w = max(work)
-        c = work.pop(w)
-        if w < 0 or c < 0:
-            raise NotACharacterError(
-                f"not an SL2 character: multiplicity {c} at weight {w}"
-            )
-        mult[w] = c
-        for e in range(w - 2, -w - 1, -2):
-            left = work.get(e, 0) - c
-            if left:
-                work[e] = left
-            else:
-                work.pop(e, None)
+    for w in range(max(coeffs, default=-1), -1, -1):
+        c = coeffs.get(w, 0) - coeffs.get(w + 2, 0)
+        if c < 0:
+            raise NotACharacterError(f"not an SL2 character: multiplicity {c} at weight {w}")
+        if c:
+            mult[w] = c
     return SL2Character(mult)
 
 

@@ -13,26 +13,28 @@ are worked out once per (row, strip size) within one build, split into
 those reached with sign +1 and with -1.  Each table is stored as columns
 of ints, and the smaller ones stay in `character_table`'s cache.
 
-`odd_class_table(n)` is the same build restricted to the classes whose
-parts are all odd, and the recursion stays inside them.  It is all a
-Hall pairing against a 2-core delta (a staircase) needs: such a delta has
-no hook of even length, so chi^delta vanishes on every class with an even
-part.  At n = 21 it is 792 x 76 entries, built in under 0.1 s, against
-792 x 792 in about 0.33 s for the full table (2-core box, Python 3.11.7).
-
 `mn_character` removes strips from lam instead, with a memo local to each
 call, so no memo keyed by (lam, mu) outlives it.
 
 Graded multiplicities are Hall-pairing sums over conjugacy classes:
 under the substitution that sends each power sum p_k to p_k / (1 - q^k),
-the pairing of Schur functions becomes
+the pairing of s_lam with the image of s_delta is N_lam / (n! H_delta),
+H_delta the hook polynomial of delta, where N_lam = sum over mu of
+chi^lam(mu) W_mu and W_mu = chi^delta(mu) (n!/z_mu) H_delta / prod_i (1 - q^(mu_i)),
+a polynomial packed as one int (see _class_weights and exactalg).  No
+table is read: the N_lam of every lam are the Schur coefficients of
+F = sum over mu of W_mu p_mu.  Grouping the classes by their largest part
+k gives F = sum over k of p_k F_k; each F_k is expanded the same way over
+the partitions of n - k, and p_k adds a signed k-strip to each of its
+rows by the table build's bit moves.  Column orthogonality,
+sum over lam of chi^lam(nu)^2 = z_nu, gives |chi^lam(nu)| <= sqrt(z_nu),
+and dropping the largest part of a class never raises z, so the slots
+hold sum over mu of sqrt(z_mu) ||W_mu||_inf, a bound on every vector the
+expansion forms.  chi^delta comes from one strip-removal pass over the
+classes with one memo shared by all of them.  A staircase delta is a
+2-core: no strip of even length can be removed from it, so chi^delta
+vanishes on every class with an even part, and those are skipped.
 
-    sum over mu of chi^lam(mu) chi^delta(mu) / (z_mu prod_i (1 - q^(mu_i))).
-
-The sum is assembled as an integer numerator over n! H_delta(q), H_delta
-the hook polynomial of delta: every class product with chi^delta(mu) != 0
-divides H_delta (see _PackedPairing).  Each class term is packed as one
-int (see exactalg), so a numerator is one small-int times big-int sum.
 Every quotient taken is exact, so each one is a single exact division,
 and any inexactness upstream trips NonPolynomialError instead of passing
 silently.
@@ -40,8 +42,10 @@ silently.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
-from math import factorial
+from itertools import groupby
+from math import factorial, isqrt
 
 from .exactalg import (
     LaurentPolynomial,
@@ -72,11 +76,8 @@ class NonTriangularSizeError(ValueError):
 
 def centralizer_order(mu: Partition) -> int:
     """z_mu = prod over part values k of k^(m_k) * m_k!."""
-    counts = {}
-    for p in mu.parts:
-        counts[p] = counts.get(p, 0) + 1
     z = 1
-    for k, m in counts.items():
+    for k, m in Counter(mu.parts).items():
         z *= k ** m * factorial(m)
     return z
 
@@ -90,16 +91,13 @@ def _strip_removals(parts: tuple, k: int) -> list:
     """
     shifts = range(len(parts) - 1, -1, -1)
     beta = [p + s for p, s in zip(parts, shifts)]
-    bset = set(beta)
     out = []
     for b in beta:
         nb = b - k
-        if nb < 0 or nb in bset:
-            continue
-        height = sum(1 for c in beta if nb < c < b)
-        new = sorted([c for c in beta if c != b] + [nb], reverse=True)
-        newparts = tuple([c - s for c, s in zip(new, shifts) if c > s])
-        out.append((newparts, -1 if height % 2 else 1))
+        if nb >= 0 and nb not in beta:
+            new = sorted([c for c in beta if c != b] + [nb], reverse=True)
+            height = sum(1 for c in beta if nb < c < b)
+            out.append((tuple([c - s for c, s in zip(new, shifts) if c > s]), -1 if height % 2 else 1))
     return out
 
 
@@ -133,32 +131,39 @@ def _mask_strip_additions(mask: int, k: int) -> list:
     return out
 
 
-def mn_character(lam: Partition, mu: Partition) -> int:
-    """Irreducible character value chi^lam(mu) by border-strip removal.
+def _mn():
+    """chi^parts(cycle) by border-strip removal, as a function of two parts
+    tuples whose memos, of values by (sub-partition, remaining parts) and
+    of strip removals by (sub-partition, strip size), live as long as it."""
+    memo, strips = {}, {}
 
-    Independent of CharacterTable, which adds strips instead; the memo
-    lives for this one call.
-    """
+    def mn(parts: tuple, cycle: tuple) -> int:
+        if not cycle:
+            return 0 if parts else 1
+        key = (parts, cycle)
+        value = memo.get(key)
+        if value is None:
+            rest, strip = cycle[1:], (parts, cycle[0])
+            removals = strips.get(strip)
+            if removals is None:
+                removals = strips[strip] = _strip_removals(parts, cycle[0])
+            value = memo[key] = sum(sign * mn(sub, rest) for sub, sign in removals)
+        return value
+
+    return mn
+
+
+def mn_character(lam: Partition, mu: Partition) -> int:
+    """Irreducible character value chi^lam(mu) by border-strip removal,
+    independent of CharacterTable, which adds strips instead; the memo
+    lives for this one call."""
     if lam.size != mu.size:
         raise ValueError(f"size mismatch: |{lam}| = {lam.size} but |{mu}| = {mu.size}")
-    cycle = mu.parts
-    memo = {}
-
-    def mn(parts: tuple, i: int) -> int:
-        if i == len(cycle):
-            return 0 if parts else 1
-        key = (parts, i)
-        if key not in memo:
-            memo[key] = sum(
-                sign * mn(sub, i + 1) for sub, sign in _strip_removals(parts, cycle[i])
-            )
-        return memo[key]
-
-    return mn(lam.parts, 0)
+    return _mn()(lam.parts, mu.parts)
 
 
 def _odd_class(parts: tuple) -> bool:
-    """The column filter of an odd-class table: every part is odd."""
+    """Every part is odd: the classes a pairing against a 2-core visits."""
     return all(p & 1 for p in parts)
 
 
@@ -166,26 +171,21 @@ class CharacterTable:
     """Irreducible character values of one symmetric group, built once
     column by column from smaller tables.
 
-    Rows run over .partitions and are addressed by beta mask; columns run
-    over .classes, which is .partitions for a full table and only the
-    classes whose parts are all odd for an odd-class table.  Dropping the
-    first part of an odd-part class leaves one, so an odd-class table is
-    built from odd-class tables alone.
+    Rows and columns both run over .partitions; rows are addressed by beta
+    mask.
     """
 
-    def __init__(self, n: int, odd: bool = False):
+    def __init__(self, n: int):
         self.n = n
-        self.odd = odd
         self.partitions = tuple(enumerate_partitions(n))
-        self.classes = tuple(mu for mu in self.partitions if _odd_class(mu.parts)) if odd else self.partitions
         self._masks = [_beta_mask(lam.parts, n) for lam in self.partitions]
         self._index = {mask: i for i, mask in enumerate(self._masks)}
-        self._class_index = {mu.parts: j for j, mu in enumerate(self.classes)}
+        self._class_index = {mu.parts: j for j, mu in enumerate(self.partitions)}
         if not n:
             self._columns = [[1]]
             return
         additions = {}
-        self._columns = [self._column(mu.parts, additions) for mu in self.classes]
+        self._columns = [self._column(mu.parts, additions) for mu in self.partitions]
 
     def _column(self, mu: tuple, additions: dict) -> list:
         """chi^lam(mu) for every lam: the smaller table's column at mu[1:]
@@ -193,7 +193,7 @@ class CharacterTable:
         (k, row of the smaller table), the rows a k-strip reaches, split
         into those reached with sign +1 and with sign -1."""
         k = mu[0]
-        sub = odd_class_table(self.n - k) if self.odd else character_table(self.n - k)
+        sub = character_table(self.n - k)
         column = [0] * len(self.partitions)
         for r, v in enumerate(sub._columns[sub._class_index[mu[1:]]]):
             if not v:
@@ -219,7 +219,7 @@ class CharacterTable:
         return self._columns[self._class_index[mu.parts]]
 
     def row(self, lam: Partition) -> tuple:
-        """chi^lam(mu) for mu over .classes, in order."""
+        """chi^lam(mu) for mu over .partitions, in order."""
         i = self.row_index(lam)
         return tuple(column[i] for column in self._columns)
 
@@ -234,63 +234,62 @@ def character_table(n: int) -> CharacterTable:
     return CharacterTable(n)
 
 
-@lru_cache(maxsize=None)
-def odd_class_table(n: int) -> CharacterTable:
-    """The table of size n on the classes whose parts are all odd, built
-    from smaller odd-class tables only, which stay in this cache."""
-    return CharacterTable(n, odd=True)
-
-
-def _pairing_table(delta: Partition) -> CharacterTable:
-    """The table a Hall pairing against delta reads.  When delta is a 2-core
-    (every hook odd, i.e. a staircase) no border strip of even length can
-    be removed from it, so by Murnaghan-Nakayama chi^delta vanishes on every
-    class with an even part and the odd-class table holds every term."""
-    return odd_class_table(delta.size) if all_hooks_odd(delta) else character_table(delta.size)
-
-
 def q_factorial(n: int) -> LaurentPolynomial:
     """(q)_n = prod over i = 1..n of (1 - q^i)."""
     return one_minus_q_product(range(1, n + 1))
 
 
-class _PackedPairing:
-    """Hall-pairing numerators against one delta for every lam of its size,
-    as sums of Kronecker-packed class vectors.
+def _class_weights(delta: Partition) -> list:
+    """(mu, w_mu, W_mu) for every class mu with chi^delta(mu) != 0, in
+    reverse lexicographic order: w_mu = chi^delta(mu) n!/z_mu, and W_mu the
+    coefficients of H_delta / prod_i (1 - q^(mu_i)), lowest first.
 
-    N_lam = sum over mu of chi^lam(mu) W_mu, where W_mu is
-    chi^delta(mu) (n!/z_mu) H_delta / prod_i (1 - q^(mu_i)) packed as one
-    int.  Only the classes with chi^delta(mu) != 0 carry one, and for those
-    the quotient is a polynomial: with the parts of mu divisible by d taken
+    That quotient is a polynomial: with the parts of mu divisible by d taken
     first, each removes a rim hook that lowers the d-weight of delta, and
     H_delta holds one cyclotomic factor Phi_d per unit of d-weight (the
-    p-core argument; James-Kerber 1981).  exact_div checks it for
-    every class rather than assuming it.  The table read is the odd-class
-    one when delta is a 2-core.  Every coefficient of every N_lam is at most
-    sum over mu of max_lam |chi^lam(mu)| |W_mu|_inf in size, and the slots
-    hold that.
-    """
+    p-core argument; James-Kerber 1981).  exact_div checks every class."""
+    classes = enumerate_partitions(delta.size)
+    if all_hooks_odd(delta):
+        classes = [mu for mu in classes if _odd_class(mu.parts)]
+    hooks, nfact, mn = hook_polynomial(delta), factorial(delta.size), _mn()
+    return [
+        (mu, chi * (nfact // centralizer_order(mu)), _dense(hooks.exact_div(one_minus_q_product(mu.parts))))
+        for mu in classes
+        if (chi := mn(delta.parts, mu.parts))
+    ]
+
+
+def _schur_expansion(terms: list) -> dict:
+    """{beta mask: coefficient} of the Schur expansion of the sum of w p_mu
+    over (mu, w) in terms, all mu of one size, in reverse lexicographic
+    order: the classes of largest part k are p_k times the expansion of
+    their remaining parts, and p_k s_rho is the signed sum of the s_lam
+    that a k-strip added to rho reaches."""
+    if not terms[0][0]:
+        return {0: terms[0][1]}
+    out = {}
+    for k, group in groupby(terms, key=lambda term: term[0][0]):
+        for mask, v in _schur_expansion([(mu[1:], w) for mu, w in group]).items():
+            for target, sign in _mask_strip_additions(mask, k):
+                out[target] = out.get(target, 0) + v if sign > 0 else out.get(target, 0) - v
+    return out
+
+
+class _Numerators:
+    """The Hall-pairing numerators N_lam against delta for every lam of its
+    size, from one Schur expansion: .packed maps each beta mask to N_lam
+    packed at .bits over .length slots."""
 
     def __init__(self, delta: Partition):
-        n = delta.size
-        self.table = table = _pairing_table(delta)
-        hooks = hook_polynomial(delta)
-        self.length = hooks.max_exponent() - n + 1
-        d, nfact = table.row_index(delta), factorial(n)
-        classes, bound = [], 0
-        for mu, column in zip(table.classes, table._columns):
-            if column[d]:
-                weight = column[d] * (nfact // centralizer_order(mu))
-                coeffs = _dense(hooks.exact_div(one_minus_q_product(mu.parts)))
-                bound += max(map(abs, column)) * abs(weight) * max(map(abs, coeffs))
-                classes.append((column, weight, coeffs))
+        weights = _class_weights(delta)
+        self.n, self.length = delta.size, len(weights[0][2])
+        bound = sum((isqrt(centralizer_order(mu)) + 1) * abs(w) * max(map(abs, W)) for mu, w, W in weights)
         self.bits = _slot_bits(bound)
-        self.vectors = [(column, weight * _pack(coeffs, self.bits)) for column, weight, coeffs in classes]
+        self.packed = _schur_expansion([(mu.parts, w * _pack(W, self.bits)) for mu, w, W in weights])
 
-    def numerator(self, lam: Partition) -> int:
-        """N_lam, packed at self.bits over self.length slots."""
-        i = self.table.row_index(lam)
-        return sum(column[i] * v for column, v in self.vectors if column[i])
+    def dense(self, lam: Partition) -> list:
+        """The coefficients of N_lam, lowest first."""
+        return _unpack(self.packed.get(_beta_mask(lam.parts, self.n), 0), self.bits, self.length)
 
 
 def graded_multiplicity(lam: Partition, delta: Partition) -> tuple:
@@ -302,12 +301,8 @@ def graded_multiplicity(lam: Partition, delta: Partition) -> tuple:
     the polynomial-ring module induced from the one labeled by delta.
     """
     if lam.size != delta.size:
-        raise ValueError(
-            f"size mismatch: |{lam}| = {lam.size} but |{delta}| = {delta.size}"
-        )
-    pairing = _PackedPairing(delta)
-    num = _unpack(pairing.numerator(lam), pairing.bits, pairing.length)
-    return _from_dense(num), hook_polynomial(delta).scaled(factorial(lam.size))
+        raise ValueError(f"size mismatch: |{lam}| = {lam.size} but |{delta}| = {delta.size}")
+    return _from_dense(_Numerators(delta).dense(lam)), hook_polynomial(delta).scaled(factorial(lam.size))
 
 
 def fake_degree(lam: Partition) -> LaurentPolynomial:
@@ -330,26 +325,31 @@ def regular_fiber_character(m: int) -> LaurentPolynomial:
 
 
 @lru_cache(maxsize=None)
-def _fiber_pairing(m: int) -> _PackedPairing:
-    """The packed pairing against the staircase of index m."""
-    return _PackedPairing(staircase(m))
+def _isotypic_characters(m: int) -> dict:
+    """{lam.parts: isotypic_character(lam)} for every lam of size
+    m(m+1)/2, in partition order, from one expansion; equal numerators,
+    as those of a transpose pair are, share one character object."""
+    delta = staircase(m)
+    numerators, nfact, shift = _Numerators(delta), factorial(delta.size), -n_stat(delta)
+    chars, shared = {}, {}
+    for lam in enumerate_partitions(delta.size):
+        packed = numerators.packed.get(_beta_mask(lam.parts, delta.size), 0)
+        if packed not in shared:
+            shared[packed] = _from_dense(numerators.dense(lam), shift).exact_div(nfact)
+        chars[lam.parts] = shared[packed]
+    return chars
 
 
-@lru_cache(maxsize=None)
 def isotypic_character(lam: Partition) -> LaurentPolynomial:
     """Torus character of the multiplicity space attached to lam inside the
     staircase fiber; palindromic with nonnegative integer coefficients.
 
     It is q^(-n(delta)) H_delta(q) times the Hall pairing N / (n! H_delta),
-    that is q^(-n(delta)) N / n!: one exact division of the numerator by
-    an int.  Only triangular sizes carry such a fiber, so any other size is
-    rejected rather than approximated.
+    that is q^(-n(delta)) N / n!, read off the one expansion of its size.
+    Only triangular sizes carry such a fiber, so any other size is rejected
+    rather than approximated.
     """
     m = triangular_index(lam.size)
     if m is None:
-        raise NonTriangularSizeError(
-            f"|{lam}| = {lam.size} is not a triangular number"
-        )
-    pairing = _fiber_pairing(m)
-    num = _unpack(pairing.numerator(lam), pairing.bits, pairing.length)
-    return _from_dense(num, -n_stat(staircase(m))).exact_div(factorial(lam.size))
+        raise NonTriangularSizeError(f"|{lam}| = {lam.size} is not a triangular number")
+    return _isotypic_characters(m)[lam.parts]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import factorial
 from operator import mul
 
-from .exactalg import LaurentPolynomial, NonPolynomialError, one_minus_q_product
+from .exactalg import LaurentPolynomial, NonPolynomialError, _pack, _slot_bits, _unpack, one_minus_q_product
 from .orbits import CALOGERO_MOSER, HILBERT, closure_graph, cm_orbit, hilb_orbit, is_borel_stable, monomial_ideal
 from .partitions import (
     Partition,
@@ -28,6 +28,7 @@ from .partitions import (
     n_stat,
     staircase,
     transpose,
+    triangular_index,
     u_map,
 )
 from .sl2 import (
@@ -42,11 +43,7 @@ from .sl2 import (
     weights_all_odd,
 )
 from .symfun import (
-    centralizer_order,
-    character_table,
-    fake_degree,
-    isotypic_character,
-    odd_class_table,
+    _class_weights, _mn, _Numerators, centralizer_order, character_table, fake_degree, isotypic_character,
     regular_fiber_character,
 )
 
@@ -211,26 +208,41 @@ def check_character_orthogonality(limits):
 
 
 def check_staircase_odd_classes(limits):
-    """chi^delta of a staircase vanishes on every class with an even part,
-    read off the full table, and the odd-class tables agree with the full
-    ones on every odd-part class."""
+    """chi^delta of a staircase vanishes on every class the Hall pairing
+    skips, those with an even part: the classes and values it keeps are
+    the nonzero entries of delta's row in the full table."""
     bad = []
     for m in range(1, 6):
-        delta = staircase(m)
-        table = character_table(delta.size)
-        for mu, value in zip(table.partitions, table.row(delta)):
-            if value and not all(p % 2 for p in mu.parts):
-                bad.append(f"chi^({delta}) is {value} on the class {mu}, which has an even part")
+        delta, n = staircase(m), m * (m + 1) // 2
+        if n <= min(limits.max_n, 15):
+            kept = {mu: w * centralizer_order(mu) // factorial(n) for mu, w, _ in _class_weights(delta)}
+            table = character_table(n)
+            for mu, value in zip(table.partitions, table.row(delta)):
+                if value != kept.get(mu, 0):
+                    bad.append(f"chi^({delta}) is {value} on {mu}, not the pairing's {kept.get(mu, 0)}")
+    return bad
+
+
+def check_schur_expansion(limits):
+    """Every Hall-pairing numerator from the Schur expansion, which adds
+    strips, against sum over mu of chi^lam(mu) W_mu with each chi^lam(mu)
+    by strip removal, the rule of mn_character, summed at a width of its
+    own: for the staircase of each triangular size and one delta that is
+    not a 2-core."""
+    bad = []
     for n in range(1, min(limits.max_n, 15) + 1):
-        full, odd = character_table(n), odd_class_table(n)
-        classes = tuple(mu for mu in full.partitions if all(p % 2 for p in mu.parts))
-        if odd.classes != classes:
-            bad.append(f"odd-class table at n={n} has {len(odd.classes)} classes, "
-                       f"not the {len(classes)} odd-part ones")
-            continue
-        for lam in full.partitions:
-            if odd.row(lam) != tuple(full.value(lam, mu) for mu in classes):
-                bad.append(f"odd-class row of {lam} disagrees with the full table")
+        lams, m, mn = enumerate_partitions(n), triangular_index(n), _mn()
+        deltas = [staircase(m)] if m is not None else []
+        for delta in deltas + [lam for lam in lams[len(lams) // 2 :] if not all_hooks_odd(lam)][:1]:
+            terms = _class_weights(delta)
+            rows = [[mn(lam.parts, mu.parts) for mu, _, _ in terms] for lam in lams]
+            tops = [abs(w) * max(map(abs, W)) for _, w, W in terms]
+            bits = _slot_bits(max(sum(map(mul, map(abs, row), tops)) for row in rows))
+            packed = [w * _pack(W, bits) for _, w, W in terms]
+            numerators = _Numerators(delta)
+            for lam, row in zip(lams, rows):
+                if numerators.dense(lam) != _unpack(sum(map(mul, row, packed)), bits, numerators.length):
+                    bad.append(f"Schur expansion against {delta} misses the numerator of {lam}")
     return bad
 
 
@@ -523,6 +535,7 @@ CHECKS = {
     "dimension-squares": check_dimension_squares,
     "character-orthogonality": check_character_orthogonality,
     "staircase-odd-classes": check_staircase_odd_classes,
+    "schur-expansion": check_schur_expansion,
     "fake-degree": check_fake_degree,
     "regular-fiber-decomposition": check_regular_fiber_decomposition,
     "isotypic-characters": check_isotypic_characters,

@@ -186,3 +186,19 @@ def test_10_exponent_table_m7(capsys):
             "28",
         )
     print(capsys.readouterr().out, end="")
+
+
+@pytest.mark.slow
+def test_11_exponent_table_m8(capsys):
+    with _Budget("exponent-table-m8", 120):
+        _verify(
+            capsys,
+            "isotypic-characters",
+            "regular-fiber-decomposition",
+            "exponent-duality",
+            "--max-m",
+            "8",
+            "--max-n",
+            "36",
+        )
+    print(capsys.readouterr().out, end="")

@@ -423,8 +423,8 @@ def test_resource_exhaustion_is_computation_error(monkeypatch, capsys, error):
 
 
 @pytest.mark.parametrize("argv", [
-    ["cm", "exponents", "36", "--max-n", "36"],
-    ["verify", "--max-m", "8"],
+    ["cm", "exponents", "45", "--max-n", "45"],
+    ["verify", "--max-m", "9"],
     ["verify", "fiber-layer-factorization", "--max-m", str(cli.STAIRCASE_CAP + 1)],
 ], ids=" ".join)
 def test_exponent_staircase_cap_is_usage_error(capsys, argv):
@@ -450,6 +450,17 @@ def test_exponent_staircase_cap_admits_m_7(monkeypatch, capsys):
         (("all",), verify.Limits(max_n=20, max_m=7)),
         (["fiber-layer-factorization"], verify.Limits(max_n=20, max_m=cli.STAIRCASE_CAP)),
     ]
+
+
+def test_exponent_staircase_cap_admits_m_8(monkeypatch, capsys):
+    # the cap itself, with the work patched out as above
+    monkeypatch.setattr(cli, "exponent_runs", lambda lam: ((0, 1),))
+    assert main(["cm", "exponents", "36", "--max-n", "36"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 17977
+    seen = []
+    monkeypatch.setattr(cli, "run_checks", lambda names, limits, out: seen.append((names, limits)) or True)
+    assert main(["verify", "--max-m", "8"]) == 0
+    assert seen == [(("all",), verify.Limits(max_n=20, max_m=8))]
 
 
 def test_parser_is_built_once_and_keeps_no_state(capsys):

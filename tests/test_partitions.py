@@ -1,4 +1,6 @@
+import os
 import tracemalloc
+from functools import lru_cache
 
 import pytest
 from hypothesis import given
@@ -22,6 +24,7 @@ from cmhilb import (
     triangular_index,
     u_map,
 )
+import cmhilb.partitions as partitions_module
 from cmhilb.partitions import PARTITION_BUDGET, partition_count
 from cmhilb.verify import CHECKS, Limits
 from strategies import partitions
@@ -182,23 +185,42 @@ def test_partition_count_and_budget():
         enumerate_partitions(46)
 
 
-def test_enumeration_retains_nothing():
-    # no cache outlives a scan: once its list is dropped, the partitions
-    # and the hook multisets read off them are freed.  CPython keeps up to
-    # 2000 freed tuples of each length below 20 for reuse, still counted as
-    # allocated, so that store is filled before counting starts.
+_PACKAGE_FILES = os.path.join(os.path.dirname(partitions_module.__file__), "*")
+
+
+def _retained_by_scan() -> int:
+    """Bytes still allocated, after the list is dropped, by blocks that a
+    frame under the package allocated during a scan of the partitions of 30.
+
+    Only the package's blocks count, so an allocation the interpreter or a
+    test plugin makes at the same time does not.  CPython keeps up to 2000
+    freed tuples of each length below 20 for reuse, still counted as
+    allocated, so that store is filled before counting starts."""
     spare = [tuple(range(k)) for k in range(1, 20) for _ in range(2000)]
     del spare
-    tracemalloc.start()
+    tracemalloc.start(8)
     try:
-        before = tracemalloc.get_traced_memory()[0]
-        lams = enumerate_partitions(30)
+        lams = partitions_module.enumerate_partitions(30)
         hook_lengths(lams[len(lams) // 2])
         del lams
-        retained = tracemalloc.get_traced_memory()[0] - before
+        snapshot = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
-    assert retained < 64 * 1024
+    ours = snapshot.filter_traces([tracemalloc.Filter(True, _PACKAGE_FILES, all_frames=True)])
+    return sum(stat.size for stat in ours.statistics("filename"))
+
+
+def test_enumeration_retains_nothing():
+    # no cache outlives a scan: once its list is dropped, the partitions
+    # and the hook multisets read off them are freed
+    assert _retained_by_scan() < 64 * 1024
+
+
+def test_retention_check_sees_a_cache(monkeypatch):
+    # the same measurement with a cache that keeps every partition listed
+    cached = lru_cache(maxsize=None)(partitions_module.enumerate_partitions)
+    monkeypatch.setattr(partitions_module, "enumerate_partitions", cached)
+    assert _retained_by_scan() >= 64 * 1024
 
 
 def test_triangular_index():

@@ -19,7 +19,7 @@ from cmhilb import (
     q_factorial,
     regular_fiber_character,
 )
-from cmhilb.verify import CHECKS, Limits
+from cmhilb.verify import CHECKS, Limits, run_checks
 from cmhilb import symfun
 
 
@@ -106,10 +106,10 @@ def test_character_table_matches_strip_removal():
 @pytest.fixture
 def fresh_tables():
     character_table.cache_clear()
-    symfun.odd_class_table.cache_clear()
+    symfun._isotypic_characters.cache_clear()
     yield
     character_table.cache_clear()
-    symfun.odd_class_table.cache_clear()
+    symfun._isotypic_characters.cache_clear()
 
 
 def test_wrong_strip_addition_sign_is_caught(monkeypatch, fresh_tables):
@@ -122,6 +122,25 @@ def test_wrong_strip_addition_sign_is_caught(monkeypatch, fresh_tables):
     )
     assert _table_values(character_table(4)) != brute_character_table(4)
     assert CHECKS["character-orthogonality"](Limits(max_n=4))
+
+
+def test_schur_expansion_check():
+    assert CHECKS["schur-expansion"](Limits(max_n=15)) == []
+
+
+def test_schur_expansion_check_catches_a_dropped_strip_sign(monkeypatch, fresh_tables):
+    # the expansion adds strips and the check removes them, so a strip
+    # addition that forgets its (-1)^height sign must fail the check, and
+    # the isotypic characters built on it must break
+    signed = symfun._mask_strip_additions
+    monkeypatch.setattr(
+        symfun, "_mask_strip_additions",
+        lambda mask, k: [(target, 1) for target, _ in signed(mask, k)],
+    )
+    assert CHECKS["schur-expansion"](Limits(max_n=6))
+    lines = []
+    assert not run_checks(["isotypic-characters"], Limits(max_m=3), out=lines.append)
+    assert lines[0].startswith("FAIL isotypic-characters")
 
 
 def test_mask_additions_invert_strip_removals():
@@ -146,8 +165,8 @@ def test_odd_class_tables_check():
     assert CHECKS["staircase-odd-classes"](Limits(max_n=15)) == []
 
 
-def test_odd_class_check_catches_a_dropped_class(monkeypatch, fresh_tables):
-    # a filter that loses one odd-part class must fail the check
+def test_odd_class_check_catches_a_dropped_class(monkeypatch):
+    # a class filter that loses one odd-part class must fail the check
     keep = symfun._odd_class
     monkeypatch.setattr(symfun, "_odd_class", lambda parts: keep(parts) and parts != (5, 5, 5))
     assert CHECKS["staircase-odd-classes"](Limits(max_n=15))
@@ -256,7 +275,7 @@ def test_packed_numerator_matches_laurent_sum():
         for k in range(1, n + 1):
             common = common * _one_minus_q(k) ** (n // k)
         for delta in (table.partitions[1], Partition((3, 2, 1)) if n == 6 else table.partitions[-2]):
-            half = 1 << (symfun._PackedPairing(delta).bits - 1)
+            half = 1 << (symfun._Numerators(delta).bits - 1)
             for lam in table.partitions:
                 expected = LaurentPolynomial.zero()
                 for mu in table.partitions:
@@ -273,27 +292,39 @@ def test_packed_numerator_matches_laurent_sum():
                 assert all(abs(c) < half for c in num.terms.values())
 
 
-def test_isotypic_rejects_inexact_numerator(monkeypatch):
+def test_isotypic_rejects_inexact_numerator(monkeypatch, fresh_tables):
     # A numerator that n! does not divide must trip the exactness alarm.
-    lam = Partition((2, 1))
-    expected = isotypic_character.__wrapped__(lam)
-    good = symfun._fiber_pairing(2).numerator(lam)
-    monkeypatch.setattr(symfun._PackedPairing, "numerator", lambda self, lam: good + 1)
+    expected = symfun._isotypic_characters.__wrapped__(2)
+    numerators = symfun._Numerators
+
+    class OffByOne(numerators):
+        def dense(self, lam):
+            coeffs = numerators.dense(self, lam)
+            return [coeffs[0] + 1] + coeffs[1:]
+
+    monkeypatch.setattr(symfun, "_Numerators", OffByOne)
     with pytest.raises(NonPolynomialError):
-        isotypic_character.__wrapped__(lam)
-    monkeypatch.setattr(symfun._PackedPairing, "numerator", lambda self, lam: good)
-    assert isotypic_character.__wrapped__(lam) == expected
+        symfun._isotypic_characters.__wrapped__(2)
+    monkeypatch.setattr(symfun, "_Numerators", numerators)
+    assert symfun._isotypic_characters.__wrapped__(2) == expected
 
 
 def test_pairing_class_vectors_are_polynomials():
     # chi^delta(mu) != 0 forces prod_i (1 - q^(mu_i)) to divide H_delta; the
-    # pairing checks that by exact_div for every such class of every delta
+    # pairing checks that by exact_div for every such class of every delta,
+    # and keeps exactly those classes
     for n in range(1, 9):
-        for delta in enumerate_partitions(n):
-            pairing = symfun._PackedPairing(delta)
-            d = pairing.table.row_index(delta)
-            assert len(pairing.vectors) == sum(1 for column in pairing.table._columns if column[d])
-            assert pairing.length == hook_polynomial(delta).max_exponent() - n + 1
+        table = character_table(n)
+        for delta in table.partitions:
+            weights = symfun._class_weights(delta)
+            nonzero = [mu for mu in table.partitions if table.value(delta, mu)]
+            assert [mu for mu, _, _ in weights] == nonzero
+            length = hook_polynomial(delta).max_exponent() - n + 1
+            for mu, weight, coeffs in weights:
+                assert weight * centralizer_order(mu) == table.value(delta, mu) * factorial(n)
+                quotient = LaurentPolynomial(dict(enumerate(coeffs)))
+                assert quotient * symfun.one_minus_q_product(mu.parts) == hook_polynomial(delta)
+                assert len(coeffs) == length
     # and the classes where chi^delta vanishes need not divide: chi^(2,1)
     # vanishes at (2,1), and (1 - q^2)(1 - q) does not divide (1 - q^3)(1 - q)^2
     assert character_table(3).value(Partition((2, 1)), Partition((2, 1))) == 0
