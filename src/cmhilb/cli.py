@@ -60,8 +60,8 @@ STAIRCASE_CAP = 20
 
 # Largest staircase index of an exponent table, whatever --max-n or --max-m
 # says: `cm exponents` refuses n > 36 = 8*9/2 and `verify` refuses
-# --max-m > 8.  The n = 36 table takes 12-28 s and 350-460 MB (2-core box);
-# n = 45 would hold 89,134 characters of up to 241 terms.
+# --max-m > 8.  The n = 36 table takes 6-13 s and 350 MB as text, CSV or JSON
+# (2-core shared box); n = 45 would hold 89,134 characters of up to 241 terms.
 EXPONENT_STAIRCASE_CAP = 8
 EXPONENT_SIZE_CAP = EXPONENT_STAIRCASE_CAP * (EXPONENT_STAIRCASE_CAP + 1) // 2
 
@@ -274,20 +274,24 @@ def _cmd_orbit(args) -> int:
     return 0
 
 
+def _write_exponents_json(n: int, rows) -> None:
+    """Prints json.dumps({"n": n, "rows": [{"exponents": runs, "partition": parts}, ...]}, indent=2,
+    sort_keys=True) row by row, by hand: the library's indenting encoder is Python over the whole tree."""
+    sys.stdout.write('{\n  "n": %d,\n  "rows": [' % n)
+    for i, (lam, runs) in enumerate(rows):
+        exponents = ",\n".join("        [\n          %d,\n          %d\n        ]" % run for run in runs)
+        parts = "[\n%s\n      ]" % ",\n".join("        %d" % p for p in lam.parts) if lam.parts else "[]"
+        sys.stdout.write('%s\n    {\n      "exponents": [\n%s\n      ],\n      "partition": %s\n    }'
+                         % ("," if i else "", exponents, parts))
+    sys.stdout.write("\n  ]\n}\n")
+
+
 def _cmd_cm_exponents(args) -> int:
     if args.n > EXPONENT_SIZE_CAP:
         raise CapExceededError(f"n={args.n} exceeds the cap {EXPONENT_SIZE_CAP} of the exponent table")
     rows = [(lam, exponent_runs(lam)) for lam in enumerate_partitions(args.n)]
     if args.format == "json":
-        # written as it is encoded: the n = 36 table is 80 MB of JSON
-        json.dump({
-            "n": args.n,
-            "rows": [
-                {"partition": lam.to_json(), "exponents": [list(run) for run in runs]}
-                for lam, runs in rows
-            ],
-        }, sys.stdout, indent=2, sort_keys=True)
-        print()
+        _write_exponents_json(args.n, rows)
     elif args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["partition", "exponents"])

@@ -300,15 +300,19 @@ def _pack(coeffs, bits: int) -> int:
     return int.from_bytes(raw, "little") - _bias(bits, len(coeffs))
 
 
+def _digits(raw, bits: int) -> list:
+    """The balanced digits, lowest first, of the bytes _unpack reads."""
+    size, half = bits // 8, 1 << (bits - 1)
+    return [int.from_bytes(raw[i : i + size], "little") - half for i in range(0, len(raw), size)]
+
+
 def _unpack(value: int, bits: int, length: int):
     """The length balanced digits of value at base 2^bits, lowest first, or
     None when value has no such form."""
-    size, half = bits // 8, 1 << (bits - 1)
     biased = value + _bias(bits, length)
     if biased < 0 or biased.bit_length() > bits * length:
         return None
-    raw = biased.to_bytes(size * length, "little")
-    return [int.from_bytes(raw[i : i + size], "little") - half for i in range(0, len(raw), size)]
+    return _digits(biased.to_bytes(bits // 8 * length, "little"), bits)
 
 
 def _proves_quotient(quot, den_l1: int, bound: int, bits: int) -> bool:

@@ -1,17 +1,14 @@
 """Symmetric-group characters and graded fiber characters.
 
 Irreducible character values come from the Murnaghan-Nakayama rule in
-two independent forms.  `character_table(n)` builds whole columns from
-smaller tables: since p_mu = p_(mu_1) p_(mu_2, mu_3, ...), the column at mu
-is the column of the size n - mu_1 table at (mu_2, mu_3, ...) with a border
-strip of mu_1 cells added to each row, signed by (-1)^height.  Each
-partition of n is held as its beta set padded to n entries, one int bit
-mask, and rows are addressed by it, so a strip addition is a few int
-operations: pad by k, move a set bit b to a clear bit b + k, and take the
-height from the bit count in between.  The rows each addition reaches
-are worked out once per (row, strip size) within one build, split into
-those reached with sign +1 and with -1.  Each table is stored as columns
-of ints, and the smaller ones stay in `character_table`'s cache.
+two independent forms.  `character_table(n)` builds its rows from smaller
+tables: p_mu = p_(mu_1) p_(mu_2, ...), so on the classes of largest part k
+a row is the signed sum of the size n - k rows from which a k-strip
+addition reaches it.  Partitions are beta masks (beta sets padded to n
+entries as int bits): a strip addition pads by k, moves a set bit b to a
+clear bit b + k, and reads its height from the bits in between.  A row is
+one byte string of fixed-width slots, so a smaller row is added over a
+block of classes as one big int; the smaller tables stay cached.
 
 `mn_character` removes strips from lam instead, with a memo local to each
 call, so no memo keyed by (lam, mu) outlives it.
@@ -48,24 +45,11 @@ from itertools import groupby
 from math import factorial, isqrt
 
 from .exactalg import (
-    LaurentPolynomial,
-    _dense,
-    _from_dense,
-    _pack,
-    _slot_bits,
-    _unpack,
-    one_minus_q_product,
+    LaurentPolynomial, _bias, _dense, _digits, _from_dense, _pack, _slot_bits, _unpack, one_minus_q_product,
     q_integer_product,
 )
 from .partitions import (
-    Partition,
-    all_hooks_odd,
-    dim_irrep,
-    enumerate_partitions,
-    hook_lengths,
-    hook_polynomial,
-    n_stat,
-    staircase,
+    Partition, all_hooks_odd, dim_irrep, enumerate_partitions, hook_lengths, hook_polynomial, n_stat, staircase,
     triangular_index,
 )
 
@@ -169,67 +153,75 @@ def _odd_class(parts: tuple) -> bool:
 
 class CharacterTable:
     """Irreducible character values of one symmetric group, built once
-    column by column from smaller tables.
+    from smaller tables, one largest part at a time.
 
     Rows and columns both run over .partitions; rows are addressed by beta
-    mask.
+    mask.  Each row is one bytearray in the byte layout of exactalg._pack:
+    chi^lam(mu) + 2^(bits-1) for each mu, bits/8 little-endian bytes, where
+    |chi^lam(mu)| <= f^lam <= sqrt(n!) bounds every value.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.partitions = tuple(enumerate_partitions(n))
+        self.bits = _slot_bits(isqrt(factorial(n)))
         self._masks = [_beta_mask(lam.parts, n) for lam in self.partitions]
         self._index = {mask: i for i, mask in enumerate(self._masks)}
         self._class_index = {mu.parts: j for j, mu in enumerate(self.partitions)}
-        if not n:
-            self._columns = [[1]]
-            return
-        additions = {}
-        self._columns = [self._column(mu.parts, additions) for mu in self.partitions]
+        # every slot starts at 0; the one character of S_0 is 1
+        blank = (bytes(self.bits // 8 - 1) + b"\x80") * len(self.partitions) if n else b"\x81"
+        self._rows = [bytearray(blank) for _ in self.partitions]
+        for k in range(n, 0, -1):
+            self._add_block(k)
 
-    def _column(self, mu: tuple, additions: dict) -> list:
-        """chi^lam(mu) for every lam: the smaller table's column at mu[1:]
-        with a mu[0]-strip added to each row.  `additions` memoises, per
-        (k, row of the smaller table), the rows a k-strip reaches, split
-        into those reached with sign +1 and with sign -1."""
-        k = mu[0]
+    def _add_block(self, k: int):
+        """Fills every row over the classes (k, rho), rho with no part above
+        k: the rho are the size n - k table's classes from (k, ..., k, r) on,
+        so each sub-row's suffix is one int, widened first if its slots are
+        narrower, added to or subtracted from each row a k-strip reaches."""
         sub = character_table(self.n - k)
-        column = [0] * len(self.partitions)
-        for r, v in enumerate(sub._columns[sub._class_index[mu[1:]]]):
-            if not v:
-                continue
-            targets = additions.get((k, r))
-            if targets is None:
-                plus, minus = [], []
-                for mask, sign in _mask_strip_additions(sub._masks[r], k):
-                    (plus if sign > 0 else minus).append(self._index[mask])
-                targets = additions[(k, r)] = plus, minus
-            for i in targets[0]:
-                column[i] += v
-            for i in targets[1]:
-                column[i] -= v
-        return column
-
-    def row_index(self, lam: Partition) -> int:
-        """Position of lam in .partitions, found by its beta mask."""
-        return self._index[_beta_mask(lam.parts, self.n)]
+        q, r = divmod(self.n - k, k)
+        first = (k,) * q + (r,) * (r > 0)
+        start, offset = sub._class_index[first], self._class_index[(k,) + first]
+        narrow, size, count = sub.bits // 8, self.bits // 8, len(sub.partitions) - start
+        sub_bias = int.from_bytes((bytes(narrow - 1) + b"\x80" + bytes(size - narrow)) * count, "little")
+        sums = [0] * len(self.partitions)
+        for mask, row in zip(sub._masks, sub._rows):
+            raw = row[start * narrow :]
+            if size > narrow:
+                raw, narrower = bytearray(count * size), raw
+                for b in range(narrow):
+                    raw[b::size] = narrower[b::narrow]
+            value = int.from_bytes(raw, "little") - sub_bias
+            for target, sign in _mask_strip_additions(mask, k) if value else ():
+                if sign > 0:
+                    sums[self._index[target]] += value
+                else:
+                    sums[self._index[target]] -= value
+        bias, span = _bias(self.bits, count), slice(offset * size, (offset + count) * size)
+        for row, value in zip(self._rows, sums):
+            if value:
+                row[span] = (value + bias).to_bytes(count * size, "little")
 
     def column(self, mu: Partition) -> list:
-        """chi^lam(mu) for lam over .partitions, in order; not to be modified."""
-        return self._columns[self._class_index[mu.parts]]
+        """chi^lam(mu) for lam over .partitions, in order, as a new list."""
+        size = self.bits // 8
+        j = self._class_index[mu.parts] * size
+        return _digits(b"".join(row[j : j + size] for row in self._rows), self.bits)
 
     def row(self, lam: Partition) -> tuple:
         """chi^lam(mu) for mu over .partitions, in order."""
-        i = self.row_index(lam)
-        return tuple(column[i] for column in self._columns)
+        return tuple(_digits(self._rows[self._index[_beta_mask(lam.parts, self.n)]], self.bits))
 
     def value(self, lam: Partition, mu: Partition) -> int:
-        return self.column(mu)[self.row_index(lam)]
+        size = self.bits // 8
+        j = self._class_index[mu.parts] * size
+        return _digits(self._rows[self._index[_beta_mask(lam.parts, self.n)]][j : j + size], self.bits)[0]
 
 
 @lru_cache(maxsize=None)
 def character_table(n: int) -> CharacterTable:
-    """The full table of size n; the smaller tables its columns are built
+    """The full table of size n; the smaller tables its rows are built
     from stay in this cache."""
     return CharacterTable(n)
 

@@ -102,6 +102,19 @@ def test_exponents_table_json(capsys):
     assert len(table) == 11
 
 
+@pytest.mark.parametrize("n", [0, 1, 6, 10])
+def test_exponents_json_matches_the_library_encoder(capsys, n):
+    rows = [(lam, cmhilb.exponent_runs(lam)) for lam in cmhilb.enumerate_partitions(n)]
+    obj = {"n": n, "rows": [
+        {"partition": lam.to_json(), "exponents": [list(run) for run in runs]} for lam, runs in rows
+    ]}
+    if n:
+        assert main(["cm", "exponents", str(n), "--format", "json"]) == 0
+    else:  # size 0 is refused as an argument; its empty partition prints as []
+        cli._write_exponents_json(0, rows)
+    assert capsys.readouterr().out == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def test_exponents_table_csv(capsys):
     code, out, _ = run_cli(capsys, "cm", "exponents", "3", "--format", "csv")
     assert code == 0

@@ -1,3 +1,4 @@
+import random
 from math import factorial
 
 import pytest
@@ -103,6 +104,18 @@ def test_character_table_matches_strip_removal():
             assert row == tuple(mn_character(lam, mu) for mu in table.partitions)
 
 
+@pytest.mark.parametrize("n", [13, 17, 21])
+def test_character_table_across_slot_widths(n):
+    # the slot width steps up at these sizes (16 -> 24 -> 32 -> 40 bits), so
+    # the blocks read from the smaller tables are widened first
+    table = character_table(n)
+    assert table.bits > character_table(n - 1).bits
+    assert table.column(Partition((1,) * n)) == [dim_irrep(lam) for lam in table.partitions]
+    widest = max(table.partitions, key=dim_irrep)
+    for lam in [widest, *random.Random(n).sample(table.partitions, 2)]:
+        assert table.row(lam) == tuple(mn_character(lam, mu) for mu in table.partitions)
+
+
 @pytest.fixture
 def fresh_tables():
     character_table.cache_clear()
@@ -122,6 +135,20 @@ def test_wrong_strip_addition_sign_is_caught(monkeypatch, fresh_tables):
     )
     assert _table_values(character_table(4)) != brute_character_table(4)
     assert CHECKS["character-orthogonality"](Limits(max_n=4))
+
+
+def test_too_narrow_slots_are_caught(monkeypatch, fresh_tables):
+    # with the width bound patched down to 8-bit slots at every size, the
+    # n = 9 rows cannot hold f^(4,3,1,1) = 216: the build must refuse them
+    # rather than hand wrong values to the Kostka comparison, and the
+    # orthogonality check must fail
+    monkeypatch.setattr(symfun, "isqrt", lambda x: 1)
+    assert _table_values(character_table(6)) == brute_character_table(6)
+    with pytest.raises(OverflowError):
+        character_table(9)
+    lines = []
+    assert not run_checks(["character-orthogonality"], Limits(max_n=9), out=lines.append)
+    assert lines[0].startswith("FAIL character-orthogonality")
 
 
 def test_schur_expansion_check():
