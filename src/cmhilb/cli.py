@@ -54,14 +54,14 @@ from .verify import CHECKS, Limits, run_checks
 # of larger shapes take seconds and grow without bound, so they are refused.
 PARTITION_CELL_CAP = 200
 
-# Largest staircase index `cm char-L` accepts, whatever --max-m says: the
-# m = 20 staircase has 210 cells, in line with PARTITION_CELL_CAP.
+# Largest staircase index `cm char-L` accepts: the m = 20 staircase has
+# 210 cells, in line with PARTITION_CELL_CAP.
 STAIRCASE_CAP = 20
 
-# Largest staircase index of an exponent table, whatever --max-n or --max-m
-# says: `cm exponents` refuses n > 36 = 8*9/2 and `verify` refuses
-# --max-m > 8.  The n = 36 table takes 6-13 s and 350 MB as text, CSV or JSON
-# (2-core shared box); n = 45 would hold 89,134 characters of up to 241 terms.
+# Largest staircase index of an exponent table: `cm exponents` refuses
+# n > 36 = 8*9/2 and `verify` refuses --max-m > 8.  The n = 36 table takes
+# 6-13 s and 350 MB as text, CSV or JSON (2-core shared box); n = 45 would
+# hold 89,134 characters of up to 241 terms.
 EXPONENT_STAIRCASE_CAP = 8
 EXPONENT_SIZE_CAP = EXPONENT_STAIRCASE_CAP * (EXPONENT_STAIRCASE_CAP + 1) // 2
 
@@ -88,20 +88,26 @@ def _joined(values) -> str:
 
 def _partition_arg(text: str) -> Partition:
     try:
-        return parse_partition(text)
+        lam = parse_partition(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
+    if lam.size > PARTITION_CELL_CAP:
+        raise argparse.ArgumentTypeError(f"partition of {lam.size} cells exceeds the cap {PARTITION_CELL_CAP}")
+    return lam
 
 
-def _size_arg(text: str) -> int:
-    """A size or a bound, which must be a positive integer: size 0 holds
-    only the empty partition, and a bound below 1 leaves nothing to check."""
+def _size_arg(text: str, cap: int | None = None) -> int:
+    """A size or a bound, which must be a positive integer, at most `cap`
+    if one is given: size 0 holds only the empty partition, and a bound
+    below 1 leaves nothing to check."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if cap is not None and value > cap:
+        raise argparse.ArgumentTypeError(f"{value} exceeds the cap {cap}")
     return value
 
 
@@ -146,20 +152,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_orbit, orbit=cm_orbit)
 
     p = cm_sub.add_parser("exponents", help="exponent table for all partitions of n")
-    p.add_argument("n", type=_size_arg)
-    p.add_argument("--max-n", type=_size_arg, default=20, help="size cap (default 20)")
+    p.add_argument("n", type=functools.partial(_size_arg, cap=EXPONENT_SIZE_CAP))
     add_format(p, ("text", "json", "csv"))
     p.set_defaults(func=_cmd_cm_exponents)
 
     p = cm_sub.add_parser("char-L", help="graded character of the staircase fiber")
-    p.add_argument("m", type=_size_arg)
-    p.add_argument("--max-m", type=_size_arg, default=4, help="staircase cap (default 4)")
+    p.add_argument("m", type=functools.partial(_size_arg, cap=STAIRCASE_CAP))
     add_format(p)
     p.set_defaults(func=_cmd_cm_char_l)
 
     p = cm_sub.add_parser("fixed", help="partitions of n fixed by the full group action")
     p.add_argument("n", type=_size_arg)
-    p.add_argument("--max-n", type=_size_arg, default=20, help="size cap (default 20)")
     add_format(p)
     p.set_defaults(func=_cmd_cm_fixed)
 
@@ -179,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = hilb_sub.add_parser("closure", help="orbit-closure graph over all partitions of n")
     p.add_argument("n", type=_size_arg)
     p.add_argument("--space", choices=("hilbert", "calogero-moser"), default="hilbert")
-    p.add_argument("--max-n", type=_size_arg, default=20, help="size cap (default 20)")
     add_format(p, ("text", "json", "dot"))
     p.set_defaults(func=_cmd_hilb_closure)
 
@@ -287,8 +289,6 @@ def _write_exponents_json(n: int, rows) -> None:
 
 
 def _cmd_cm_exponents(args) -> int:
-    if args.n > EXPONENT_SIZE_CAP:
-        raise CapExceededError(f"n={args.n} exceeds the cap {EXPONENT_SIZE_CAP} of the exponent table")
     rows = [(lam, exponent_runs(lam)) for lam in enumerate_partitions(args.n)]
     if args.format == "json":
         _write_exponents_json(args.n, rows)
@@ -305,10 +305,6 @@ def _cmd_cm_exponents(args) -> int:
 
 
 def _cmd_cm_char_l(args) -> int:
-    if args.m > args.max_m:
-        raise CapExceededError(f"m={args.m} exceeds --max-m {args.max_m}")
-    if args.m > STAIRCASE_CAP:
-        raise CapExceededError(f"m={args.m} exceeds the cap {STAIRCASE_CAP}")
     chi = regular_fiber_character(args.m)
     if args.format == "json":
         print(_json_dump({
@@ -387,13 +383,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        lam = getattr(args, "partition", None)
-        if lam is not None and lam.size > PARTITION_CELL_CAP:
-            raise CapExceededError(
-                f"partition of {lam.size} cells exceeds the cap {PARTITION_CELL_CAP}"
-            )
-        if getattr(args, "n", 0) > getattr(args, "max_n", 0):
-            raise CapExceededError(f"n={args.n} exceeds the cap {args.max_n}; raise the cap to proceed")
         return args.func(args)
     except (UsageError, CapExceededError) as exc:
         parser.error(str(exc))

@@ -217,7 +217,7 @@ def require_listable(n: int) -> None:
     # p grows with n, so counting up from 0 stops at the first size past the
     # budget, and a huge n is refused as cheaply as a small one
     if any(partition_count(m) > PARTITION_BUDGET for m in range(n + 1)):
-        raise CapExceededError(f"n={n} has more than {PARTITION_BUDGET} partitions, too many to list")
+        raise CapExceededError(f"n={n} exceeds the cap: more than {PARTITION_BUDGET} partitions, too many to list")
 
 
 def enumerate_partitions(n: int) -> list:

@@ -95,24 +95,26 @@ def _beta_mask(parts: tuple, n: int) -> int:
     return mask
 
 
-def _mask_strip_additions(mask: int, k: int) -> list:
-    """(target mask, sign) for every border strip of k cells added to the
-    partition whose beta mask, padded to its size, is `mask`.
+def _add_strips(out: dict, mask: int, k: int, v: int) -> None:
+    """Adds (-1)^height v to out[target] for every border strip of k cells
+    added to the partition whose beta mask, padded to its size, is `mask`;
+    out maps target beta masks to coefficients.
 
     Padding with k more entries shifts the mask up by k and sets the k low
     bits; a strip addition moves one set bit b up to a clear bit b + k, and
-    its sign is (-1)^height, the height being the set bits strictly between.
+    its height is the number of set bits strictly between.
     """
     padded = (mask << k) | ((1 << k) - 1)
     between = (1 << (k - 1)) - 1
     movable = padded & ~(padded >> k)
-    out = []
     while movable:
         low = movable & -movable
         movable ^= low
-        height = (padded >> low.bit_length() & between).bit_count()
-        out.append((padded ^ low ^ (low << k), -1 if height & 1 else 1))
-    return out
+        target = padded ^ low ^ (low << k)
+        if (padded >> low.bit_length() & between).bit_count() & 1:
+            out[target] = out.get(target, 0) - v
+        else:
+            out[target] = out.get(target, 0) + v
 
 
 def _mn():
@@ -155,9 +157,10 @@ class CharacterTable:
     """Irreducible character values of one symmetric group, built once
     from smaller tables, one largest part at a time.
 
-    Rows and columns both run over .partitions; rows are addressed by beta
-    mask.  Each row is one bytearray in the byte layout of exactalg._pack:
-    chi^lam(mu) + 2^(bits-1) for each mu, bits/8 little-endian bytes, where
+    Rows and columns both run over .partitions, so both are found by parts
+    in one index; the build addresses rows by beta mask.  Each row is one
+    bytearray in the byte layout of exactalg._pack: chi^lam(mu) +
+    2^(bits-1) for each mu, bits/8 little-endian bytes, where
     |chi^lam(mu)| <= f^lam <= sqrt(n!) bounds every value.
     """
 
@@ -185,7 +188,7 @@ class CharacterTable:
         start, offset = sub._class_index[first], self._class_index[(k,) + first]
         narrow, size, count = sub.bits // 8, self.bits // 8, len(sub.partitions) - start
         sub_bias = int.from_bytes((bytes(narrow - 1) + b"\x80" + bytes(size - narrow)) * count, "little")
-        sums = [0] * len(self.partitions)
+        sums = {}
         for mask, row in zip(sub._masks, sub._rows):
             raw = row[start * narrow :]
             if size > narrow:
@@ -193,15 +196,12 @@ class CharacterTable:
                 for b in range(narrow):
                     raw[b::size] = narrower[b::narrow]
             value = int.from_bytes(raw, "little") - sub_bias
-            for target, sign in _mask_strip_additions(mask, k) if value else ():
-                if sign > 0:
-                    sums[self._index[target]] += value
-                else:
-                    sums[self._index[target]] -= value
-        bias, span = _bias(self.bits, count), slice(offset * size, (offset + count) * size)
-        for row, value in zip(self._rows, sums):
             if value:
-                row[span] = (value + bias).to_bytes(count * size, "little")
+                _add_strips(sums, mask, k, value)
+        bias, span = _bias(self.bits, count), slice(offset * size, (offset + count) * size)
+        for mask, value in sums.items():
+            if value:
+                self._rows[self._index[mask]][span] = (value + bias).to_bytes(count * size, "little")
 
     def column(self, mu: Partition) -> list:
         """chi^lam(mu) for lam over .partitions, in order, as a new list."""
@@ -211,12 +211,12 @@ class CharacterTable:
 
     def row(self, lam: Partition) -> tuple:
         """chi^lam(mu) for mu over .partitions, in order."""
-        return tuple(_digits(self._rows[self._index[_beta_mask(lam.parts, self.n)]], self.bits))
+        return tuple(_digits(self._rows[self._class_index[lam.parts]], self.bits))
 
     def value(self, lam: Partition, mu: Partition) -> int:
         size = self.bits // 8
         j = self._class_index[mu.parts] * size
-        return _digits(self._rows[self._index[_beta_mask(lam.parts, self.n)]][j : j + size], self.bits)[0]
+        return _digits(self._rows[self._class_index[lam.parts]][j : j + size], self.bits)[0]
 
 
 @lru_cache(maxsize=None)
@@ -262,8 +262,7 @@ def _schur_expansion(terms: list) -> dict:
     out = {}
     for k, group in groupby(terms, key=lambda term: term[0][0]):
         for mask, v in _schur_expansion([(mu[1:], w) for mu, w in group]).items():
-            for target, sign in _mask_strip_additions(mask, k):
-                out[target] = out.get(target, 0) + v if sign > 0 else out.get(target, 0) - v
+            _add_strips(out, mask, k, v)
     return out
 
 

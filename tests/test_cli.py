@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from math import factorial
@@ -146,12 +147,16 @@ def test_char_l_json(capsys):
     assert data["dimension"] == 720
 
 
-def test_char_l_cap_is_usage_error(capsys):
+def test_char_l_cap_is_usage_error(monkeypatch, capsys):
+    # m is refused where it is parsed, before the handler runs; below the
+    # cap no flag is needed
+    assert main(["cm", "char-L", "5"]) == 0
+    assert capsys.readouterr().out.endswith(f"dimension: {factorial(15)}\n")
+    monkeypatch.setattr(cli, "regular_fiber_character", lambda m: pytest.fail(f"m={m} reached the handler"))
     with pytest.raises(SystemExit) as err:
-        main(["cm", "char-L", "5"])
+        main(["cm", "char-L", str(cli.STAIRCASE_CAP + 1)])
     assert err.value.code == 2
-    code = main(["cm", "char-L", "5", "--max-m", "5"])
-    assert code == 0
+    assert capsys.readouterr().out == ""
 
 
 def test_tangent(capsys):
@@ -296,25 +301,37 @@ def test_partition_budget_is_usage_error(capsys, size):
     # p(60) is about 9.7e5, over the enumeration budget, so the scan is
     # refused before any partition is listed
     with pytest.raises(SystemExit) as err:
-        main(["cm", "fixed", size, "--max-n", size])
+        main(["cm", "fixed", size])
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "partitions, too many to list" in captured.err
 
 
+# (largest size admitted, or None where a test below admits it, and the
+# first size refused) of each size command: the exponent table stops at
+# n = 36, and a scan at the 10^5 partition budget, p(45) = 89,134 and
+# p(46) = 105,558
+SIZE_BOUNDARIES = {
+    "cm exponents": (None, cli.EXPONENT_SIZE_CAP + 1),
+    "cm fixed": (45, 46),
+    "hilb closure": (21, 46),  # the scan at 45 takes about 4 s
+}
+
+
 @pytest.mark.parametrize(
     "command", [["cm", "exponents"], ["cm", "fixed"], ["hilb", "closure"]], ids="-".join
 )
 def test_closure_cap_is_usage_error(capsys, command):
+    admitted, refused = SIZE_BOUNDARIES[" ".join(command)]
     with pytest.raises(SystemExit) as err:
-        main([*command, "21"])
+        main([*command, str(refused)])
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "n=21 exceeds the cap 20; raise the cap to proceed" in captured.err
-    if command != ["cm", "exponents"]:  # its n = 21 table alone takes about a second
-        assert main([*command, "21", "--max-n", "21"]) == 0
+    assert f"{refused} exceeds the cap" in captured.err
+    if admitted is not None:
+        assert main([*command, str(admitted)]) == 0
 
 
 PARTITION_COMMANDS = [
@@ -355,30 +372,28 @@ def test_cli_json_roundtrip_catches_wrong_payload(monkeypatch, name, wrong, comm
     assert all(f.startswith(f"command {command} JSON decodes to") for f in failures)
 
 
-# (command words, argument kind, formats, bound flag) for every non-verify command
+# (command words, argument kind, formats) for every non-verify command
 GRAMMAR = [
-    (["part", "info"], "partition", ("text", "json"), None),
-    (["cm", "tangent"], "partition", ("text", "json"), None),
-    (["cm", "orbit"], "partition", ("text", "json"), None),
-    (["cm", "exponents"], "size", ("text", "json", "csv"), "--max-n"),
-    (["cm", "char-L"], "size", ("text", "json"), "--max-m"),
-    (["cm", "fixed"], "size", ("text", "json"), "--max-n"),
-    (["hilb", "orbit"], "partition", ("text", "json"), None),
-    (["hilb", "ideal"], "partition", ("text", "json"), None),
-    (["hilb", "closure"], "size", ("text", "json", "dot"), "--max-n"),
+    (["part", "info"], "partition", ("text", "json")),
+    (["cm", "tangent"], "partition", ("text", "json")),
+    (["cm", "orbit"], "partition", ("text", "json")),
+    (["cm", "exponents"], "size", ("text", "json", "csv")),
+    (["cm", "char-L"], "size", ("text", "json")),
+    (["cm", "fixed"], "size", ("text", "json")),
+    (["hilb", "orbit"], "partition", ("text", "json")),
+    (["hilb", "ideal"], "partition", ("text", "json")),
+    (["hilb", "closure"], "size", ("text", "json", "dot")),
 ]
-bounds = st.integers(-2, 10).map(str)
+sizes = st.integers(-2, 10).map(str)
 # a leading dash reads as an option, and `-h` exits 0 with the help
 texts = st.text().filter(lambda s: not s.startswith("-"))
 
 
 @st.composite
 def cli_argvs(draw):
-    words, kind, formats, bound = draw(st.sampled_from(GRAMMAR))
-    arg = bounds if kind == "size" else partitions(max_size=12).map(str)
+    words, kind, formats = draw(st.sampled_from(GRAMMAR))
+    arg = sizes if kind == "size" else partitions(max_size=12).map(str)
     argv = [*words, draw(st.one_of(arg, texts))]
-    if bound and draw(st.booleans()):
-        argv += [bound, draw(bounds)]
     if words[-1] == "closure" and draw(st.booleans()):
         argv += ["--space", draw(st.sampled_from(["hilbert", "calogero-moser"]))]
     return argv + ["--format", draw(st.sampled_from(formats))]
@@ -412,13 +427,12 @@ def test_main_returns_or_exits_with_usage_code(argv):
 def test_char_l_staircase_cap_is_usage_error(capsys):
     over = str(cli.STAIRCASE_CAP + 1)
     with pytest.raises(SystemExit) as err:
-        main(["cm", "char-L", over, "--max-m", over])
+        main(["cm", "char-L", over])
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"m={over} exceeds the cap {cli.STAIRCASE_CAP}" in captured.err
-    at_cap = str(cli.STAIRCASE_CAP)
-    assert main(["cm", "char-L", at_cap, "--max-m", at_cap]) == 0
+    assert f"argument m: {over} exceeds the cap {cli.STAIRCASE_CAP}" in captured.err
+    assert main(["cm", "char-L", str(cli.STAIRCASE_CAP)]) == 0
     assert capsys.readouterr().out.endswith(f"dimension: {factorial(210)}\n")
 
 
@@ -436,7 +450,7 @@ def test_resource_exhaustion_is_computation_error(monkeypatch, capsys, error):
 
 
 @pytest.mark.parametrize("argv", [
-    ["cm", "exponents", "45", "--max-n", "45"],
+    ["cm", "exponents", "45"],
     ["verify", "--max-m", "9"],
     ["verify", "fiber-layer-factorization", "--max-m", str(cli.STAIRCASE_CAP + 1)],
 ], ids=" ".join)
@@ -452,7 +466,7 @@ def test_exponent_staircase_cap_is_usage_error(capsys, argv):
 def test_exponent_staircase_cap_admits_m_7(monkeypatch, capsys):
     # the work is patched out: only the refusals are under test
     monkeypatch.setattr(cli, "exponent_runs", lambda lam: ((0, 1),))
-    assert main(["cm", "exponents", "28", "--max-n", "28"]) == 0
+    assert main(["cm", "exponents", "28"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 3718
     seen = []
     monkeypatch.setattr(cli, "run_checks", lambda names, limits, out: seen.append((names, limits)) or True)
@@ -468,7 +482,7 @@ def test_exponent_staircase_cap_admits_m_7(monkeypatch, capsys):
 def test_exponent_staircase_cap_admits_m_8(monkeypatch, capsys):
     # the cap itself, with the work patched out as above
     monkeypatch.setattr(cli, "exponent_runs", lambda lam: ((0, 1),))
-    assert main(["cm", "exponents", "36", "--max-n", "36"]) == 0
+    assert main(["cm", "exponents", "36"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 17977
     seen = []
     monkeypatch.setattr(cli, "run_checks", lambda names, limits, out: seen.append((names, limits)) or True)
@@ -489,3 +503,24 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
         out = capsys.readouterr().out
         fresh = subprocess.run([sys.executable, "-m", "cmhilb", *argv], env=env, capture_output=True, text=True)
         assert (code, out) == (fresh.returncode, fresh.stdout), argv
+
+
+def _readme_command_lines() -> list:
+    """The command lines of README's `## Command line` usage block."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("\n## Command line\n", 1)[1].split("```", 2)[1]
+    return [line.removeprefix("cmhilb ") for line in block.splitlines() if line.startswith("cmhilb ")]
+
+
+def _first_choices(line: str) -> str:
+    """line with each optional [...] group replaced by its first choice,
+    whose metavars (N, M) read 1."""
+    return re.sub(r"\[([^]|]*)[^]]*\]", lambda group: re.sub(r"\b[A-Z]+\b", "1", group[1]), line)
+
+
+@pytest.mark.parametrize("line", _readme_command_lines())
+def test_readme_command_lines_parse(line):
+    # a flag or command the parser no longer knows must not stay in the docs
+    parser = cli.build_parser()
+    parser.parse_args(re.sub(r"\s*\[[^]]*\]", "", line).split())
+    parser.parse_args(_first_choices(line).split())

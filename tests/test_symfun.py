@@ -125,14 +125,20 @@ def fresh_tables():
     symfun._isotypic_characters.cache_clear()
 
 
+def _unsigned_strips(signed):
+    """The strip adder with every (-1)^height sign taken as +1."""
+    def unsigned(out, mask, k, v):
+        reached = {}
+        signed(reached, mask, k, 1)
+        for target in reached:
+            out[target] = out.get(target, 0) + v
+    return unsigned
+
+
 def test_wrong_strip_addition_sign_is_caught(monkeypatch, fresh_tables):
     # forgetting the (-1)^height sign must break the Kostka comparison and
     # the orthogonality check
-    signed = symfun._mask_strip_additions
-    monkeypatch.setattr(
-        symfun, "_mask_strip_additions",
-        lambda mask, k: [(target, 1) for target, _ in signed(mask, k)],
-    )
+    monkeypatch.setattr(symfun, "_add_strips", _unsigned_strips(symfun._add_strips))
     assert _table_values(character_table(4)) != brute_character_table(4)
     assert CHECKS["character-orthogonality"](Limits(max_n=4))
 
@@ -159,11 +165,7 @@ def test_schur_expansion_check_catches_a_dropped_strip_sign(monkeypatch, fresh_t
     # the expansion adds strips and the check removes them, so a strip
     # addition that forgets its (-1)^height sign must fail the check, and
     # the isotypic characters built on it must break
-    signed = symfun._mask_strip_additions
-    monkeypatch.setattr(
-        symfun, "_mask_strip_additions",
-        lambda mask, k: [(target, 1) for target, _ in signed(mask, k)],
-    )
+    monkeypatch.setattr(symfun, "_add_strips", _unsigned_strips(symfun._add_strips))
     assert CHECKS["schur-expansion"](Limits(max_n=6))
     lines = []
     assert not run_checks(["isotypic-characters"], Limits(max_m=3), out=lines.append)
@@ -181,11 +183,9 @@ def test_mask_additions_invert_strip_removals():
                 for rho, sign in symfun._strip_removals(lam.parts, k):
                     removed[rho].append((lam.parts, sign))
             for rho, expected in removed.items():
-                added = [
-                    (parts_of[mask], sign)
-                    for mask, sign in symfun._mask_strip_additions(symfun._beta_mask(rho, n - k), k)
-                ]
-                assert sorted(added) == sorted(expected)
+                added = {}
+                symfun._add_strips(added, symfun._beta_mask(rho, n - k), k, 1)
+                assert sorted((parts_of[mask], sign) for mask, sign in added.items()) == sorted(expected)
 
 
 def test_odd_class_tables_check():
