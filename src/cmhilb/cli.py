@@ -9,7 +9,6 @@ verification or computation failure, 2 a usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import sys
@@ -47,7 +46,6 @@ from .sl2 import (
     weights_all_odd,
 )
 from .symfun import NonTriangularSizeError, regular_fiber_character
-from .verify import CHECKS, Limits, run_checks
 
 
 # Cells allowed in a partition argument: hook polynomials and closure data
@@ -116,9 +114,11 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and then reused for the
     life of the process.
 
-    Every handler (`func`) and the `orbit` function of the orbit commands
-    are bound into the parser when it is built, so patching one of them
-    later has no effect: tests patch what a handler calls instead.
+    Every handler (`func`), the `orbit` function of the orbit commands and
+    the command's own `parser`, through which `main` reports refusals, are
+    bound into the parser when it is built, so patching one of them later
+    has no effect: tests patch what a handler calls instead, such as
+    `verify.run_checks`, which `_cmd_verify` looks up when it runs.
     """
     parser = argparse.ArgumentParser(
         prog="cmhilb",
@@ -127,65 +127,62 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="group", required=True)
 
+    def command(group, name, help, func, **defaults):
+        p = group.add_parser(name, help=help)
+        p.set_defaults(func=func, parser=p, **defaults)
+        return p
+
     def add_format(p, choices=("text", "json")):
         p.add_argument("--format", choices=choices, default="text",
                        help="output format (default text)")
 
     part = sub.add_parser("part", help="partition combinatorics")
     part_sub = part.add_subparsers(dest="command", required=True)
-    p = part_sub.add_parser("info", help="hooks, diagonals, rectification and statistics")
+    p = command(part_sub, "info", "hooks, diagonals, rectification and statistics", _cmd_part_info)
     p.add_argument("partition", type=_partition_arg, help='comma form, e.g. "4,3,3,1,1"')
     add_format(p)
-    p.set_defaults(func=_cmd_part_info)
 
     cm = sub.add_parser("cm", help="Calogero-Moser space")
     cm_sub = cm.add_subparsers(dest="command", required=True)
 
-    p = cm_sub.add_parser("tangent", help="tangent-space character at a fixed point")
+    p = command(cm_sub, "tangent", "tangent-space character at a fixed point", _cmd_cm_tangent)
     p.add_argument("partition", type=_partition_arg)
     add_format(p)
-    p.set_defaults(func=_cmd_cm_tangent)
 
-    p = cm_sub.add_parser("orbit", help="orbit and stabilizer of a fixed point")
+    p = command(cm_sub, "orbit", "orbit and stabilizer of a fixed point", _cmd_orbit, orbit=cm_orbit)
     p.add_argument("partition", type=_partition_arg)
     add_format(p)
-    p.set_defaults(func=_cmd_orbit, orbit=cm_orbit)
 
-    p = cm_sub.add_parser("exponents", help="exponent table for all partitions of n")
+    p = command(cm_sub, "exponents", "exponent table for all partitions of n", _cmd_cm_exponents)
     p.add_argument("n", type=functools.partial(_size_arg, cap=EXPONENT_SIZE_CAP))
     add_format(p, ("text", "json", "csv"))
-    p.set_defaults(func=_cmd_cm_exponents)
 
-    p = cm_sub.add_parser("char-L", help="graded character of the staircase fiber")
+    p = command(cm_sub, "char-L", "graded character of the staircase fiber", _cmd_cm_char_l)
     p.add_argument("m", type=functools.partial(_size_arg, cap=STAIRCASE_CAP))
     add_format(p)
-    p.set_defaults(func=_cmd_cm_char_l)
 
-    p = cm_sub.add_parser("fixed", help="partitions of n fixed by the full group action")
+    p = command(cm_sub, "fixed", "partitions of n fixed by the full group action", _cmd_cm_fixed)
     p.add_argument("n", type=_size_arg)
     add_format(p)
-    p.set_defaults(func=_cmd_cm_fixed)
 
     hilb = sub.add_parser("hilb", help="Hilbert scheme of points in the plane")
     hilb_sub = hilb.add_subparsers(dest="command", required=True)
 
-    p = hilb_sub.add_parser("orbit", help="orbit, stabilizer and boundary of a fixed point")
+    p = command(hilb_sub, "orbit", "orbit, stabilizer and boundary of a fixed point", _cmd_orbit,
+                orbit=hilb_orbit)
     p.add_argument("partition", type=_partition_arg)
     add_format(p)
-    p.set_defaults(func=_cmd_orbit, orbit=hilb_orbit)
 
-    p = hilb_sub.add_parser("ideal", help="monomial ideal generators and graded dimensions")
+    p = command(hilb_sub, "ideal", "monomial ideal generators and graded dimensions", _cmd_hilb_ideal)
     p.add_argument("partition", type=_partition_arg)
     add_format(p)
-    p.set_defaults(func=_cmd_hilb_ideal)
 
-    p = hilb_sub.add_parser("closure", help="orbit-closure graph over all partitions of n")
+    p = command(hilb_sub, "closure", "orbit-closure graph over all partitions of n", _cmd_hilb_closure)
     p.add_argument("n", type=_size_arg)
     p.add_argument("--space", choices=("hilbert", "calogero-moser"), default="hilbert")
     add_format(p, ("text", "json", "dot"))
-    p.set_defaults(func=_cmd_hilb_closure)
 
-    ver = sub.add_parser("verify", help="run named invariant checks")
+    ver = command(sub, "verify", "run named invariant checks", _cmd_verify)
     ver.add_argument("checks", nargs="*", default=("all",),
                      help='check names, or "all" (default)')
     ver.add_argument("--max-n", type=_size_arg, default=20,
@@ -193,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--max-m", type=_size_arg, default=4,
                      help="staircase bound for character identities (default 4)")
     ver.add_argument("--list", action="store_true", help="list check names and exit")
-    ver.set_defaults(func=_cmd_verify)
     return parser
 
 
@@ -293,6 +289,8 @@ def _cmd_cm_exponents(args) -> int:
     if args.format == "json":
         _write_exponents_json(args.n, rows)
     elif args.format == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["partition", "exponents"])
         for lam, runs in rows:
@@ -357,21 +355,23 @@ def _cmd_hilb_closure(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify  # the check suite loads only for this command
+
     if args.list:
-        for name in CHECKS:
+        for name in verify.CHECKS:
             print(name)
         return 0
-    unknown = [c for c in args.checks if c != "all" and c not in CHECKS]
+    unknown = [c for c in args.checks if c != "all" and c not in verify.CHECKS]
     if unknown:
         raise UsageError(
             f"unknown check {unknown[0]!r}; run `cmhilb verify --list` for names"
         )
-    selected = CHECKS if "all" in args.checks else args.checks
+    selected = verify.CHECKS if "all" in args.checks else args.checks
     cap = min(_VERIFY_MAX_M.get(name, EXPONENT_STAIRCASE_CAP) for name in selected)
     if args.max_m > cap:
         raise CapExceededError(f"--max-m {args.max_m} exceeds the cap {cap} of the checks selected")
-    limits = Limits(max_n=args.max_n, max_m=args.max_m)
-    ok = run_checks(args.checks, limits, out=print)
+    limits = verify.Limits(max_n=args.max_n, max_m=args.max_m)
+    ok = verify.run_checks(args.checks, limits, out=print)
     return 0 if ok else 1
 
 
@@ -380,12 +380,11 @@ class UsageError(Exception):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (UsageError, CapExceededError) as exc:
-        parser.error(str(exc))
+        args.parser.error(str(exc))
     except NonTriangularSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

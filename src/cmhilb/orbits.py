@@ -8,7 +8,7 @@ diagram monomials as a basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .partitions import (
     Partition,
@@ -27,8 +27,7 @@ STABILIZERS = ("SL2", "B", "B_minus", "T", "N_T")
 ORBIT_MODELS = ("point", "P1", "SL2_mod_T", "SL2_mod_NT")
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(namedtuple("MonomialIdeal", "shape generators graded_dims")):
     """Torus-fixed ideal of a partition shape in two variables.
 
     generators: minimal exponent pairs (a, b) outside the diagram.
@@ -36,9 +35,7 @@ class MonomialIdeal:
     stored range the degree-k piece is the full space of dimension k + 1.
     """
 
-    shape: Partition
-    generators: tuple
-    graded_dims: tuple
+    __slots__ = ()
 
     def graded_dim(self, k: int) -> int:
         if k < len(self.graded_dims):
@@ -61,19 +58,15 @@ class MonomialIdeal:
         }
 
 
-@dataclass(frozen=True)
-class OrbitReport:
-    """Classification of the orbit through one torus-fixed point."""
+class OrbitReport(namedtuple("OrbitReport", "space partition stabilizer orbit_model closed boundary partner",
+                             defaults=(None, None))):
+    """Classification of the orbit through one torus-fixed point; boundary
+    and partner are partitions or None."""
 
-    space: str
-    partition: Partition
-    stabilizer: str
-    orbit_model: str
-    closed: bool
-    boundary: Partition | None = None
-    partner: Partition | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.space not in (HILBERT, CALOGERO_MOSER):
             raise ValueError(f"unknown space {self.space!r}")
         if self.stabilizer not in STABILIZERS:
@@ -84,6 +77,7 @@ class OrbitReport:
             raise ValueError("stabilizer SL2 and model point must occur together")
         if (self.boundary is not None) != (self.space == HILBERT and not self.closed):
             raise ValueError("boundary is recorded exactly for non-closed Hilbert orbits")
+        return self
 
     def to_json_obj(self) -> dict:
         out = {
@@ -167,14 +161,10 @@ def cm_orbit(lam: Partition) -> OrbitReport:
     return OrbitReport(CALOGERO_MOSER, lam, "T", "SL2_mod_T", True, partner=lamt)
 
 
-@dataclass(frozen=True)
-class ClosureGraph:
+class ClosureGraph(namedtuple("ClosureGraph", "space n nodes edges")):
     """Directed closure graph over all partitions of n in one space."""
 
-    space: str
-    n: int
-    nodes: tuple
-    edges: tuple
+    __slots__ = ()
 
     def to_text(self) -> str:
         return "\n".join(f"{src} -> {dst}" for src, dst in self.edges)

@@ -7,7 +7,6 @@ sits on antidiagonal k = r + c.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial, isqrt
 
 from .exactalg import LaurentPolynomial, one_minus_q_product
@@ -17,15 +16,14 @@ class CapExceededError(ValueError):
     """A size refused before any work: over PARTITION_BUDGET partitions, or over a CLI cap."""
 
 
-@dataclass(frozen=True)
 class Partition:
-    """Weakly decreasing tuple of positive integers; () is the partition of 0."""
+    """Weakly decreasing tuple of positive integers; () is the partition of 0.
+    Immutable, equal and hashed by `parts`, and equal to no tuple."""
 
-    parts: tuple = ()
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        parts = tuple(self.parts)
-        object.__setattr__(self, "parts", parts)
+    def __init__(self, parts=()):
+        parts = tuple(parts)
         for i, p in enumerate(parts):
             if type(p) is not int:  # bool subclasses int, but True is no part
                 raise TypeError(f"partition parts must be integers, got {p!r}")
@@ -33,6 +31,21 @@ class Partition:
                 raise ValueError(f"partition parts must be positive, got {p}")
             if i and parts[i - 1] < p:
                 raise ValueError(f"parts must be weakly decreasing, got {parts}")
+        object.__setattr__(self, "parts", parts)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to field {name!r}: Partition is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self.parts == other.parts if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash((self.parts,))
+
+    def __repr__(self):
+        return f"Partition(parts={self.parts!r})"
 
     @property
     def size(self) -> int:

@@ -9,7 +9,7 @@ import contextlib
 import io
 import json
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from math import factorial
 from operator import mul
 
@@ -50,13 +50,11 @@ from .symfun import (
 _SEED = 18436
 
 
-@dataclass(frozen=True)
-class Limits:
+class Limits(namedtuple("Limits", "max_n max_m", defaults=(20, 4))):
     """Size bounds for the checks: max_n caps combinatorial scans, max_m
     caps the staircase index of the character identities."""
 
-    max_n: int = 20
-    max_m: int = 4
+    __slots__ = ()
 
 
 def _random_laurent(rng, span=6, coeff=9):

@@ -279,6 +279,51 @@ def test_verify_unknown_check_is_usage_error(capsys):
     assert err.value.code == 2
 
 
+def test_limits_defaults_match_the_verify_flags():
+    args, limits = cli.build_parser().parse_args(["verify"]), verify.Limits()
+    assert (limits.max_n, limits.max_m) == (20, 4) == (args.max_n, args.max_m)
+
+
+# command lines a handler refuses after parsing, and the command each names
+REFUSED_AFTER_PARSING = {
+    "cm fixed 46": "cm fixed", "hilb closure 46": "hilb closure",
+    "verify nosuch": "verify", "verify --max-m 9": "verify",
+}
+
+
+@pytest.mark.parametrize("line", REFUSED_AFTER_PARSING)
+def test_refusal_after_parsing_names_the_subcommand(capsys, line):
+    # the refusal reads like one made while parsing
+    prog = f"cmhilb {REFUSED_AFTER_PARSING[line]}"
+    with pytest.raises(SystemExit) as err:
+        main(line.split())
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: {prog} [-h]")
+    assert f"\n{prog}: error: " in captured.err
+
+
+def test_import_loads_only_what_commands_run():
+    # every command pays for this import: the check suite, csv and
+    # dataclasses (with inspect, ast, dis) wait until a command needs them
+    script = """if True:
+        import sys
+        bare = set(sys.modules)
+        import cmhilb, cmhilb.cli
+        print(" ".join(sorted(set(sys.modules) - bare)))
+        code = cmhilb.cli.main(["verify", "--list"])
+        print(code, "cmhilb.verify" in sys.modules)
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(cmhilb.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    added, *names, last = run.stdout.splitlines()
+    assert "cmhilb.cli" in added.split()
+    assert not {"dataclasses", "inspect", "csv", "cmhilb.verify"} & set(added.split())
+    assert names == list(verify.CHECKS)
+    assert last == "0 True"
+
+
 def test_bad_partition_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["part", "info", "1,2,3"])
@@ -469,7 +514,7 @@ def test_exponent_staircase_cap_admits_m_7(monkeypatch, capsys):
     assert main(["cm", "exponents", "28"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 3718
     seen = []
-    monkeypatch.setattr(cli, "run_checks", lambda names, limits, out: seen.append((names, limits)) or True)
+    monkeypatch.setattr(verify, "run_checks", lambda names, limits, out: seen.append((names, limits)) or True)
     assert main(["verify", "--max-m", "7"]) == 0
     at_cap = str(cli.STAIRCASE_CAP)
     assert main(["verify", "fiber-layer-factorization", "--max-m", at_cap]) == 0
@@ -485,7 +530,7 @@ def test_exponent_staircase_cap_admits_m_8(monkeypatch, capsys):
     assert main(["cm", "exponents", "36"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 17977
     seen = []
-    monkeypatch.setattr(cli, "run_checks", lambda names, limits, out: seen.append((names, limits)) or True)
+    monkeypatch.setattr(verify, "run_checks", lambda names, limits, out: seen.append((names, limits)) or True)
     assert main(["verify", "--max-m", "8"]) == 0
     assert seen == [(("all",), verify.Limits(max_n=20, max_m=8))]
 

@@ -41,6 +41,19 @@ def test_construction_validates():
             Partition(parts)
 
 
+def test_partition_is_an_immutable_record():
+    lam = Partition((2, 1))
+    with pytest.raises(AttributeError):
+        lam.parts = (3,)
+    assert lam.parts == (2, 1)
+    assert lam == Partition([2, 1]) and lam != Partition((3,))
+    assert lam != (2, 1) and (2, 1) != lam
+    assert hash(lam) == hash(Partition((2, 1)))
+    assert len({lam, Partition((2, 1)), Partition((1, 1))}) == 2
+    assert repr(lam) == "Partition(parts=(2, 1))"
+    assert repr(Partition()) == "Partition(parts=())"
+
+
 def test_parse():
     assert parse_partition("4,3,3,1,1") == Partition((4, 3, 3, 1, 1))
     assert parse_partition("") == Partition(())
