@@ -65,7 +65,7 @@ EXPONENT_SIZE_CAP = EXPONENT_STAIRCASE_CAP * (EXPONENT_STAIRCASE_CAP + 1) // 2
 
 # Checks that take a larger --max-m: the layered fiber identity lists no
 # partitions, only multiplies polynomials, and stops where `cm char-L` does
-# (about 5 s at m = 20).
+# (about 1.5 s at m = 20).
 _VERIFY_MAX_M = {"fiber-layer-factorization": STAIRCASE_CAP}
 
 

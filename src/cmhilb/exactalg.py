@@ -11,15 +11,17 @@ ints: a polynomial is replaced by its value at q = 2^bits, so that each
 product, sum and division is one big-int operation (Harvey,
 arXiv:0712.4046).  Packing is exact for any width; only reading the
 coefficients back needs them to fit their slots, so every width comes
-from a proven bound on them.  A packed quotient is returned only after
-the bound of _proves_quotient shows that it times the divisor is the
-dividend.  Packed ints stay internal: every public function takes and
-returns Laurent polynomials, and the Hall-pairing sums in symfun use the
-helpers here.
+from a proven bound on them; a product of factors 1 - q^k keeps a running
+bound that each factor at most doubles.  A packed quotient is returned
+only after the bound of _proves_quotient shows that it times the divisor
+is the dividend.  Packed ints stay internal: every public function takes
+and returns Laurent polynomials, and the Hall-pairing sums in symfun use
+the helpers here.
 """
 
 from __future__ import annotations
 
+import sys
 from itertools import accumulate
 from math import comb, isqrt
 
@@ -112,13 +114,22 @@ class LaurentPolynomial:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             return self.scaled(other)
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
+        a, b = self._terms, other._terms
+        pairs = len(a) * len(b)
+        # one packed multiply from 256 term pairs on, unless the spans dwarf them
+        if pairs >= 256 and pairs >= 4 * (max(a) - min(a) + max(b) - min(b)):
+            top_a, top_b = max(map(abs, a.values())), max(map(abs, b.values()))
+            l1_a, l1_b = sum(map(abs, a.values())), sum(map(abs, b.values()))
+            # every coefficient of A B is at most ||A||_inf ||B||_1 in size
+            coeffs = _packed_product(_dense(self), _dense(other), _slot_bits(min(top_a * l1_b, top_b * l1_a)))
+            return _from_dense(coeffs, self.min_exponent() + other.min_exponent())
         data = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
                 e = e1 + e2
                 total = data.get(e, 0) + c1 * c2
                 if total:
@@ -130,7 +141,7 @@ class LaurentPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
+        if _int(k) < 0:
             raise ValueError("exponent must be a nonnegative integer")
         out = LaurentPolynomial.one()
         base = self
@@ -142,12 +153,13 @@ class LaurentPolynomial:
         return out
 
     def scaled(self, c: int) -> "LaurentPolynomial":
-        if not c:
+        if not _int(c):
             return LaurentPolynomial()
         return _unchecked({e: c * v for e, v in self._terms.items()})
 
     def shifted(self, k: int) -> "LaurentPolynomial":
         """Multiply by q**k."""
+        k = _int(k)
         return _unchecked({e + k: v for e, v in self._terms.items()})
 
     def min_exponent(self) -> int:
@@ -174,8 +186,8 @@ class LaurentPolynomial:
         would need non-integer coefficients.  A polynomial divisor costs
         one divmod of packed ints (see _exact_quotient).
         """
-        if isinstance(divisor, int):
-            if not divisor:
+        if not isinstance(divisor, LaurentPolynomial):
+            if not _int(divisor):
                 raise ZeroDivisionError("division by zero")
             data = {}
             for e, c in self._terms.items():
@@ -210,7 +222,8 @@ class LaurentPolynomial:
 
     def to_json(self) -> list:
         """List of [exponent, coefficient-string] pairs, ascending."""
-        return [[e, str(c)] for e, c in self.sorted_terms()]
+        terms = self._terms
+        return [[e, str(terms[e])] for e in sorted(terms)]
 
     @classmethod
     def from_json(cls, pairs) -> "LaurentPolynomial":
@@ -224,16 +237,41 @@ def one_minus_q_product(ks) -> LaurentPolynomial:
     """Product of (1 - q^k) over the multiset ks of positive integers.
 
     The product is one packed int, and each factor is one shift-subtract
-    v -= v * 2^(k*bits), smallest k first so that the int grows late.  With
-    r factors the product has l1-norm at most 2^r, so slots of
-    _slot_bits(2^r) hold every coefficient.
+    v -= v * 2^(k*bits), smallest k first so that the int grows late.  Each
+    factor at most doubles a running bound top on the coefficients; when
+    2*top outgrows the slots, _refreshed reads top back exactly, and
+    repacks at most once, only if 2*top still does not fit.  Slots start at
+    64 bits and never pass _slot_bits(2^r), the l1 bound of r factors; they
+    start at that bound when 64 bits provably cannot hold the product.
     """
-    ks = sorted(ks)
+    ks, top, v, done = sorted(ks), 1, 1, 0
     bits = _slot_bits(1 << len(ks))
-    v = 1
-    for k in ks:
-        v -= v << (k * bits)
+    # when every k is odd (a staircase), |P(-1)| = 2^r <= (1 + sum k) max|c|
+    # may prove that 64-bit slots would have to widen anyway
+    if bits > 64 and (any(k % 2 == 0 for k in ks) or (1 << len(ks)) // (1 + sum(ks)) >> 62 == 0):
+        bits = 64
+    while done < len(ks):
+        if 2 * top >> (bits - 1):
+            v, bits, top = _refreshed(v, bits, sum(ks[:done]) + 1, len(ks) - done)
+        # the factors 2*top has room for, each doubling top (one at least: the loop ends)
+        chunk = ks[done : done + max(1, bits - 1 - top.bit_length())]
+        for k in chunk:
+            v -= v << (k * bits)
+        done, top = done + len(chunk), top << len(chunk)
     return _from_dense(_unpack(v, bits, sum(ks) + 1))
+
+
+def _refreshed(v: int, bits: int, length: int, factors: int) -> tuple:
+    """(v, bits, top): top the exact largest of the length coefficients of v,
+    and v repacked for top * 2^factors <= 2^r if 2*top does not fit bits."""
+    coeffs = _unpack(v, bits, length)
+    top = max(max(coeffs), -min(coeffs))
+    if 2 * top >> (bits - 1):
+        wide = _slot_bits(top << factors)
+        # each slot, biased by 2^(bits-1) and zero-extended, keeps that bias
+        raw = _spread((v + _bias(bits, length)).to_bytes(bits // 8 * length, "little"), bits // 8, wide // 8)
+        v, bits = int.from_bytes(raw, "little") - (_bias(wide, length) >> (wide - bits)), wide
+    return v, bits, top
 
 
 def q_integer_product(hs) -> LaurentPolynomial:
@@ -263,6 +301,13 @@ def _from_dense(coeffs, lo: int = 0) -> LaurentPolynomial:
     return _unchecked({lo + i: c for i, c in enumerate(coeffs) if c})
 
 
+def _int(x) -> int:
+    """x, which must be exactly an int: bool is no exponent or coefficient."""
+    if type(x) is not int:
+        raise TypeError(f"expected an int, got {type(x).__name__}")
+    return x
+
+
 def _unchecked(terms: dict) -> LaurentPolynomial:
     """The Laurent polynomial with terms, an exponent -> coefficient map of
     ints with no zero coefficient, taken as it is."""
@@ -279,6 +324,9 @@ def _unchecked(terms: dict) -> LaurentPolynomial:
 # bytes, so packing and unpacking are byte slices.  Sums, products by
 # ints and shifts of packed ints are exact with no bound at all; a bound
 # is needed only to read the coefficients back.
+
+# memoryview formats of signed ints by size, where native ints are little-endian
+_CASTS = {memoryview(bytes(8)).cast(f).itemsize: f for f in "bhiq"} if sys.byteorder == "little" else {}
 
 
 def _slot_bits(bound: int) -> int:
@@ -300,19 +348,39 @@ def _pack(coeffs, bits: int) -> int:
     return int.from_bytes(raw, "little") - _bias(bits, len(coeffs))
 
 
+def _spread(raw, narrow: int, wide: int) -> bytearray:
+    """The slots of narrow bytes in raw, each zero-extended to wide bytes."""
+    out = bytearray(len(raw) // narrow * wide)
+    for b in range(narrow):
+        out[b::wide] = raw[b::narrow]
+    return out
+
+
 def _digits(raw, bits: int) -> list:
     """The balanced digits, lowest first, of the bytes _unpack reads."""
     size, half = bits // 8, 1 << (bits - 1)
+    if size in _CASTS and len(raw) > size:
+        count = len(raw) // size
+        return _unpack(int.from_bytes(raw, "little") - _bias(bits, count), bits, count)
     return [int.from_bytes(raw[i : i + size], "little") - half for i in range(0, len(raw), size)]
 
 
 def _unpack(value: int, bits: int, length: int):
     """The length balanced digits of value at base 2^bits, lowest first, or
     None when value has no such form."""
-    biased = value + _bias(bits, length)
+    bias = _bias(bits, length)
+    biased, size = value + bias, bits // 8
     if biased < 0 or biased.bit_length() > bits * length:
         return None
-    return _digits(biased.to_bytes(bits // 8 * length, "little"), bits)
+    if size in _CASTS:
+        # flipping the top bit of every slot makes each one two's complement
+        return memoryview((biased ^ bias).to_bytes(size * length, "little")).cast(_CASTS[size]).tolist()
+    return _digits(biased.to_bytes(size * length, "little"), bits)
+
+
+def _packed_product(a: list, b: list, bits: int) -> list:
+    """Dense a times dense b by one multiply, for a product that fits bits."""
+    return _unpack(_pack(a, bits) * _pack(b, bits), bits, len(a) + len(b) - 1)
 
 
 def _proves_quotient(quot, den_l1: int, bound: int, bits: int) -> bool:

@@ -45,8 +45,8 @@ from itertools import groupby
 from math import factorial, isqrt
 
 from .exactalg import (
-    LaurentPolynomial, _bias, _dense, _digits, _from_dense, _pack, _slot_bits, _unpack, one_minus_q_product,
-    q_integer_product,
+    LaurentPolynomial, _bias, _dense, _digits, _from_dense, _pack, _slot_bits, _spread, _unpack,
+    one_minus_q_product, q_integer_product,
 )
 from .partitions import (
     Partition, all_hooks_odd, dim_irrep, enumerate_partitions, hook_lengths, hook_polynomial, n_stat, staircase,
@@ -192,9 +192,7 @@ class CharacterTable:
         for mask, row in zip(sub._masks, sub._rows):
             raw = row[start * narrow :]
             if size > narrow:
-                raw, narrower = bytearray(count * size), raw
-                for b in range(narrow):
-                    raw[b::size] = narrower[b::narrow]
+                raw = _spread(raw, narrow, size)
             value = int.from_bytes(raw, "little") - sub_bias
             if value:
                 _add_strips(sums, mask, k, value)

@@ -57,10 +57,28 @@ class Limits(namedtuple("Limits", "max_n max_m", defaults=(20, 4))):
     __slots__ = ()
 
 
-def _random_laurent(rng, span=6, coeff=9):
+def _random_laurent(rng, span=6, coeff=9, terms=5):
     return LaurentPolynomial(
-        {rng.randint(-span, span): rng.randint(-coeff, coeff) for _ in range(rng.randint(0, 5))}
+        {rng.randint(-span, span): rng.randint(-coeff, coeff) for _ in range(rng.randint(0, terms))}
     )
+
+
+def _schoolbook_product(a, b):
+    """a * b term by term: the oracle for the packed multiply."""
+    terms, pairs = {}, b.sorted_terms()
+    for e, c in a.sorted_terms():
+        for f, d in pairs:
+            terms[e + f] = terms.get(e + f, 0) + c * d
+    return LaurentPolynomial(terms)
+
+
+def _binomial_product(ks):
+    """prod (1 - q^k) over ks, one shift-subtract per factor on a list of
+    coefficients: the oracle for the packed one_minus_q_product."""
+    dense = [1]
+    for k in ks:
+        dense = [x - y for x, y in zip(dense + [0] * k, [0] * k + dense)]
+    return LaurentPolynomial(enumerate(dense))
 
 
 def _quotient(dividend, divisor):
@@ -108,12 +126,19 @@ def check_laurent_ring_axioms(limits):
     geometric = LaurentPolynomial({i: 1 for i in range(10)}) ** 10
     if _quotient(LaurentPolynomial({0: 1, 10: -1}) ** 10, LaurentPolynomial({0: 1, 1: -1}) ** 10) != geometric:
         bad.append("exact division misses a quotient larger than its dividend")
-    for ks in ([1] * 14, [1] * 30, [1, 2, 2, 3, 5, 8, 13], list(range(1, 25))):
-        expected = one
-        for k in ks:
-            expected = expected * LaurentPolynomial({0: 1, k: -1})
-        if one_minus_q_product(ks) != expected:
+    # (1 - q)^69 (1 - q^2) widens past 64-bit slots, (1 - q)^70 starts wider, and
+    # the product over 1..100 rereads its bound
+    for ks in ([1] * 14, [1] * 30, [1] * 69 + [2], [1] * 70, [1, 2, 2, 3, 5, 8, 13], list(range(1, 101))):
+        if one_minus_q_product(ks) != _binomial_product(ks):
             bad.append(f"product of (1 - q^k) over {ks} is wrong")
+    # packed products, among them equal coefficients whose bound is reached
+    for trial in range(20):
+        size = rng.choice([1, 9, 1 << 64, 1 << 200])
+        a, b = (_random_laurent(rng, 40, size, rng.randint(16, 60)) for _ in range(2))
+        flat = LaurentPolynomial({i: size for i in range(30)})
+        for x, y in ((a, b), (flat, flat)):
+            if x * y != _schoolbook_product(x, y):
+                bad.append(f"packed product is wrong on trial {trial}")
     return bad
 
 

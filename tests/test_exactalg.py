@@ -7,7 +7,7 @@ from hypothesis import given
 from cmhilb import LaurentPolynomial, NonPolynomialError
 from cmhilb import exactalg
 from cmhilb.exactalg import _pack, _slot_bits, _unpack, one_minus_q_product, q_integer_product
-from cmhilb.verify import CHECKS, Limits, run_checks
+from cmhilb.verify import CHECKS, Limits, _binomial_product, _schoolbook_product, run_checks
 from strategies import laurent_polys, non_unit_laurent_polys, nonzero_laurent_polys
 
 Q = LaurentPolynomial.monomial(1)
@@ -155,12 +155,30 @@ def test_exact_div_by_integer(a, k):
         a.exact_div(0)
 
 
-@given(st.lists(st.integers(1, 30), max_size=12))
+@given(st.lists(st.integers(1, 30), max_size=12) | st.lists(st.integers(1, 3), max_size=120))
 def test_one_minus_q_product_matches_binomial_products(ks):
-    expected = LaurentPolynomial.one()
-    for k in ks:
-        expected = expected * LaurentPolynomial({0: 1, k: -1})
-    assert one_minus_q_product(ks) == expected
+    # up to 120 parts of at most 3 grow coefficients past 64 bits
+    assert one_minus_q_product(ks) == _binomial_product(ks)
+
+
+# operands on both sides of the packed-multiply cutoff, up to 2^200 in size
+wide_laurent_polys = st.integers(0, 40).flatmap(
+    lambda size: st.dictionaries(st.integers(-40, 40), st.integers(-(2 ** 200), 2 ** 200), max_size=size)
+).map(LaurentPolynomial)
+
+
+@given(wide_laurent_polys, wide_laurent_polys)
+def test_product_matches_schoolbook(a, b):
+    assert a * b == _schoolbook_product(a, b)
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: p * True, lambda p: p.scaled(True), lambda p: p.exact_div(True), lambda p: p ** True,
+    lambda p: p.shifted(True),
+])
+def test_bool_is_no_int_argument(call):
+    with pytest.raises(TypeError):
+        call(LaurentPolynomial({0: 1, 1: 2}))
 
 
 @given(st.lists(st.integers(1, 12), max_size=8))
@@ -285,6 +303,15 @@ def test_laurent_check_covers_the_packed_kernel(monkeypatch):
     # a quotient returned without the bound that proves it
     monkeypatch.setattr(exactalg, "_proves_quotient", lambda *args: True)
     assert not run_checks(["laurent-ring-axioms"], Limits(), out=lines.append)
+    monkeypatch.undo()
+    # a product of (1 - q^k) that trusts its running bound without rereading it
+    monkeypatch.setattr(exactalg, "_refreshed", lambda v, bits, length, factors: (v, bits, 1))
+    assert not run_checks(["laurent-ring-axioms"], Limits(), out=lines.append)
+    monkeypatch.undo()
+    # a packed multiply one byte narrower than its bound
+    product = exactalg._packed_product
+    monkeypatch.setattr(exactalg, "_packed_product", lambda a, b, bits: product(a, b, bits - 8))
+    assert not run_checks(["laurent-ring-axioms"], Limits(), out=lines.append)
     assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == [
         "FAIL laurent-ring-axioms"
-    ] * 2
+    ] * 4
