@@ -114,13 +114,14 @@ class LaurentPolynomial:
         return self + (-other)
 
     def __mul__(self, other):
-        if type(other) is int:
+        if isinstance(other, int):
             return self.scaled(other)
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
         a, b = self._terms, other._terms
         pairs = len(a) * len(b)
-        # one packed multiply from 256 term pairs on, unless the spans dwarf them
+        # one packed multiply from 256 term pairs on, unless the spans dwarf them:
+        # sparse operands of small coefficients break even at pairs = 2-4 x spans
         if pairs >= 256 and pairs >= 4 * (max(a) - min(a) + max(b) - min(b)):
             top_a, top_b = max(map(abs, a.values())), max(map(abs, b.values()))
             l1_a, l1_b = sum(map(abs, a.values())), sum(map(abs, b.values()))
@@ -241,15 +242,11 @@ def one_minus_q_product(ks) -> LaurentPolynomial:
     factor at most doubles a running bound top on the coefficients; when
     2*top outgrows the slots, _refreshed reads top back exactly, and
     repacks at most once, only if 2*top still does not fit.  Slots start at
-    64 bits and never pass _slot_bits(2^r), the l1 bound of r factors; they
-    start at that bound when 64 bits provably cannot hold the product.
+    the narrower of 64 bits and _slot_bits(2^r), the l1 bound of r factors,
+    and never pass the latter.
     """
     ks, top, v, done = sorted(ks), 1, 1, 0
-    bits = _slot_bits(1 << len(ks))
-    # when every k is odd (a staircase), |P(-1)| = 2^r <= (1 + sum k) max|c|
-    # may prove that 64-bit slots would have to widen anyway
-    if bits > 64 and (any(k % 2 == 0 for k in ks) or (1 << len(ks)) // (1 + sum(ks)) >> 62 == 0):
-        bits = 64
+    bits = min(64, _slot_bits(1 << len(ks)))
     while done < len(ks):
         if 2 * top >> (bits - 1):
             v, bits, top = _refreshed(v, bits, sum(ks[:done]) + 1, len(ks) - done)
@@ -360,9 +357,14 @@ def _digits(raw, bits: int) -> list:
     """The balanced digits, lowest first, of the bytes _unpack reads."""
     size, half = bits // 8, 1 << (bits - 1)
     if size in _CASTS and len(raw) > size:
-        count = len(raw) // size
-        return _unpack(int.from_bytes(raw, "little") - _bias(bits, count), bits, count)
+        return _cast(int.from_bytes(raw, "little"), _bias(bits, len(raw) // size), size)
     return [int.from_bytes(raw[i : i + size], "little") - half for i in range(0, len(raw), size)]
+
+
+def _cast(biased: int, bias: int, size: int) -> list:
+    """The digits of biased, whose slots of size bytes each hold a digit
+    plus the top bit that bias sets: flipping it makes them two's complement."""
+    return memoryview((biased ^ bias).to_bytes(bias.bit_length() // 8, "little")).cast(_CASTS[size]).tolist()
 
 
 def _unpack(value: int, bits: int, length: int):
@@ -373,8 +375,7 @@ def _unpack(value: int, bits: int, length: int):
     if biased < 0 or biased.bit_length() > bits * length:
         return None
     if size in _CASTS:
-        # flipping the top bit of every slot makes each one two's complement
-        return memoryview((biased ^ bias).to_bytes(size * length, "little")).cast(_CASTS[size]).tolist()
+        return _cast(biased, bias, size)
     return _digits(biased.to_bytes(size * length, "little"), bits)
 
 
