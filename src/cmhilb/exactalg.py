@@ -356,7 +356,7 @@ def _spread(raw, narrow: int, wide: int) -> bytearray:
 def _digits(raw, bits: int) -> list:
     """The balanced digits, lowest first, of the bytes _unpack reads."""
     size, half = bits // 8, 1 << (bits - 1)
-    if size in _CASTS and len(raw) > size:
+    if size in _CASTS:
         return _cast(int.from_bytes(raw, "little"), _bias(bits, len(raw) // size), size)
     return [int.from_bytes(raw[i : i + size], "little") - half for i in range(0, len(raw), size)]
 

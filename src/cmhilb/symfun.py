@@ -214,7 +214,7 @@ class CharacterTable:
     def value(self, lam: Partition, mu: Partition) -> int:
         size = self.bits // 8
         j = self._class_index[mu.parts] * size
-        return _digits(self._rows[self._class_index[lam.parts]][j : j + size], self.bits)[0]
+        return int.from_bytes(self._rows[self._class_index[lam.parts]][j : j + size], "little") - (1 << (self.bits - 1))
 
 
 @lru_cache(maxsize=None)
