@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .exactalg import NonPolynomialError
 from .orbits import (
@@ -69,8 +69,33 @@ EXPONENT_SIZE_CAP = EXPONENT_STAIRCASE_CAP * (EXPONENT_STAIRCASE_CAP + 1) // 2
 _VERIFY_MAX_M = {"fiber-layer-factorization": STAIRCASE_CAP}
 
 
-def _json_dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+def _json_dump(obj, pad="\n") -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), each container one join of its
+    brackets, separators and values (with an indent the library's encoder is
+    pure Python).  A float, tuple, set or non-str key raises TypeError."""
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:
+        return str(obj)
+    if obj is None or kind is bool:
+        return "null" if obj is None else "true" if obj else "false"
+    inner, chunks = pad + "  ", []
+    if kind is list and set(map(type, obj)) <= {int}:
+        return f"[{inner}{(',' + inner).join(map(str, obj))}{pad}]" if obj else "[]"
+    if kind is list:
+        for x in obj:
+            chunks += (",", inner, _json_dump(x, inner))
+    elif kind is dict:
+        for key in sorted(obj):  # the encoder refuses a key that is no str
+            chunks += (",", inner, encode_basestring_ascii(key), ": ", _json_dump(obj[key], inner))
+    else:
+        raise TypeError(f"cannot write {kind.__name__} {obj!r:.40} as JSON")
+    if not chunks:
+        return "{}"
+    chunks[0] = "[" if kind is list else "{"
+    chunks += (pad, "]" if kind is list else "}")
+    return "".join(chunks)
 
 
 def _print_kv(pairs):

@@ -77,6 +77,8 @@ class OrbitReport(namedtuple("OrbitReport", "space partition stabilizer orbit_mo
             raise ValueError("stabilizer SL2 and model point must occur together")
         if (self.boundary is not None) != (self.space == HILBERT and not self.closed):
             raise ValueError("boundary is recorded exactly for non-closed Hilbert orbits")
+        if (self.partner is not None) != (self.space == CALOGERO_MOSER and self.stabilizer == "T"):
+            raise ValueError("partner is recorded exactly for Calogero-Moser orbits with stabilizer T")
         return self
 
     def to_json_obj(self) -> dict:
@@ -92,8 +94,8 @@ class OrbitReport(namedtuple("OrbitReport", "space partition stabilizer orbit_mo
         if self.partner is not None:
             out["partner"] = self.partner.to_json()
         if self.space == CALOGERO_MOSER:
-            out["orbit_id"] = str(min(self.partition, transpose(self.partition),
-                                      key=lambda p: p.parts))
+            other = self.partition if self.partner is None else self.partner
+            out["orbit_id"] = str(min(self.partition, other, key=lambda p: p.parts))
         return out
 
 

@@ -7,7 +7,9 @@ sits on antidiagonal k = r + c.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import factorial, isqrt
+from operator import add
 
 from .exactalg import LaurentPolynomial, one_minus_q_product
 
@@ -61,10 +63,21 @@ class Partition:
         return self.parts[i]
 
     def __str__(self):
-        return ",".join(str(p) for p in self.parts)
+        return ",".join(map(str, self.parts))
 
     def to_json(self) -> list:
         return list(self.parts)
+
+
+_new_partition, _set_parts = object.__new__, Partition.parts.__set__
+
+
+def _unchecked(parts: tuple) -> Partition:
+    """A Partition of a tuple that is weakly decreasing and positive by
+    construction, made without the checks of Partition(...)."""
+    lam = _new_partition(Partition)
+    _set_parts(lam, parts)
+    return lam
 
 
 def parse_partition(text: str) -> Partition:
@@ -87,13 +100,12 @@ def cells(lam: Partition):
 
 
 def transpose(lam: Partition) -> Partition:
-    if not lam.parts:
-        return Partition()
-    cols = [0] * lam.parts[0]
-    for width in lam.parts:
-        for c in range(width):
-            cols[c] += 1
-    return Partition(tuple(cols))
+    """Column heights read off the row differences: lam_h - lam_(h+1)
+    columns have height h."""
+    parts, cols = lam.parts + (0,), []
+    for height in range(len(lam.parts), 0, -1):
+        cols += [height] * (parts[height - 1] - parts[height])
+    return _unchecked(tuple(cols))
 
 
 def hook_lengths(lam: Partition) -> tuple:
@@ -126,35 +138,29 @@ def dim_irrep(lam: Partition) -> int:
 
 
 def is_steep(lam: Partition) -> bool:
-    """Strictly decreasing parts."""
-    return all(a > b for a, b in zip(lam.parts, lam.parts[1:]))
+    """Strictly decreasing parts: as parts never increase, no part repeats."""
+    return len(set(lam.parts)) == len(lam.parts)
 
 
 def diagonals(lam: Partition) -> tuple:
-    """d_k = number of cells on antidiagonal k, for k = 0 .. max."""
-    if not lam.parts:
-        return ()
-    top = max(r + width - 1 for r, width in enumerate(lam.parts))
-    d = [0] * (top + 1)
-    for r, c in cells(lam):
-        d[r + c] += 1
-    return tuple(d)
+    """d_k = number of cells on antidiagonal k, for k = 0 .. max: row r
+    covers antidiagonals r .. r + lam_r - 1, so d is the running sum of
+    +1 at each r and -1 at each r + lam_r."""
+    ends = list(map(add, range(len(lam.parts)), lam.parts))
+    steps = [1] * len(ends) + [0] * (max(ends, default=0) + 1 - len(ends))
+    for end in ends:
+        steps[end] -= 1
+    return tuple(accumulate(steps[:-1]))
 
 
 def u_map(lam: Partition) -> Partition:
     """Push every antidiagonal's cells as far up and to the right as possible.
 
-    Counting form: the i-th part of the result is the number of diagonals
-    holding at least i cells.  The result is always steep and has the same
-    size as lam.
+    The i-th part of the result is the number of diagonals holding at least
+    i cells, so the result is the transpose of the diagonals sorted in
+    descending order.  It is always steep and has the same size as lam.
     """
-    d = diagonals(lam)
-    if not d:
-        return Partition()
-    parts = []
-    for i in range(1, max(d) + 1):
-        parts.append(sum(1 for dk in d if dk >= i))
-    return Partition(tuple(parts))
+    return transpose(_unchecked(tuple(sorted(diagonals(lam), reverse=True))))
 
 
 def staircase(m: int) -> Partition:
@@ -237,4 +243,4 @@ def enumerate_partitions(n: int) -> list:
     """All partitions of n in reverse lexicographic order, refused as
     require_listable(n) says."""
     require_listable(n)
-    return [Partition(t) for t in _partition_tuples(n)]
+    return list(map(_unchecked, _partition_tuples(n)))

@@ -172,11 +172,8 @@ def hook_layer_character(m: int) -> LaurentPolynomial:
     lead = irreducible_character(m - 1)
     if m >= 2:
         lead = lead + irreducible_character(m - 2)
-    out = lead
-    for i in range(1, m - 1):
-        pair = irreducible_character(i) + irreducible_character(i - 1)
-        out = out * pair * pair
-    return out
+    half = _balanced_product([irreducible_character(i) + irreducible_character(i - 1) for i in range(1, m - 1)])
+    return lead * (half * half)
 
 
 def layered_fiber_character(m: int) -> LaurentPolynomial:
@@ -185,7 +182,13 @@ def layered_fiber_character(m: int) -> LaurentPolynomial:
     ending at 2 or 1 according to the parity of m."""
     if m < 1:
         raise ValueError("staircase index must be at least 1")
-    out = LaurentPolynomial.one()
-    for k in range(m, 0, -2):
-        out = out * hook_layer_character(k)
-    return out.scaled(dim_irrep(staircase(m)))
+    layers = _balanced_product([hook_layer_character(k) for k in range(m, 0, -2)])
+    return layers.scaled(dim_irrep(staircase(m)))
+
+
+def _balanced_product(factors: list) -> LaurentPolynomial:
+    """The product of factors, multiplied in pairs, then pairs of pairs, so
+    that the operands of each product are of like size."""
+    while len(factors) > 1:
+        factors = [a * b for a, b in zip(factors[::2], factors[1::2])] + factors[len(factors) // 2 * 2 :]
+    return factors[0] if factors else LaurentPolynomial.one()

@@ -9,7 +9,7 @@ import contextlib
 import io
 import json
 import random
-from collections import namedtuple
+from collections import Counter, namedtuple
 from math import factorial
 from operator import mul
 
@@ -18,6 +18,7 @@ from .orbits import CALOGERO_MOSER, HILBERT, closure_graph, cm_orbit, hilb_orbit
 from .partitions import (
     Partition,
     all_hooks_odd,
+    cells,
     diagonals,
     dim_irrep,
     enumerate_partitions,
@@ -137,32 +138,46 @@ def check_laurent_ring_axioms(limits):
     return bad
 
 
+def _refused(lam) -> bool:
+    """True when Partition(...) refuses lam's parts or makes another value of them."""
+    try:
+        return Partition(lam.parts) != lam
+    except (TypeError, ValueError):
+        return True
+
+
 def check_partition_involutions(limits):
+    """transpose against the cell swap (r, c) -> (c, r) of the diagram, and
+    every listed and transposed partition against Partition(...)."""
     bad = []
     for n in range(min(limits.max_n, 30) + 1):
         for lam in enumerate_partitions(n):
             lamt = transpose(lam)
+            if _refused(lam) or _refused(lamt):
+                bad.append(f"{lam} or its transpose {lamt} is no valid partition")
+            if set(cells(lamt)) != {(c, r) for r, c in cells(lam)}:
+                bad.append(f"transpose of {lam} is not the cell swap of its diagram")
             if transpose(lamt) != lam:
                 bad.append(f"transpose not an involution at {lam}")
             if hook_lengths(lamt) != hook_lengths(lam):
                 bad.append(f"hook multiset changed under transpose at {lam}")
-            if lamt.size != n:
-                bad.append(f"transpose changed the size of {lam}")
     return bad
 
 
 def check_diagonal_u_map(limits):
+    """diagonals against the cells counted per antidiagonal, u_map against its
+    counting form #{k : d_k >= i}, and the stated properties of u_map."""
     bad = []
     for n in range(min(limits.max_n, 30) + 1):
         for lam in enumerate_partitions(n):
             d = diagonals(lam)
-            if sum(d) != n:
-                bad.append(f"diagonals of {lam} do not sum to {n}")
-            if any(dk <= 0 for dk in d):
-                bad.append(f"diagonals of {lam} contain a nonpositive entry")
+            if list(enumerate(d)) != sorted(Counter(r + c for r, c in cells(lam)).items()):
+                bad.append(f"diagonals of {lam} are not the cell counts of its antidiagonals")
             u = u_map(lam)
-            if u.size != n:
-                bad.append(f"u_map changed the size of {lam}")
+            if u.parts != tuple(sum(dk >= i for dk in d) for i in range(1, max(d, default=0) + 1)):
+                bad.append(f"u_map({lam}) = {u} is not the count of diagonals of each length")
+            if _refused(u) or u.size != n:
+                bad.append(f"u_map({lam}) = {u} is no valid partition of {n}")
             if not is_steep(u):
                 bad.append(f"u_map({lam}) = {u} is not steep")
             if (u == lam) != is_steep(lam):
@@ -519,10 +534,15 @@ def _cli_json_cases():
         (["hilb", "closure", "4"],
          lambda o: tuple((Partition(a), Partition(b)) for a, b in o["edges"]),
          closure_graph(4, HILBERT).edges),
+        (["hilb", "closure", "4", "--space", CALOGERO_MOSER],
+         lambda o: [node["orbit_id"] for node in o["nodes"]],
+         [str(min(mu, transpose(mu), key=lambda p: p.parts)) for mu in enumerate_partitions(4)]),
     ]
 
 
 def check_cli_json_roundtrip(limits):
+    """Each command's JSON decoded back to library values, and written byte
+    for byte as the library encoder writes what it decodes to."""
     from .cli import main
 
     bad = []
@@ -535,10 +555,13 @@ def check_cli_json_roundtrip(limits):
             bad.append(f"command {command} exited with {code}")
             continue
         try:
-            got = decode(json.loads(buf.getvalue()))
+            obj = json.loads(buf.getvalue())
+            got = decode(obj)
         except (ValueError, KeyError, TypeError):
             bad.append(f"command {command} did not emit the expected JSON fields")
             continue
+        if buf.getvalue() != json.dumps(obj, indent=2, sort_keys=True) + "\n":
+            bad.append(f"command {command} JSON differs from json.dumps(..., indent=2, sort_keys=True)")
         if got != expected:
             bad.append(f"command {command} JSON decodes to {got}, expected {expected}")
     return bad

@@ -116,6 +116,39 @@ def test_exponents_json_matches_the_library_encoder(capsys, n):
     assert capsys.readouterr().out == json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+# values a command may emit: dicts with str keys, lists, str, int, bool, None
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**200), 2**200) | st.text(),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(), inner, max_size=5),
+    max_leaves=30,
+)
+
+
+@pytest.mark.parametrize("obj", [
+    {}, [], {"a": {}, "b": [], "c": [[], {}, [[]]]}, [{}, [], {"x": []}],
+    True, False, None, {"t": True, "f": False, "n": None}, [True, False, None, 0, 1], [1, True],
+    -7, [-1, 0, -(2**63), 2**64, -(2**200)], {"wide": 2**200, "neg": -(2**64)},
+    ['"quoted"', "back\\slash", "ctl\x00\x01\x1f\n\t\r\x7f", "non-ASCII é ü 你 \U0001F600", ""],
+    {'"\\\n\u00e9\U0001F600': "key", "": "empty key", "b": 1, "a": [2, "s"]},
+])
+def test_json_dump_matches_the_library_encoder_on_edge_cases(obj):
+    assert cli._json_dump(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@given(json_values)
+def test_json_dump_matches_the_library_encoder(obj):
+    assert cli._json_dump(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("obj", [
+    1.5, [1, 2.0], (1, 2), {"a": (1,)}, {1, 2}, frozenset(), {1: "a"}, {"a": 1, 2: "b"}, {None: 1},
+    {True: 1}, b"bytes", [object()],
+])
+def test_json_dump_refuses_what_no_command_emits(obj):
+    with pytest.raises(TypeError):
+        cli._json_dump(obj)
+
+
 def test_exponents_table_csv(capsys):
     code, out, _ = run_cli(capsys, "cm", "exponents", "3", "--format", "csv")
     assert code == 0
@@ -415,6 +448,29 @@ def test_cli_json_roundtrip_catches_wrong_payload(monkeypatch, name, wrong, comm
     failures = verify.CHECKS["cli-json-roundtrip"](verify.Limits())
     assert failures
     assert all(f.startswith(f"command {command} JSON decodes to") for f in failures)
+
+
+def test_cli_json_roundtrip_checks_the_bytes(monkeypatch):
+    # indent=1 decodes to the same values, but is not the library's indent=2
+    monkeypatch.setattr(cli, "_json_dump", lambda obj: json.dumps(obj, indent=1, sort_keys=True))
+    failures = verify.CHECKS["cli-json-roundtrip"](verify.Limits())
+    # every command but `cm exponents`, which has a row writer of its own
+    assert len(failures) == len(verify._cli_json_cases()) - 1
+    assert all(f.endswith("JSON differs from json.dumps(..., indent=2, sort_keys=True)") for f in failures)
+
+
+def test_cli_json_roundtrip_decodes_the_orbit_id(monkeypatch):
+    to_json_obj = cmhilb.OrbitReport.to_json_obj
+
+    def own_id(report):
+        out = to_json_obj(report)
+        if "orbit_id" in out:
+            out["orbit_id"] = str(report.partition)
+        return out
+
+    monkeypatch.setattr(cmhilb.OrbitReport, "to_json_obj", own_id)
+    failures = verify.CHECKS["cli-json-roundtrip"](verify.Limits())
+    assert [f.split(" JSON")[0] for f in failures] == ["command hilb closure 4 --space calogero-moser"]
 
 
 # (command words, argument kind, formats) for every non-verify command

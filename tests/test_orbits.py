@@ -181,6 +181,11 @@ def test_orbit_report_validation():
                     boundary=Partition((3, 1)))
     with pytest.raises(ValueError):
         OrbitReport("affine", Partition((2, 2)), "T", "SL2_mod_T", True)
+    # the JSON orbit id reads the transpose off the partner
+    with pytest.raises(ValueError):
+        OrbitReport(CALOGERO_MOSER, Partition((3, 1)), "T", "SL2_mod_T", True)
+    with pytest.raises(ValueError):
+        OrbitReport(CALOGERO_MOSER, Partition((2, 2)), "N_T", "SL2_mod_NT", True, partner=Partition((2, 2)))
 
 
 def test_unknown_space_rejected():

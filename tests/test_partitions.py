@@ -161,6 +161,34 @@ def test_u_map_properties(lam):
     assert is_staircase(u) == is_staircase(lam)
 
 
+def test_partition_checks_pass():
+    assert CHECKS["partition-involutions"](Limits(max_n=12)) == []
+    assert CHECKS["diagonal-u-map"](Limits(max_n=12)) == []
+
+
+def _with_invalid(n):
+    return enumerate_partitions(n) + ([partitions_module._unchecked((1, 2))] if n == 3 else [])
+
+
+@pytest.mark.parametrize("check, name, wrong, message", [
+    ("partition-involutions", "transpose", lambda lam: lam, "not the cell swap"),
+    ("partition-involutions", "transpose",
+     lambda lam: partitions_module._unchecked(transpose(lam).parts[::-1]), "no valid partition"),
+    ("partition-involutions", "enumerate_partitions", _with_invalid, "no valid partition"),
+    ("diagonal-u-map", "diagonals", lambda lam: diagonals(lam)[::-1], "cell counts"),
+    ("diagonal-u-map", "u_map", lambda lam: partitions_module._unchecked(u_map(lam).parts[::-1]),
+     "count of diagonals"),
+    ("diagonal-u-map", "u_map", lambda lam: partitions_module._unchecked(u_map(lam).parts + (0,)),
+     "no valid partition"),
+], ids=["transpose-identity", "transpose-increasing", "enumeration-increasing", "diagonals-reversed",
+        "u_map-increasing", "u_map-zero-part"])
+def test_partition_checks_catch_a_wrong_rule(monkeypatch, check, name, wrong, message):
+    import cmhilb.verify as verify_module
+
+    monkeypatch.setattr(verify_module, name, wrong)
+    assert any(message in failure for failure in CHECKS[check](Limits(max_n=6)))
+
+
 def test_staircase_and_odd_hooks():
     assert staircase(3) == Partition((3, 2, 1))
     assert staircase(0) == Partition(())
