@@ -173,20 +173,23 @@ def _with_invalid(n):
 @pytest.mark.parametrize("check, name, wrong, message", [
     ("partition-involutions", "transpose", lambda lam: lam, "not the cell swap"),
     ("partition-involutions", "transpose",
-     lambda lam: partitions_module._unchecked(transpose(lam).parts[::-1]), "no valid partition"),
-    ("partition-involutions", "enumerate_partitions", _with_invalid, "no valid partition"),
+     lambda lam: partitions_module._unchecked(transpose(lam).parts[::-1]), "weakly decreasing"),
+    ("partition-involutions", "enumerate_partitions", _with_invalid, "weakly decreasing"),
     ("diagonal-u-map", "diagonals", lambda lam: diagonals(lam)[::-1], "cell counts"),
+    ("diagonal-u-map", "u_map", lambda lam: lam, "count of diagonals"),
     ("diagonal-u-map", "u_map", lambda lam: partitions_module._unchecked(u_map(lam).parts[::-1]),
-     "count of diagonals"),
+     "weakly decreasing"),
     ("diagonal-u-map", "u_map", lambda lam: partitions_module._unchecked(u_map(lam).parts + (0,)),
-     "no valid partition"),
+     "must be positive"),
 ], ids=["transpose-identity", "transpose-increasing", "enumeration-increasing", "diagonals-reversed",
-        "u_map-increasing", "u_map-zero-part"])
+        "u_map-identity", "u_map-increasing", "u_map-zero-part"])
 def test_partition_checks_catch_a_wrong_rule(monkeypatch, check, name, wrong, message):
     import cmhilb.verify as verify_module
 
     monkeypatch.setattr(verify_module, name, wrong)
-    assert any(message in failure for failure in CHECKS[check](Limits(max_n=6)))
+    lines = []
+    assert not verify_module.run_checks([check], Limits(max_n=6), out=lines.append)
+    assert lines[0].startswith(f"FAIL {check}: ") and message in lines[0]
 
 
 def test_staircase_and_odd_hooks():
