@@ -1,29 +1,28 @@
 """Exact arithmetic in a single variable q.
 
 One coefficient domain covers everything: Laurent polynomials with integer
-coefficients.  Every quotient the package forms is known to be exact, so
-division is `exact_div`, which raises NonPolynomialError on any remainder;
-that error is the single alarm for an upstream sum that failed to cancel.
-There is no floating point and no series truncation anywhere.
+coefficients.  Every quotient the package forms is known to be exact: by a
+nonzero int (`exact_div`) or by a product of factors 1 - q^k
+(`one_minus_q_quotient`), the only polynomial divisors it meets.  Both
+raise NonPolynomialError on any remainder; that error is the single alarm
+for an upstream sum that failed to cancel.  There is no floating point and
+no series truncation anywhere.
 
-Inside the kernel, long products and divisions run on Kronecker-packed
-ints: a polynomial is replaced by its value at q = 2^bits, so that each
-product, sum and division is one big-int operation (Harvey,
-arXiv:0712.4046).  Packing is exact for any width; only reading the
-coefficients back needs them to fit their slots, so every width comes
-from a proven bound on them; a product of factors 1 - q^k keeps a running
-bound that each factor at most doubles.  A packed quotient is returned
-only after the bound of _proves_quotient shows that it times the divisor
-is the dividend.  Packed ints stay internal: every public function takes
-and returns Laurent polynomials, and the Hall-pairing sums in symfun use
-the helpers here.
+Inside the kernel, long products run on Kronecker-packed ints: a
+polynomial is replaced by its value at q = 2^bits, so that each product
+or sum is one big-int operation (Harvey, arXiv:0712.4046).  Packing is
+exact for any width; only reading the coefficients back needs them to fit
+their slots, so every width comes from a proven bound on them; a product
+of factors 1 - q^k keeps a running bound that each factor at most
+doubles.  Packed ints stay internal: every public function takes and
+returns Laurent polynomials, and the Hall-pairing sums in symfun use the
+helpers here.
 """
 
 from __future__ import annotations
 
 import sys
 from itertools import accumulate
-from math import comb, isqrt
 
 
 class NonPolynomialError(ArithmeticError):
@@ -180,28 +179,20 @@ class LaurentPolynomial:
         """Sum of the coefficients, which is the value at q = 1."""
         return sum(self._terms.values())
 
-    def exact_div(self, divisor) -> "LaurentPolynomial":
-        """Exact quotient by another Laurent polynomial or by a nonzero int.
+    def exact_div(self, divisor: int) -> "LaurentPolynomial":
+        """Exact quotient by a nonzero int, coefficient by coefficient.
 
-        Raises NonPolynomialError if the division leaves a remainder or
-        would need non-integer coefficients.  A polynomial divisor costs
-        one divmod of packed ints (see _exact_quotient).
+        Raises NonPolynomialError if a coefficient is not divisible.  The
+        package divides by polynomials only through one_minus_q_quotient.
         """
-        if not isinstance(divisor, LaurentPolynomial):
-            if not _int(divisor):
-                raise ZeroDivisionError("division by zero")
-            data = {}
-            for e, c in self._terms.items():
-                data[e], leftover = divmod(c, divisor)
-                if leftover:
-                    raise NonPolynomialError(f"coefficient of q^{e} not divisible by {divisor}")
-            return _unchecked(data)
-        if not divisor:
-            raise ZeroDivisionError("division by the zero polynomial")
-        if not self:
-            return LaurentPolynomial()
-        quot = _exact_quotient(_dense(self), _dense(divisor))
-        return _from_dense(quot, self.min_exponent() - divisor.min_exponent())
+        if not _int(divisor):
+            raise ZeroDivisionError("division by zero")
+        data = {}
+        for e, c in self._terms.items():
+            data[e], leftover = divmod(c, divisor)
+            if leftover:
+                raise NonPolynomialError(f"coefficient of q^{e} not divisible by {divisor}")
+        return _unchecked(data)
 
     def to_text(self) -> str:
         """Readable form, terms in ascending exponent: "q^-1 + 2 + q^3"."""
@@ -271,17 +262,25 @@ def _refreshed(v: int, bits: int, length: int, factors: int) -> tuple:
     return v, bits, top
 
 
-def q_integer_product(hs) -> LaurentPolynomial:
-    """Product of the q-integers [h]_q = 1 + q + ... + q^(h-1) over the
-    multiset hs of positive integers, which is prod (1 - q^h) / (1 - q)^r
-    for r = len(hs), with no division: each factor is one sliding-window
-    sum of width h.
+def one_minus_q_quotient(p: LaurentPolynomial, ks) -> LaurentPolynomial:
+    """p / prod (1 - q^k) over the multiset ks of positive integers; raises
+    NonPolynomialError unless that is a Laurent polynomial.
+
+    Dividing by 1 - q^k is a running sum along each residue class of
+    exponents mod k.  That power series stops, and is the quotient, exactly
+    when its top k coefficients are zero, and they are dropped.  Integer
+    sums need no coefficient bound.  Larger k first shortens the list soonest.
     """
-    coeffs = [1]
-    for h in hs:
-        sums = list(accumulate(coeffs + [0] * (h - 1)))
-        coeffs = [s - t for s, t in zip(sums, [0] * h + sums)]
-    return _from_dense(coeffs)
+    if not p:
+        return LaurentPolynomial()
+    coeffs = _dense(p)
+    for k in sorted(ks, reverse=True):
+        for r in range(k):
+            coeffs[r::k] = accumulate(coeffs[r::k])
+        if any(coeffs[-k:]):
+            raise NonPolynomialError(f"1 - q^{k} leaves a nonzero remainder")
+        del coeffs[-k:]
+    return _from_dense(coeffs, p.min_exponent())
 
 
 def _dense(p: LaurentPolynomial) -> list:
@@ -367,13 +366,11 @@ def _cast(biased: int, bias: int, size: int) -> list:
     return memoryview((biased ^ bias).to_bytes(bias.bit_length() // 8, "little")).cast(_CASTS[size]).tolist()
 
 
-def _unpack(value: int, bits: int, length: int):
-    """The length balanced digits of value at base 2^bits, lowest first, or
-    None when value has no such form."""
+def _unpack(value: int, bits: int, length: int) -> list:
+    """The length balanced digits of value at base 2^bits, lowest first;
+    OverflowError when value has no such form."""
     bias = _bias(bits, length)
     biased, size = value + bias, bits // 8
-    if biased < 0 or biased.bit_length() > bits * length:
-        return None
     if size in _CASTS:
         return _cast(biased, bias, size)
     return _digits(biased.to_bytes(size * length, "little"), bits)
@@ -382,54 +379,3 @@ def _unpack(value: int, bits: int, length: int):
 def _packed_product(a: list, b: list, bits: int) -> list:
     """Dense a times dense b by one multiply, for a product that fits bits."""
     return _unpack(_pack(a, bits) * _pack(b, bits), bits, len(a) + len(b) - 1)
-
-
-def _proves_quotient(quot, den_l1: int, bound: int, bits: int) -> bool:
-    """Whether Q(2^bits) C(2^bits) = N(2^bits) forces Q C = N: every
-    coefficient of Q C - N is at most ||Q||_inf ||C||_1 + ||N||_inf in size,
-    and a polynomial whose coefficients all lie below 2^(bits-1) in size
-    vanishes at 2^bits only if it is zero.  bound is at least ||N||_inf."""
-    return max(map(abs, quot)) * den_l1 + bound < 1 << (bits - 1)
-
-
-def _packed_quotient(value: int, bits: int, size: int, bound: int, den: list, den_l1: int):
-    """The size coefficients of Q with Q C = N, N packed as value at width
-    bits, or None when that width cannot prove the quotient.
-
-    A nonzero remainder raises: an exact quotient with integer
-    coefficients Q makes Q(2^bits) an exact integer quotient at any width."""
-    if den_l1 >= 1 << (bits - 1):
-        return None
-    quot_value, rem = divmod(value, _pack(den, bits))
-    if rem:
-        raise NonPolynomialError("division leaves a nonzero remainder")
-    quot = _unpack(quot_value, bits, size)
-    if quot is None or not _proves_quotient(quot, den_l1, bound, bits):
-        return None
-    return quot
-
-
-def _exact_quotient(num: list, den: list) -> list:
-    """Coefficients of the exact quotient N / C, lowest first, for dense N
-    and C with nonzero constant terms.
-
-    N is packed first at a width with room for a quotient no larger than
-    N.  When that width cannot prove the quotient, N is packed again at a
-    width that holds any exact quotient: a factor Q of degree d of N has
-    |q_j| <= C(d, j) ||N||_2 (Mignotte).  If that width cannot prove it
-    either, there is no exact quotient.
-    """
-    size = len(num) - len(den) + 1
-    if size < 1:
-        raise NonPolynomialError("divisor has larger support than dividend")
-    top, den_l1 = max(map(abs, num)), sum(map(abs, den))
-    bits = _slot_bits(top * (den_l1 + 1))
-    quot = _packed_quotient(_pack(num, bits), bits, size, top, den, den_l1)
-    if quot is None:
-        mignotte = comb(size - 1, (size - 1) // 2) * (isqrt(sum(c * c for c in num)) + 1)
-        wide = _slot_bits(mignotte * den_l1 + top)
-        if wide > bits:
-            quot = _packed_quotient(_pack(num, wide), wide, size, top, den, den_l1)
-        if quot is None:
-            raise NonPolynomialError("no exact quotient within Mignotte's bound")
-    return quot

@@ -46,7 +46,7 @@ from math import factorial, isqrt
 
 from .exactalg import (
     LaurentPolynomial, _bias, _dense, _digits, _from_dense, _pack, _slot_bits, _spread, _unpack,
-    one_minus_q_product, q_integer_product,
+    one_minus_q_product, one_minus_q_quotient,
 )
 from .partitions import (
     Partition, all_hooks_odd, dim_irrep, enumerate_partitions, hook_lengths, hook_polynomial, n_stat, staircase,
@@ -237,13 +237,13 @@ def _class_weights(delta: Partition) -> list:
     That quotient is a polynomial: with the parts of mu divisible by d taken
     first, each removes a rim hook that lowers the d-weight of delta, and
     H_delta holds one cyclotomic factor Phi_d per unit of d-weight (the
-    p-core argument; James-Kerber 1981).  exact_div checks every class."""
+    p-core argument; James-Kerber 1981).  one_minus_q_quotient checks it."""
     classes = enumerate_partitions(delta.size)
     if all_hooks_odd(delta):
         classes = [mu for mu in classes if _odd_class(mu.parts)]
     hooks, nfact, mn = hook_polynomial(delta), factorial(delta.size), _mn()
     return [
-        (mu, chi * (nfact // centralizer_order(mu)), _dense(hooks.exact_div(one_minus_q_product(mu.parts))))
+        (mu, chi * (nfact // centralizer_order(mu)), _dense(one_minus_q_quotient(hooks, mu.parts)))
         for mu in classes
         if (chi := mn(delta.parts, mu.parts))
     ]
@@ -296,21 +296,20 @@ def graded_multiplicity(lam: Partition, delta: Partition) -> tuple:
 
 def fake_degree(lam: Partition) -> LaurentPolynomial:
     """Graded multiplicity of the lam-irreducible in the coinvariant ring:
-    (q)_n * q^(n(lam)) / H_lam(q), an exact polynomial division."""
-    num = q_factorial(lam.size) * LaurentPolynomial.monomial(n_stat(lam))
-    return num.exact_div(hook_polynomial(lam))
+    (q)_n * q^(n(lam)) / H_lam(q), an exact division by the factors
+    1 - q^h of H_lam (Macdonald I.3 Ex. 2)."""
+    return one_minus_q_quotient(q_factorial(lam.size), hook_lengths(lam)).shifted(n_stat(lam))
 
 
 @lru_cache(maxsize=None)
 def regular_fiber_character(m: int) -> LaurentPolynomial:
     """Graded character of the rank-n! fiber at the staircase fixed point:
-    q^(-n(delta)) * H_delta(q) / (1-q)^n * dim(delta), delta the staircase,
-    built as dim(delta) q^(-n(delta)) times the product of [h]_q over the
-    hooks h of delta, since (1 - q^h) / (1 - q) = [h]_q."""
+    q^(-n(delta)) * H_delta(q) / (1-q)^n * dim(delta), delta the staircase."""
     if m < 0:
         raise ValueError("staircase index must be nonnegative")
     delta = staircase(m)
-    return q_integer_product(hook_lengths(delta)).scaled(dim_irrep(delta)).shifted(-n_stat(delta))
+    quotient = one_minus_q_quotient(hook_polynomial(delta), [1] * delta.size)
+    return quotient.scaled(dim_irrep(delta)).shifted(-n_stat(delta))
 
 
 @lru_cache(maxsize=None)

@@ -13,7 +13,9 @@ from collections import Counter, namedtuple
 from math import factorial
 from operator import mul
 
-from .exactalg import LaurentPolynomial, NonPolynomialError, _pack, _slot_bits, _unpack, one_minus_q_product
+from .exactalg import (
+    LaurentPolynomial, NonPolynomialError, _pack, _slot_bits, _unpack, one_minus_q_product, one_minus_q_quotient,
+)
 from .orbits import CALOGERO_MOSER, HILBERT, closure_graph, cm_orbit, hilb_orbit, is_borel_stable, monomial_ideal
 from .partitions import (
     Partition,
@@ -78,11 +80,10 @@ def _binomial_product(ks):
     return LaurentPolynomial(enumerate(dense))
 
 
-def _quotient(dividend, divisor):
-    """dividend.exact_div(divisor), or None when exact_div raises
-    NonPolynomialError."""
+def _quotient(divide, dividend, divisor):
+    """divide(dividend, divisor), or None when it raises NonPolynomialError."""
     try:
-        return dividend.exact_div(divisor)
+        return divide(dividend, divisor)
     except NonPolynomialError:
         return None
 
@@ -107,22 +108,22 @@ def check_laurent_ring_axioms(limits):
         k = rng.randint(2, 9)
         if a.scaled(k).exact_div(k) != a:
             bad.append(f"exact division by {k} does not invert scaling on trial {trial}")
-        if _quotient(a.scaled(k) + one, k) is not None:
+        if _quotient(LaurentPolynomial.exact_div, a.scaled(k) + one, k) is not None:
             bad.append(f"exact division by {k} ignored a remainder on trial {trial}")
-    # exact division, half the trials with coefficients of 200 bits
+    # quotients by prod (1 - q^k), half the trials with coefficients of 200 bits
     for trial in range(60):
-        size = 1 << 200 if trial % 2 else 9
-        a, b = _random_laurent(rng, coeff=size), _random_laurent(rng, coeff=size)
-        if b and _quotient(a * b, b) != a:
-            bad.append(f"exact division does not invert multiplication on trial {trial}")
-        # only the units +-q^j divide a*b + q^j
-        is_unit = [c for _, c in b.sorted_terms()] in ([1], [-1])
-        if b and not is_unit and _quotient(a * b + one.shifted(rng.randint(-6, 6)), b) is not None:
-            bad.append(f"exact division by {b} ignored a remainder on trial {trial}")
-    # a quotient far larger than its dividend: (1 - q^10)^10 / (1 - q)^10
+        a = _random_laurent(rng, coeff=1 << 200 if trial % 2 else 9)
+        ks = [rng.randint(1, 12) for _ in range(rng.randint(1, 8))]
+        if one_minus_q_quotient(a * _binomial_product(ks), ks) != a:
+            bad.append(f"quotient by (1 - q^k) over {ks} does not invert the product on trial {trial}")
+        # the product vanishes at q = 1 and q^j does not, so it never divides a product + q^j
+        dividend = a * _binomial_product(ks) + one.shifted(rng.randint(-6, 6))
+        if _quotient(one_minus_q_quotient, dividend, ks) is not None:
+            bad.append(f"quotient by (1 - q^k) over {ks} ignored a remainder on trial {trial}")
+    # a quotient far larger than its dividend: (1 - q^10)^10 / (1 - q)^10 = [10]_q^10
     geometric = LaurentPolynomial({i: 1 for i in range(10)}) ** 10
-    if _quotient(LaurentPolynomial({0: 1, 10: -1}) ** 10, LaurentPolynomial({0: 1, 1: -1}) ** 10) != geometric:
-        bad.append("exact division misses a quotient larger than its dividend")
+    if _quotient(one_minus_q_quotient, _binomial_product([10] * 10), [1] * 10) != geometric:
+        bad.append("quotient by (1 - q)^10 misses one larger than its dividend")
     # (1 - q)^70 widens past 64-bit slots; the product over 1..100 rereads its bound
     for ks in ([1] * 14, [1] * 30, [1] * 70, [1, 2, 2, 3, 5, 8, 13], list(range(1, 101))):
         if one_minus_q_product(ks) != _binomial_product(ks):
@@ -273,8 +274,12 @@ def check_schur_expansion(limits):
 
 
 def check_fake_degree(limits):
+    """Each fake degree f_lam has nonnegative coefficients summing to f^lam,
+    and sum over lam of f^lam f_lam is the coinvariant ring's Hilbert series."""
     bad = []
+    coinvariants = [1]  # prod over i <= n of [i]_q, by window sums on a list
     for n in range(min(limits.max_n, 12) + 1):
+        total = LaurentPolynomial()
         for lam in enumerate_partitions(n):
             f = fake_degree(lam)
             if any(c < 0 for _, c in f.sorted_terms()):
@@ -283,6 +288,10 @@ def check_fake_degree(limits):
                 bad.append(f"fake degree of {lam} has a negative exponent")
             if f.coefficient_sum() != dim_irrep(lam):
                 bad.append(f"fake degree of {lam} does not sum to the dimension")
+            total = total + f.scaled(dim_irrep(lam))
+        if total != LaurentPolynomial(enumerate(coinvariants)):
+            bad.append(f"fake degrees of size {n} do not sum to the product of [i]_q")
+        coinvariants = [sum(coinvariants[max(0, j - n) : j + 1]) for j in range(len(coinvariants) + n)]
     return bad
 
 

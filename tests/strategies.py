@@ -8,13 +8,6 @@ laurent_polys = st.dictionaries(
     st.integers(-6, 6), st.integers(-9, 9), max_size=6
 ).map(LaurentPolynomial)
 
-nonzero_laurent_polys = laurent_polys.filter(bool)
-
-# Nonzero and not a unit +-q^j, so it never divides p + q^j for a multiple p.
-non_unit_laurent_polys = nonzero_laurent_polys.filter(
-    lambda p: [c for _, c in p.sorted_terms()] not in ([1], [-1])
-)
-
 
 @st.composite
 def partitions(draw, max_size=12):

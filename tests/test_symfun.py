@@ -21,7 +21,7 @@ from cmhilb import (
     regular_fiber_character,
 )
 from cmhilb.verify import CHECKS, Limits, run_checks
-from cmhilb import symfun
+from cmhilb import symfun, verify
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +338,7 @@ def test_isotypic_rejects_inexact_numerator(monkeypatch, fresh_tables):
 
 def test_pairing_class_vectors_are_polynomials():
     # chi^delta(mu) != 0 forces prod_i (1 - q^(mu_i)) to divide H_delta; the
-    # pairing checks that by exact_div for every such class of every delta,
+    # pairing checks that by one_minus_q_quotient for every such class of every delta,
     # and keeps exactly those classes
     for n in range(1, 9):
         table = character_table(n)
@@ -356,7 +356,7 @@ def test_pairing_class_vectors_are_polynomials():
     # vanishes at (2,1), and (1 - q^2)(1 - q) does not divide (1 - q^3)(1 - q)^2
     assert character_table(3).value(Partition((2, 1)), Partition((2, 1))) == 0
     with pytest.raises(NonPolynomialError):
-        hook_polynomial(Partition((2, 1))).exact_div(_one_minus_q(2) * _one_minus_q(1))
+        symfun.one_minus_q_quotient(hook_polynomial(Partition((2, 1))), [2, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -437,3 +437,12 @@ def test_isotypic_dimension_and_symmetry():
 
 def test_fiber_decomposes_into_isotypic_pieces():
     assert CHECKS["regular-fiber-decomposition"](Limits(max_m=3)) == []
+
+
+def test_fake_degree_check_sums_to_the_coinvariant_series(monkeypatch):
+    # the quotient without its q^(n(lam)) shift keeps nonnegative coefficients,
+    # exponents and dimension, so only the sum over lam against prod [i]_q sees it
+    unshifted = lambda lam: symfun.one_minus_q_quotient(q_factorial(lam.size), symfun.hook_lengths(lam))
+    monkeypatch.setattr(verify, "fake_degree", unshifted)
+    bad = CHECKS["fake-degree"](Limits())
+    assert bad and all(line.startswith("fake degrees of size") for line in bad)
