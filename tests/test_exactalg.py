@@ -240,7 +240,7 @@ def quotients(draw):
     return (geometric ** draw(st.integers(0, 8))).shifted(draw(st.integers(-6, 6)))
 
 
-def _outcome(divide, num, den):
+def _outcome(num, den, divide):
     try:
         return divide(num, den)
     except NonPolynomialError:
@@ -252,7 +252,7 @@ def _outcome(divide, num, den):
 def test_exact_div_matches_schoolbook_oracle(a, ks, r):
     b = _binomial_product(ks)
     for num in (a * b, a * b + r, (a * b).scaled(3) + r):
-        assert _outcome(one_minus_q_quotient, num, ks) == _outcome(_schoolbook_div, num, b)
+        assert _outcome(num, ks, one_minus_q_quotient) == _outcome(num, b, _schoolbook_div)
 
 
 def test_pack_unpack_round_trip():
@@ -266,7 +266,7 @@ def test_pack_unpack_round_trip():
         packed = _pack(coeffs, bits)
         assert packed == sum(c << (bits * i) for i, c in enumerate(coeffs))
         assert _unpack(packed, bits, len(coeffs)) == coeffs
-        # one slot too few, a top digit past the balanced range, or a negative remainder has no form
+        # one slot too few, or a digit above or below the balanced range, has no form
         for value, length in ((packed, len(coeffs) - 1), (half << (bits * (len(coeffs) - 1)), len(coeffs)),
                               (-half - 1, 1)):
             with pytest.raises(OverflowError):
