@@ -352,28 +352,16 @@ def _spread(raw, narrow: int, wide: int) -> bytearray:
     return out
 
 
-def _digits(raw, bits: int) -> list:
-    """The balanced digits, lowest first, of the bytes _unpack reads."""
-    size, half = bits // 8, 1 << (bits - 1)
-    if size in _CASTS:
-        return _cast(int.from_bytes(raw, "little"), _bias(bits, len(raw) // size), size)
-    return [int.from_bytes(raw[i : i + size], "little") - half for i in range(0, len(raw), size)]
-
-
-def _cast(biased: int, bias: int, size: int) -> list:
-    """The digits of biased, whose slots of size bytes each hold a digit
-    plus the top bit that bias sets: flipping it makes them two's complement."""
-    return memoryview((biased ^ bias).to_bytes(bias.bit_length() // 8, "little")).cast(_CASTS[size]).tolist()
-
-
 def _unpack(value: int, bits: int, length: int) -> list:
     """The length balanced digits of value at base 2^bits, lowest first;
-    OverflowError when value has no such form."""
-    bias = _bias(bits, length)
-    biased, size = value + bias, bits // 8
+    OverflowError when value has no such form.  Each slot of the biased
+    value holds a digit plus 2^(bits-1); slots of a _CASTS size are cast
+    with that top bit flipped, which makes them two's complement."""
+    bias, size = _bias(bits, length), bits // 8
     if size in _CASTS:
-        return _cast(biased, bias, size)
-    return _digits(biased.to_bytes(size * length, "little"), bits)
+        return memoryview(((value + bias) ^ bias).to_bytes(size * length, "little")).cast(_CASTS[size]).tolist()
+    raw, half = (value + bias).to_bytes(size * length, "little"), 1 << (bits - 1)
+    return [int.from_bytes(raw[i : i + size], "little") - half for i in range(0, len(raw), size)]
 
 
 def _packed_product(a: list, b: list, bits: int) -> list:

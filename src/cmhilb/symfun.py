@@ -45,7 +45,7 @@ from itertools import groupby
 from math import factorial, isqrt
 
 from .exactalg import (
-    LaurentPolynomial, _bias, _dense, _digits, _from_dense, _pack, _slot_bits, _spread, _unpack,
+    LaurentPolynomial, _bias, _dense, _from_dense, _pack, _slot_bits, _spread, _unpack,
     one_minus_q_product, one_minus_q_quotient,
 )
 from .partitions import (
@@ -168,11 +168,12 @@ class CharacterTable:
         self.n = n
         self.partitions = tuple(enumerate_partitions(n))
         self.bits = _slot_bits(isqrt(factorial(n)))
+        self._bias = _bias(self.bits, len(self.partitions))
         self._masks = [_beta_mask(lam.parts, n) for lam in self.partitions]
         self._index = {mask: i for i, mask in enumerate(self._masks)}
         self._class_index = {mu.parts: j for j, mu in enumerate(self.partitions)}
         # every slot starts at 0; the one character of S_0 is 1
-        blank = (bytes(self.bits // 8 - 1) + b"\x80") * len(self.partitions) if n else b"\x81"
+        blank = (self._bias + (n == 0)).to_bytes(self.bits // 8 * len(self.partitions), "little")
         self._rows = [bytearray(blank) for _ in self.partitions]
         for k in range(n, 0, -1):
             self._add_block(k)
@@ -187,7 +188,8 @@ class CharacterTable:
         first = (k,) * q + (r,) * (r > 0)
         start, offset = sub._class_index[first], self._class_index[(k,) + first]
         narrow, size, count = sub.bits // 8, self.bits // 8, len(sub.partitions) - start
-        sub_bias = int.from_bytes((bytes(narrow - 1) + b"\x80" + bytes(size - narrow)) * count, "little")
+        bias = _bias(self.bits, count)
+        sub_bias = bias >> (self.bits - sub.bits)  # 2^(sub.bits-1) in each of the count slots
         sums = {}
         for mask, row in zip(sub._masks, sub._rows):
             raw = row[start * narrow :]
@@ -196,7 +198,7 @@ class CharacterTable:
             value = int.from_bytes(raw, "little") - sub_bias
             if value:
                 _add_strips(sums, mask, k, value)
-        bias, span = _bias(self.bits, count), slice(offset * size, (offset + count) * size)
+        span = slice(offset * size, (offset + count) * size)
         for mask, value in sums.items():
             if value:
                 self._rows[self._index[mask]][span] = (value + bias).to_bytes(count * size, "little")
@@ -205,11 +207,13 @@ class CharacterTable:
         """chi^lam(mu) for lam over .partitions, in order, as a new list."""
         size = self.bits // 8
         j = self._class_index[mu.parts] * size
-        return _digits(b"".join(row[j : j + size] for row in self._rows), self.bits)
+        raw = b"".join(row[j : j + size] for row in self._rows)
+        return _unpack(int.from_bytes(raw, "little") - self._bias, self.bits, len(self._rows))
 
     def row(self, lam: Partition) -> tuple:
         """chi^lam(mu) for mu over .partitions, in order."""
-        return tuple(_digits(self._rows[self._class_index[lam.parts]], self.bits))
+        raw = self._rows[self._class_index[lam.parts]]
+        return tuple(_unpack(int.from_bytes(raw, "little") - self._bias, self.bits, len(self._rows)))
 
     def value(self, lam: Partition, mu: Partition) -> int:
         size = self.bits // 8
