@@ -23,8 +23,10 @@ from .partitions import (
 HILBERT = "hilbert"
 CALOGERO_MOSER = "calogero-moser"
 
-STABILIZERS = ("SL2", "B", "B_minus", "T", "N_T")
-ORBIT_MODELS = ("point", "P1", "SL2_mod_T", "SL2_mod_NT")
+# SL2 / stabilizer for each stabilizer a fixed point can have
+ORBIT_MODEL = {"SL2": "point", "B": "P1", "B_minus": "P1", "T": "SL2_mod_T", "N_T": "SL2_mod_NT"}
+# the stabilizers that contain a Borel subgroup: exactly their Hilbert orbits are closed
+CONTAINS_BOREL = ("SL2", "B", "B_minus")
 
 
 class MonomialIdeal(namedtuple("MonomialIdeal", "shape generators graded_dims")):
@@ -69,12 +71,13 @@ class OrbitReport(namedtuple("OrbitReport", "space partition stabilizer orbit_mo
         self = super().__new__(cls, *args, **kwargs)
         if self.space not in (HILBERT, CALOGERO_MOSER):
             raise ValueError(f"unknown space {self.space!r}")
-        if self.stabilizer not in STABILIZERS:
+        if self.stabilizer not in ORBIT_MODEL:
             raise ValueError(f"unknown stabilizer {self.stabilizer!r}")
-        if self.orbit_model not in ORBIT_MODELS:
-            raise ValueError(f"unknown orbit model {self.orbit_model!r}")
-        if (self.stabilizer == "SL2") != (self.orbit_model == "point"):
-            raise ValueError("stabilizer SL2 and model point must occur together")
+        if self.orbit_model != ORBIT_MODEL[self.stabilizer]:
+            raise ValueError(f"stabilizer {self.stabilizer} has orbit model {ORBIT_MODEL[self.stabilizer]}")
+        if self.closed != (self.space == CALOGERO_MOSER or self.stabilizer in CONTAINS_BOREL):
+            raise ValueError("an orbit is closed exactly when it lies in the Calogero-Moser space or its "
+                             "stabilizer contains a Borel subgroup")
         if (self.boundary is not None) != (self.space == HILBERT and not self.closed):
             raise ValueError("boundary is recorded exactly for non-closed Hilbert orbits")
         if (self.partner is not None) != (self.space == CALOGERO_MOSER and self.stabilizer == "T"):
@@ -142,25 +145,24 @@ def hilb_orbit(lam: Partition) -> OrbitReport:
     """Stabilizer and closure data for the orbit in the Hilbert scheme."""
     lamt = transpose(lam)
     if is_staircase(lam):
-        return OrbitReport(HILBERT, lam, "SL2", "point", True)
-    if is_steep(lam):
-        return OrbitReport(HILBERT, lam, "B", "P1", True)
-    if is_steep(lamt):
-        return OrbitReport(HILBERT, lam, "B_minus", "P1", True)
-    if lam == lamt:
-        return OrbitReport(HILBERT, lam, "N_T", "SL2_mod_NT", False, boundary=u_map(lam))
-    return OrbitReport(HILBERT, lam, "T", "SL2_mod_T", False, boundary=u_map(lam))
+        stabilizer = "SL2"
+    elif is_steep(lam):
+        stabilizer = "B"
+    elif is_steep(lamt):
+        stabilizer = "B_minus"
+    else:
+        stabilizer = "N_T" if lam == lamt else "T"
+    closed = stabilizer in CONTAINS_BOREL
+    return OrbitReport(HILBERT, lam, stabilizer, ORBIT_MODEL[stabilizer], closed, None if closed else u_map(lam))
 
 
 def cm_orbit(lam: Partition) -> OrbitReport:
     """Stabilizer data for the orbit in the Calogero-Moser space; these
     orbits are always closed."""
     lamt = transpose(lam)
-    if is_staircase(lam):
-        return OrbitReport(CALOGERO_MOSER, lam, "SL2", "point", True)
-    if lam == lamt:
-        return OrbitReport(CALOGERO_MOSER, lam, "N_T", "SL2_mod_NT", True)
-    return OrbitReport(CALOGERO_MOSER, lam, "T", "SL2_mod_T", True, partner=lamt)
+    stabilizer = "SL2" if is_staircase(lam) else "N_T" if lam == lamt else "T"
+    partner = lamt if stabilizer == "T" else None
+    return OrbitReport(CALOGERO_MOSER, lam, stabilizer, ORBIT_MODEL[stabilizer], True, partner=partner)
 
 
 class ClosureGraph(namedtuple("ClosureGraph", "space n nodes edges")):

@@ -16,7 +16,10 @@ from operator import mul
 from .exactalg import (
     LaurentPolynomial, NonPolynomialError, _pack, _slot_bits, _unpack, one_minus_q_product, one_minus_q_quotient,
 )
-from .orbits import CALOGERO_MOSER, HILBERT, closure_graph, cm_orbit, hilb_orbit, is_borel_stable, monomial_ideal
+from .orbits import (
+    CALOGERO_MOSER, CONTAINS_BOREL, HILBERT, ORBIT_MODEL, closure_graph, cm_orbit, hilb_orbit, is_borel_stable,
+    monomial_ideal,
+)
 from .partitions import (
     Partition,
     all_hooks_odd,
@@ -405,10 +408,6 @@ def check_borel_stability(limits):
     return bad
 
 
-_ORBIT_MODEL = {"SL2": "point", "B": "P1", "B_minus": "P1", "T": "SL2_mod_T", "N_T": "SL2_mod_NT"}
-_CONTAINS_BOREL = ("SL2", "B", "B_minus")
-
-
 def _derivation_stabilizer(lam: Partition) -> str:
     """Stabilizer read off the derivation tests alone: the ideal of lam is
     stable under x d/dy when is_borel_stable(lam), and under y d/dx when the
@@ -430,10 +429,10 @@ def check_hilbert_orbit_classification(limits):
         for lam in enumerate_partitions(n):
             rep = hilb_orbit(lam)
             expected = _derivation_stabilizer(lam)
-            if (rep.stabilizer, rep.orbit_model) != (expected, _ORBIT_MODEL[expected]):
+            if (rep.stabilizer, rep.orbit_model) != (expected, ORBIT_MODEL[expected]):
                 got = f"{rep.stabilizer} ({rep.orbit_model})"
                 bad.append(f"orbit at {lam} is {got}, expected {expected}")
-            if rep.closed != (expected in _CONTAINS_BOREL):
+            if rep.closed != (expected in CONTAINS_BOREL):
                 bad.append(f"closedness at {lam} disagrees with the derivation test")
             if rep.closed:
                 if rep.boundary is not None:
@@ -476,7 +475,7 @@ def check_cm_orbit_classification(limits):
             expected = _derivation_stabilizer(lam)
             if expected in ("B", "B_minus"):
                 expected = "T"
-            if (rep.stabilizer, rep.orbit_model) != (expected, _ORBIT_MODEL[expected]):
+            if (rep.stabilizer, rep.orbit_model) != (expected, ORBIT_MODEL[expected]):
                 got = f"{rep.stabilizer} ({rep.orbit_model})"
                 bad.append(f"orbit at {lam} is {got}, expected {expected}")
             if not rep.closed or rep.boundary is not None:

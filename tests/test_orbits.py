@@ -186,6 +186,18 @@ def test_orbit_report_validation():
         OrbitReport(CALOGERO_MOSER, Partition((3, 1)), "T", "SL2_mod_T", True)
     with pytest.raises(ValueError):
         OrbitReport(CALOGERO_MOSER, Partition((2, 2)), "N_T", "SL2_mod_NT", True, partner=Partition((2, 2)))
+    # each stabilizer has one orbit model, a Hilbert orbit is closed exactly
+    # when its stabilizer contains a Borel, and every Calogero-Moser orbit is
+    for args, boundary in [
+        ((HILBERT, (3, 1), "B", "SL2_mod_T", True), None),
+        ((CALOGERO_MOSER, (2, 2), "N_T", "SL2_mod_NT", False), None),
+        ((HILBERT, (2, 2), "N_T", "SL2_mod_NT", True), None),
+        ((HILBERT, (2, 1), "SL2", "point", False), (3,)),
+        ((HILBERT, (3, 2, 2), "T", "P1", False), (4, 2, 1)),
+    ]:
+        space, parts, *rest = args
+        with pytest.raises(ValueError):
+            OrbitReport(space, Partition(parts), *rest, boundary=boundary and Partition(boundary))
 
 
 def test_unknown_space_rejected():
