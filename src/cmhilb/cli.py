@@ -35,6 +35,7 @@ from .partitions import (
     n_stat,
     parse_partition,
     transpose,
+    triangular_index,
     u_map,
 )
 from .sl2 import (
@@ -45,7 +46,7 @@ from .sl2 import (
     tangent_character,
     weights_all_odd,
 )
-from .symfun import NonTriangularSizeError, regular_fiber_character
+from .symfun import regular_fiber_character
 
 
 # Cells allowed in a partition argument: hook polynomials and closure data
@@ -119,10 +120,11 @@ def _partition_arg(text: str) -> Partition:
     return lam
 
 
-def _size_arg(text: str, cap: int | None = None) -> int:
+def _size_arg(text: str, cap: int | None = None, triangular: bool = False) -> int:
     """A size or a bound, which must be a positive integer, at most `cap`
-    if one is given: size 0 holds only the empty partition, and a bound
-    below 1 leaves nothing to check."""
+    if one is given, and m(m+1)/2 for some m if `triangular`: size 0 holds
+    only the empty partition, a bound below 1 leaves nothing to check, and
+    only triangular sizes carry a staircase fiber."""
     try:
         value = int(text)
     except ValueError:
@@ -131,6 +133,8 @@ def _size_arg(text: str, cap: int | None = None) -> int:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     if cap is not None and value > cap:
         raise argparse.ArgumentTypeError(f"{value} exceeds the cap {cap}")
+    if triangular and triangular_index(value) is None:
+        raise argparse.ArgumentTypeError(f"{value} is not a triangular number m(m+1)/2")
     return value
 
 
@@ -179,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
 
     p = command(cm_sub, "exponents", "exponent table for all partitions of n", _cmd_cm_exponents)
-    p.add_argument("n", type=functools.partial(_size_arg, cap=EXPONENT_SIZE_CAP))
+    p.add_argument("n", type=functools.partial(_size_arg, cap=EXPONENT_SIZE_CAP, triangular=True))
     add_format(p, ("text", "json", "csv"))
 
     p = command(cm_sub, "char-L", "graded character of the staircase fiber", _cmd_cm_char_l)
@@ -410,9 +414,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except (UsageError, CapExceededError) as exc:
         args.parser.error(str(exc))
-    except NonTriangularSizeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (NonPolynomialError, NotACharacterError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -161,9 +161,13 @@ def test_exponents_table_csv(capsys):
 
 
 def test_exponents_rejects_non_triangular(capsys):
-    code, out, err = run_cli(capsys, "cm", "exponents", "7")
-    assert code == 1
-    assert "triangular" in err
+    # refused where n is parsed, as a usage error, like every other size rule
+    with pytest.raises(SystemExit) as err:
+        main(["cm", "exponents", "7"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "triangular" in captured.err
 
 
 def test_char_l(capsys):
