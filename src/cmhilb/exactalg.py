@@ -14,9 +14,10 @@ or sum is one big-int operation (Harvey, arXiv:0712.4046).  Packing is
 exact for any width; only reading the coefficients back needs them to fit
 their slots, so every width comes from a proven bound on them; a product
 of factors 1 - q^k keeps a running bound that each factor at most
-doubles.  Packed ints stay internal: every public function takes and
-returns Laurent polynomials, and the Hall-pairing sums in symfun use the
-helpers here.
+doubles.  _unpack is the one reader of packed slots, also of the
+character-table rows and Hall-pairing sums in symfun, which take their
+slot offsets from _bias.  Packed ints stay internal: every public
+function takes and returns Laurent polynomials.
 """
 
 from __future__ import annotations
@@ -321,7 +322,8 @@ def _unchecked(terms: dict) -> LaurentPolynomial:
 # ints and shifts of packed ints are exact with no bound at all; a bound
 # is needed only to read the coefficients back.
 
-# memoryview formats of signed ints by size, where native ints are little-endian
+# memoryview formats of signed ints by size, where native ints are little-endian:
+# _unpack reads slots of these sizes by one cast, and slots of any other width one by one
 _CASTS = {memoryview(bytes(8)).cast(f).itemsize: f for f in "bhiq"} if sys.byteorder == "little" else {}
 
 
