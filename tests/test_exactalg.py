@@ -81,7 +81,7 @@ def test_json_roundtrip(p):
     assert LaurentPolynomial.from_json(p.to_json()) == p
 
 
-def test_evaluate():
+def test_coefficient_sum_is_value_at_one():
     # the value at q = 1, the only point the package evaluates at
     assert LaurentPolynomial({-1: 1, 1: 1}).coefficient_sum() == 2
     assert LaurentPolynomial({-3: 4, 0: -1, 5: 2}).coefficient_sum() == 5
@@ -99,7 +99,7 @@ def test_ratfun_self_division(ks):
     assert one_minus_q_quotient(one_minus_q_product(ks), ks) == LaurentPolynomial.one()
 
 
-def test_ratfun_division_by_zero():
+def test_exact_div_by_zero_raises():
     f = LaurentPolynomial({0: 1, 1: -1})
     with pytest.raises(ZeroDivisionError):
         f.exact_div(0)
@@ -131,7 +131,7 @@ def test_ratfun_to_laurent_rejects_fractional():
 
 
 @given(laurent_polys, st.integers(-6, 6))
-def test_laurent_ratfun_roundtrip(p, k):
+def test_division_by_units_and_shifted_dividends(p, k):
     assert p.exact_div(1) == p
     assert p.exact_div(-1) == -p
     assert one_minus_q_quotient(p, []) == p
