@@ -23,7 +23,7 @@ from .partitions import (
 HILBERT = "hilbert"
 CALOGERO_MOSER = "calogero-moser"
 
-# SL2 / stabilizer for each stabilizer a fixed point can have
+# the model of the orbit SL2 / stabilizer, for each stabilizer a fixed point can have
 ORBIT_MODEL = {"SL2": "point", "B": "P1", "B_minus": "P1", "T": "SL2_mod_T", "N_T": "SL2_mod_NT"}
 # the stabilizers that contain a Borel subgroup: exactly their Hilbert orbits are closed
 CONTAINS_BOREL = ("SL2", "B", "B_minus")
