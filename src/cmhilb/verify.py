@@ -1,6 +1,8 @@
 """Named verification checks mirroring the stated invariants of every
-module.  Each check returns a list of failure descriptions (empty means
-pass); the CLI runs any subset and reports one line per check.
+module.  Each check_* function yields its failure messages (none means
+pass).  CHECKS holds them in definition order, each named without check_
+and with - for _, and each returning its failures as a list.  The CLI
+runs any subset and reports one line per check.
 """
 
 from __future__ import annotations
@@ -91,46 +93,51 @@ def _quotient(divide, dividend, divisor):
         return None
 
 
+def _partitions_upto(limits, cap):
+    """Every partition of every n <= min(limits.max_n, cap), by size."""
+    for n in range(min(limits.max_n, cap) + 1):
+        yield from enumerate_partitions(n)
+
+
 def check_laurent_ring_axioms(limits):
     rng = random.Random(_SEED)
-    bad = []
     one = LaurentPolynomial.one()
     zero = LaurentPolynomial.zero()
     for trial in range(40):
         a, b, c = (_random_laurent(rng) for _ in range(3))
         if (a + b) + c != a + (b + c):
-            bad.append(f"Laurent addition not associative on trial {trial}")
+            yield f"Laurent addition not associative on trial {trial}"
         if (a * b) * c != a * (b * c):
-            bad.append(f"Laurent multiplication not associative on trial {trial}")
+            yield f"Laurent multiplication not associative on trial {trial}"
         if a * (b + c) != a * b + a * c:
-            bad.append(f"Laurent multiplication not distributive on trial {trial}")
+            yield f"Laurent multiplication not distributive on trial {trial}"
         if a * b != b * a or a + b != b + a:
-            bad.append(f"Laurent arithmetic not commutative on trial {trial}")
+            yield f"Laurent arithmetic not commutative on trial {trial}"
         if a + zero != a or a * one != a:
-            bad.append(f"Laurent identities fail on trial {trial}")
+            yield f"Laurent identities fail on trial {trial}"
         k = rng.randint(2, 9)
         if a.scaled(k).exact_div(k) != a:
-            bad.append(f"exact division by {k} does not invert scaling on trial {trial}")
+            yield f"exact division by {k} does not invert scaling on trial {trial}"
         if _quotient(LaurentPolynomial.exact_div, a.scaled(k) + one, k) is not None:
-            bad.append(f"exact division by {k} ignored a remainder on trial {trial}")
+            yield f"exact division by {k} ignored a remainder on trial {trial}"
     # quotients by prod (1 - q^k), half the trials with coefficients of 200 bits
     for trial in range(60):
         a = _random_laurent(rng, coeff=1 << 200 if trial % 2 else 9)
         ks = [rng.randint(1, 12) for _ in range(rng.randint(1, 8))]
         if one_minus_q_quotient(a * _binomial_product(ks), ks) != a:
-            bad.append(f"quotient by (1 - q^k) over {ks} does not invert the product on trial {trial}")
+            yield f"quotient by (1 - q^k) over {ks} does not invert the product on trial {trial}"
         # the product vanishes at q = 1 and q^j does not, so it never divides a product + q^j
         dividend = a * _binomial_product(ks) + one.shifted(rng.randint(-6, 6))
         if _quotient(one_minus_q_quotient, dividend, ks) is not None:
-            bad.append(f"quotient by (1 - q^k) over {ks} ignored a remainder on trial {trial}")
+            yield f"quotient by (1 - q^k) over {ks} ignored a remainder on trial {trial}"
     # a quotient far larger than its dividend: (1 - q^10)^10 / (1 - q)^10 = [10]_q^10
     geometric = LaurentPolynomial({i: 1 for i in range(10)}) ** 10
     if _quotient(one_minus_q_quotient, _binomial_product([10] * 10), [1] * 10) != geometric:
-        bad.append("quotient by (1 - q)^10 misses one larger than its dividend")
+        yield "quotient by (1 - q)^10 misses one larger than its dividend"
     # (1 - q)^70 widens past 64-bit slots; the product over 1..100 rereads its bound
     for ks in ([1] * 14, [1] * 30, [1] * 70, [1, 2, 2, 3, 5, 8, 13], list(range(1, 101))):
         if one_minus_q_product(ks) != _binomial_product(ks):
-            bad.append(f"product of (1 - q^k) over {ks} is wrong")
+            yield f"product of (1 - q^k) over {ks} is wrong"
     # packed products, among them equal coefficients whose bound is reached
     for trial in range(20):
         size = rng.choice([1, 9, 1 << 64, 1 << 200])
@@ -138,84 +145,69 @@ def check_laurent_ring_axioms(limits):
         flat = LaurentPolynomial({i: size for i in range(30)})
         for x, y in ((a, b), (flat, flat)):
             if x * y != _schoolbook_product(x, y):
-                bad.append(f"packed product is wrong on trial {trial}")
-    return bad
+                yield f"packed product is wrong on trial {trial}"
 
 
 def check_partition_involutions(limits):
     """transpose against the cell swap (r, c) -> (c, r) of the diagram, and
     every listed and transposed partition against Partition(...), which
     raises on parts that are not weakly decreasing and positive."""
-    bad = []
-    for n in range(min(limits.max_n, 30) + 1):
-        for lam in enumerate_partitions(n):
-            lamt = transpose(lam)
-            if Partition(lam.parts) != lam or Partition(lamt.parts) != lamt:
-                bad.append(f"{lam} or its transpose {lamt} differs from Partition(...) of its parts")
-            if set(cells(lamt)) != {(c, r) for r, c in cells(lam)}:
-                bad.append(f"transpose of {lam} is not the cell swap of its diagram")
-            if transpose(lamt) != lam:
-                bad.append(f"transpose not an involution at {lam}")
-            if hook_lengths(lamt) != hook_lengths(lam):
-                bad.append(f"hook multiset changed under transpose at {lam}")
-    return bad
+    for lam in _partitions_upto(limits, 30):
+        lamt = transpose(lam)
+        if Partition(lam.parts) != lam or Partition(lamt.parts) != lamt:
+            yield f"{lam} or its transpose {lamt} differs from Partition(...) of its parts"
+        if set(cells(lamt)) != {(c, r) for r, c in cells(lam)}:
+            yield f"transpose of {lam} is not the cell swap of its diagram"
+        if transpose(lamt) != lam:
+            yield f"transpose not an involution at {lam}"
+        if hook_lengths(lamt) != hook_lengths(lam):
+            yield f"hook multiset changed under transpose at {lam}"
 
 
 def check_diagonal_u_map(limits):
     """diagonals against the cells counted per antidiagonal, u_map against its
     counting form #{k : d_k >= i}, and the stated properties of u_map."""
-    bad = []
-    for n in range(min(limits.max_n, 30) + 1):
-        for lam in enumerate_partitions(n):
-            d = diagonals(lam)
-            if list(enumerate(d)) != sorted(Counter(r + c for r, c in cells(lam)).items()):
-                bad.append(f"diagonals of {lam} are not the cell counts of its antidiagonals")
-            u = u_map(lam)
-            if u.parts != tuple(sum(dk >= i for dk in d) for i in range(1, max(d, default=0) + 1)):
-                bad.append(f"u_map({lam}) = {u} is not the count of diagonals of each length")
-            if Partition(u.parts) != u or u.size != n:
-                bad.append(f"u_map({lam}) = {u} is no partition of {n}")
-            if not is_steep(u):
-                bad.append(f"u_map({lam}) = {u} is not steep")
-            if (u == lam) != is_steep(lam):
-                bad.append(f"u_map fixes {lam} but steepness says otherwise")
-            if u_map(u) != u:
-                bad.append(f"u_map not idempotent at {lam}")
-            if (is_staircase(u)) != is_staircase(lam):
-                bad.append(f"u_map({lam}) hits the staircase unexpectedly")
-    return bad
+    for lam in _partitions_upto(limits, 30):
+        d = diagonals(lam)
+        if list(enumerate(d)) != sorted(Counter(r + c for r, c in cells(lam)).items()):
+            yield f"diagonals of {lam} are not the cell counts of its antidiagonals"
+        u = u_map(lam)
+        if u.parts != tuple(sum(dk >= i for dk in d) for i in range(1, max(d, default=0) + 1)):
+            yield f"u_map({lam}) = {u} is not the count of diagonals of each length"
+        if Partition(u.parts) != u or u.size != lam.size:
+            yield f"u_map({lam}) = {u} is no partition of {lam.size}"
+        if not is_steep(u):
+            yield f"u_map({lam}) = {u} is not steep"
+        if (u == lam) != is_steep(lam):
+            yield f"u_map fixes {lam} but steepness says otherwise"
+        if u_map(u) != u:
+            yield f"u_map not idempotent at {lam}"
+        if (is_staircase(u)) != is_staircase(lam):
+            yield f"u_map({lam}) hits the staircase unexpectedly"
 
 
 def check_odd_hooks_staircase(limits):
-    bad = []
-    for n in range(min(limits.max_n, 30) + 1):
-        for lam in enumerate_partitions(n):
-            if all_hooks_odd(lam) != is_staircase(lam):
-                bad.append(f"odd-hook criterion disagrees with staircase test at {lam}")
-    return bad
+    for lam in _partitions_upto(limits, 30):
+        if all_hooks_odd(lam) != is_staircase(lam):
+            yield f"odd-hook criterion disagrees with staircase test at {lam}"
 
 
 def check_staircase_n_stat(limits):
-    bad = []
     for m in range(11):
         expected = (m - 1) * m * (m + 1) // 6
         got = n_stat(staircase(m))
         if got != expected:
-            bad.append(f"n(staircase({m})) = {got}, expected {expected}")
-    return bad
+            yield f"n(staircase({m})) = {got}, expected {expected}"
 
 
 def check_dimension_squares(limits):
-    bad = []
     for n in range(min(limits.max_n, 12) + 1):
         total = sum(dim_irrep(lam) ** 2 for lam in enumerate_partitions(n))
         if total != factorial(n):
-            bad.append(f"sum of squared dimensions at n={n} is {total}, not {n}!")
-    return bad
+            yield f"sum of squared dimensions at n={n} is {total}, not {n}!"
 
 
 def check_character_orthogonality(limits):
-    bad = []
     for n in range(1, min(limits.max_n, 15) + 1):
         table = character_table(n)
         parts = table.partitions
@@ -227,21 +219,19 @@ def check_character_orthogonality(limits):
                 total = sum(map(mul, weighted, other))
                 expected = factorial(n) if lam == nu else 0
                 if total != expected:
-                    bad.append(f"orthogonality fails for ({lam}), ({nu}) at n={n}")
+                    yield f"orthogonality fails for ({lam}), ({nu}) at n={n}"
         for lam in parts:
             if table.value(lam, Partition((1,) * n)) != dim_irrep(lam):
-                bad.append(f"character at the identity is not the dimension for {lam}")
+                yield f"character at the identity is not the dimension for {lam}"
         # orthogonality cannot see a column with the wrong sign; this can
         if table.row(Partition((n,))) != (1,) * len(parts):
-            bad.append(f"the trivial character is not 1 on every class at n={n}")
-    return bad
+            yield f"the trivial character is not 1 on every class at n={n}"
 
 
 def check_staircase_odd_classes(limits):
     """chi^delta of a staircase vanishes on every class the Hall pairing
     skips, those with an even part: the classes and values it keeps are
     the nonzero entries of delta's row in the full table."""
-    bad = []
     for m in range(1, 6):
         delta, n = staircase(m), m * (m + 1) // 2
         if n <= min(limits.max_n, 15):
@@ -249,8 +239,7 @@ def check_staircase_odd_classes(limits):
             table = character_table(n)
             for mu, value in zip(table.partitions, table.row(delta)):
                 if value != kept.get(mu, 0):
-                    bad.append(f"chi^({delta}) is {value} on {mu}, not the pairing's {kept.get(mu, 0)}")
-    return bad
+                    yield f"chi^({delta}) is {value} on {mu}, not the pairing's {kept.get(mu, 0)}"
 
 
 def check_schur_expansion(limits):
@@ -259,7 +248,6 @@ def check_schur_expansion(limits):
     by strip removal, the rule of mn_character, summed at a width of its
     own: for the staircase of each triangular size and one delta that is
     not a 2-core."""
-    bad = []
     for n in range(1, min(limits.max_n, 15) + 1):
         lams, m, mn = enumerate_partitions(n), triangular_index(n), _mn()
         deltas = [staircase(m)] if m is not None else []
@@ -272,140 +260,120 @@ def check_schur_expansion(limits):
             numerators = _Numerators(delta)
             for lam, row in zip(lams, rows):
                 if numerators.dense(lam) != _unpack(sum(map(mul, row, packed)), bits, numerators.length):
-                    bad.append(f"Schur expansion against {delta} misses the numerator of {lam}")
-    return bad
+                    yield f"Schur expansion against {delta} misses the numerator of {lam}"
 
 
 def check_fake_degree(limits):
     """Each fake degree f_lam has nonnegative coefficients summing to f^lam,
     and sum over lam of f^lam f_lam is the coinvariant ring's Hilbert series."""
-    bad = []
     coinvariants = [1]  # prod over i <= n of [i]_q, by window sums on a list
     for n in range(min(limits.max_n, 12) + 1):
         total = LaurentPolynomial()
         for lam in enumerate_partitions(n):
             f = fake_degree(lam)
             if any(c < 0 for _, c in f.sorted_terms()):
-                bad.append(f"fake degree of {lam} has a negative coefficient")
+                yield f"fake degree of {lam} has a negative coefficient"
             if f and f.min_exponent() < 0:
-                bad.append(f"fake degree of {lam} has a negative exponent")
+                yield f"fake degree of {lam} has a negative exponent"
             if f.coefficient_sum() != dim_irrep(lam):
-                bad.append(f"fake degree of {lam} does not sum to the dimension")
+                yield f"fake degree of {lam} does not sum to the dimension"
             total = total + f.scaled(dim_irrep(lam))
         if total != LaurentPolynomial(enumerate(coinvariants)):
-            bad.append(f"fake degrees of size {n} do not sum to the product of [i]_q")
+            yield f"fake degrees of size {n} do not sum to the product of [i]_q"
         coinvariants = [sum(coinvariants[max(0, j - n) : j + 1]) for j in range(len(coinvariants) + n)]
-    return bad
 
 
 def check_regular_fiber_decomposition(limits):
-    bad = []
     for m in range(1, limits.max_m + 1):
         n = m * (m + 1) // 2
         full = regular_fiber_character(m)
         if full.coefficient_sum() != factorial(n):
-            bad.append(f"fiber dimension at m={m} is not {n}!")
+            yield f"fiber dimension at m={m} is not {n}!"
         total = LaurentPolynomial.zero()
         for lam in enumerate_partitions(n):
             total = total + isotypic_character(lam).scaled(dim_irrep(lam))
         if total != full:
-            bad.append(f"sum of dim * isotypic characters misses the fiber at m={m}")
-    return bad
+            yield f"sum of dim * isotypic characters misses the fiber at m={m}"
 
 
 def check_isotypic_characters(limits):
-    bad = []
     for m in range(limits.max_m + 1):
         n = m * (m + 1) // 2
         for lam in enumerate_partitions(n):
             chi = isotypic_character(lam)
             if not chi.is_palindromic():
-                bad.append(f"isotypic character of {lam} is not palindromic")
+                yield f"isotypic character of {lam} is not palindromic"
             if any(c < 0 for _, c in chi.sorted_terms()):
-                bad.append(f"isotypic character of {lam} has a negative coefficient")
+                yield f"isotypic character of {lam} has a negative coefficient"
             if chi.coefficient_sum() != dim_irrep(lam):
-                bad.append(f"isotypic character of {lam} has the wrong dimension")
+                yield f"isotypic character of {lam} has the wrong dimension"
             if chi != isotypic_character(transpose(lam)):
-                bad.append(f"isotypic character changes under transpose at {lam}")
-    return bad
+                yield f"isotypic character changes under transpose at {lam}"
 
 
 def check_sl2_decompose_roundtrip(limits):
     rng = random.Random(_SEED + 2)
-    bad = []
     for trial in range(60):
         char = SL2Character(
             {rng.randint(0, 8): rng.randint(1, 4) for _ in range(rng.randint(0, 5))}
         )
         if decompose(char.to_laurent()) != char:
-            bad.append(f"decompose does not invert reconstruction on trial {trial}")
+            yield f"decompose does not invert reconstruction on trial {trial}"
         if char.to_laurent().coefficient_sum() != char.dimension():
-            bad.append(f"dimension disagrees with value at q=1 on trial {trial}")
+            yield f"dimension disagrees with value at q=1 on trial {trial}"
     try:
         decompose(LaurentPolynomial({1: 1, -1: 1, 0: -1}))
-        bad.append("a non-character was decomposed without complaint")
+        yield "a non-character was decomposed without complaint"
     except NotACharacterError:
         pass
-    return bad
 
 
 def check_fiber_layer_factorization(limits):
-    bad = []
     for m in range(1, limits.max_m + 1):
         if layered_fiber_character(m) != regular_fiber_character(m):
-            bad.append(f"layered factorization misses the fiber character at m={m}")
-    return bad
+            yield f"layered factorization misses the fiber character at m={m}"
 
 
 def check_tangent_factorization(limits):
-    bad = []
     for m in range(1, 9):
         lhs = tangent_character(staircase(m))
         rhs = irreducible_character(m) * irreducible_character(m - 1)
         if lhs != rhs:
-            bad.append(f"staircase tangent character does not factor at m={m}")
-    return bad
+            yield f"staircase tangent character does not factor at m={m}"
 
 
 def check_exponent_duality(limits):
-    bad = []
     for m in range(limits.max_m + 1):
         n = m * (m + 1) // 2
         for lam in enumerate_partitions(n):
             runs = exponent_runs(lam)
             if runs != exponent_runs(transpose(lam)):
-                bad.append(f"exponents change under transpose at {lam}")
+                yield f"exponents change under transpose at {lam}"
             if sum(c * (w + 1) for w, c in runs) != dim_irrep(lam):
-                bad.append(f"exponent dimension count fails at {lam}")
-    return bad
+                yield f"exponent dimension count fails at {lam}"
 
 
 def check_odd_weight_fixed_points(limits):
     """sl2_fixed_set, read off the triangular index, against the partitions
     whose tangent character has only odd weights, found one by one."""
-    bad = []
     for n in range(1, min(limits.max_n, 21) + 1):
         odd = set()
         for lam in enumerate_partitions(n):
             all_odd = weights_all_odd(tangent_character(lam))
             if all_odd != is_staircase(lam):
-                bad.append(f"odd-weight criterion disagrees with staircase at {lam}")
+                yield f"odd-weight criterion disagrees with staircase at {lam}"
             if all_odd:
                 odd.add(lam)
         fixed = sl2_fixed_set(n)
         if fixed != odd:
             found, expected = (sorted(str(lam) for lam in s) for s in (fixed, odd))
-            bad.append(f"odd-weight fixed set at n={n} is {found}, not {expected}")
-    return bad
+            yield f"odd-weight fixed set at n={n} is {found}, not {expected}"
 
 
 def check_borel_stability(limits):
-    bad = []
-    for n in range(min(limits.max_n, 30) + 1):
-        for lam in enumerate_partitions(n):
-            if is_borel_stable(lam) != is_steep(lam):
-                bad.append(f"derivation stability disagrees with steepness at {lam}")
-    return bad
+    for lam in _partitions_upto(limits, 30):
+        if is_borel_stable(lam) != is_steep(lam):
+            yield f"derivation stability disagrees with steepness at {lam}"
 
 
 def _derivation_stabilizer(lam: Partition) -> str:
@@ -424,84 +392,73 @@ def _derivation_stabilizer(lam: Partition) -> str:
 
 
 def check_hilbert_orbit_classification(limits):
-    bad = []
-    for n in range(min(limits.max_n, 30) + 1):
-        for lam in enumerate_partitions(n):
-            rep = hilb_orbit(lam)
-            expected = _derivation_stabilizer(lam)
-            if (rep.stabilizer, rep.orbit_model) != (expected, ORBIT_MODEL[expected]):
-                got = f"{rep.stabilizer} ({rep.orbit_model})"
-                bad.append(f"orbit at {lam} is {got}, expected {expected}")
-            if rep.closed != (expected in CONTAINS_BOREL):
-                bad.append(f"closedness at {lam} disagrees with the derivation test")
-            if rep.closed:
-                if rep.boundary is not None:
-                    bad.append(f"closed orbit at {lam} reports a boundary")
-            elif rep.boundary is None or not (
-                is_borel_stable(rep.boundary) and diagonals(rep.boundary) == diagonals(lam)
-            ):
-                bad.append(f"boundary at {lam} is not steep with the same antidiagonal profile")
-    return bad
+    for lam in _partitions_upto(limits, 30):
+        rep = hilb_orbit(lam)
+        expected = _derivation_stabilizer(lam)
+        if (rep.stabilizer, rep.orbit_model) != (expected, ORBIT_MODEL[expected]):
+            got = f"{rep.stabilizer} ({rep.orbit_model})"
+            yield f"orbit at {lam} is {got}, expected {expected}"
+        if rep.closed != (expected in CONTAINS_BOREL):
+            yield f"closedness at {lam} disagrees with the derivation test"
+        if rep.closed:
+            if rep.boundary is not None:
+                yield f"closed orbit at {lam} reports a boundary"
+        elif rep.boundary is None or not (
+            is_borel_stable(rep.boundary) and diagonals(rep.boundary) == diagonals(lam)
+        ):
+            yield f"boundary at {lam} is not steep with the same antidiagonal profile"
 
 
 def check_closure_edges(limits):
-    bad = []
     for n in range(1, min(limits.max_n, 30) + 1):
         graph = closure_graph(n, HILBERT)
         for src, dst in graph.edges:
             if not is_steep(dst):
-                bad.append(f"closure edge {src} -> {dst} targets a non-steep partition")
+                yield f"closure edge {src} -> {dst} targets a non-steep partition"
             if is_staircase(dst):
-                bad.append(f"closure edge {src} -> {dst} targets the staircase")
+                yield f"closure edge {src} -> {dst} targets the staircase"
             if dst.size != src.size:
-                bad.append(f"closure edge {src} -> {dst} changes the size")
+                yield f"closure edge {src} -> {dst} changes the size"
             if is_steep(src) or is_steep(transpose(src)):
-                bad.append(f"closed orbit {src} has an outgoing edge")
+                yield f"closed orbit {src} has an outgoing edge"
         cm_graph = closure_graph(n, CALOGERO_MOSER)
         if cm_graph.edges:
-            bad.append(f"Calogero-Moser closure graph at n={n} has edges")
-    return bad
+            yield f"Calogero-Moser closure graph at n={n} has edges"
 
 
 def check_cm_orbit_classification(limits):
-    bad = []
-    for n in range(min(limits.max_n, 30) + 1):
-        for lam in enumerate_partitions(n):
-            rep = cm_orbit(lam)
-            lamt = transpose(lam)
-            # every orbit here is closed, so no stabilizer is a Borel: a point
-            # stable under one derivation only shares its orbit with its
-            # transpose and keeps T
-            expected = _derivation_stabilizer(lam)
-            if expected in ("B", "B_minus"):
-                expected = "T"
-            if (rep.stabilizer, rep.orbit_model) != (expected, ORBIT_MODEL[expected]):
-                got = f"{rep.stabilizer} ({rep.orbit_model})"
-                bad.append(f"orbit at {lam} is {got}, expected {expected}")
-            if not rep.closed or rep.boundary is not None:
-                bad.append(f"Calogero-Moser orbit at {lam} is not closed")
-            if rep.partner != (lamt if expected == "T" else None):
-                bad.append(f"shared orbit with the transpose misreported at {lam}")
-    return bad
+    for lam in _partitions_upto(limits, 30):
+        rep = cm_orbit(lam)
+        lamt = transpose(lam)
+        # every orbit here is closed, so no stabilizer is a Borel: a point
+        # stable under one derivation only shares its orbit with its
+        # transpose and keeps T
+        expected = _derivation_stabilizer(lam)
+        if expected in ("B", "B_minus"):
+            expected = "T"
+        if (rep.stabilizer, rep.orbit_model) != (expected, ORBIT_MODEL[expected]):
+            got = f"{rep.stabilizer} ({rep.orbit_model})"
+            yield f"orbit at {lam} is {got}, expected {expected}"
+        if not rep.closed or rep.boundary is not None:
+            yield f"Calogero-Moser orbit at {lam} is not closed"
+        if rep.partner != (lamt if expected == "T" else None):
+            yield f"shared orbit with the transpose misreported at {lam}"
 
 
 def check_monomial_ideal_dims(limits):
-    bad = []
-    for n in range(min(limits.max_n, 30) + 1):
-        for lam in enumerate_partitions(n):
-            ideal = monomial_ideal(lam)
-            d = diagonals(lam)
-            for k in range(len(ideal.graded_dims)):
-                dk = d[k] if k < len(d) else 0
-                expected = k + 1 - dk
-                if ideal.graded_dim(k) != expected or expected < 0:
-                    bad.append(f"graded dimension at {lam}, degree {k} is off")
-            if sum(d) != n:
-                bad.append(f"codimension of the ideal at {lam} is not {n}")
-            for a, b in ideal.generators:
-                if a < len(lam.parts) and b < lam.parts[a]:
-                    bad.append(f"generator ({a},{b}) of {lam} lies inside the diagram")
-    return bad
+    for lam in _partitions_upto(limits, 30):
+        ideal = monomial_ideal(lam)
+        d = diagonals(lam)
+        for k in range(len(ideal.graded_dims)):
+            dk = d[k] if k < len(d) else 0
+            expected = k + 1 - dk
+            if ideal.graded_dim(k) != expected or expected < 0:
+                yield f"graded dimension at {lam}, degree {k} is off"
+        if sum(d) != lam.size:
+            yield f"codimension of the ideal at {lam} is not {lam.size}"
+        for a, b in ideal.generators:
+            if a < len(lam.parts) and b < lam.parts[a]:
+                yield f"generator ({a},{b}) of {lam} lies inside the diagram"
 
 
 def _cli_json_cases():
@@ -546,52 +503,30 @@ def check_cli_json_roundtrip(limits):
     for byte as the library encoder writes what it decodes to."""
     from .cli import main
 
-    bad = []
     for argv, decode, expected in _cli_json_cases():
         command = " ".join(argv)
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             code = main([*argv, "--format", "json"])
         if code != 0:
-            bad.append(f"command {command} exited with {code}")
+            yield f"command {command} exited with {code}"
             continue
         try:
             obj = json.loads(buf.getvalue())
             got = decode(obj)
         except (ValueError, KeyError, TypeError):
-            bad.append(f"command {command} did not emit the expected JSON fields")
+            yield f"command {command} did not emit the expected JSON fields"
             continue
         if buf.getvalue() != json.dumps(obj, indent=2, sort_keys=True) + "\n":
-            bad.append(f"command {command} JSON differs from json.dumps(..., indent=2, sort_keys=True)")
+            yield f"command {command} JSON differs from json.dumps(..., indent=2, sort_keys=True)"
         if got != expected:
-            bad.append(f"command {command} JSON decodes to {got}, expected {expected}")
-    return bad
+            yield f"command {command} JSON decodes to {got}, expected {expected}"
 
 
 CHECKS = {
-    "laurent-ring-axioms": check_laurent_ring_axioms,
-    "partition-involutions": check_partition_involutions,
-    "diagonal-u-map": check_diagonal_u_map,
-    "odd-hooks-staircase": check_odd_hooks_staircase,
-    "staircase-n-stat": check_staircase_n_stat,
-    "dimension-squares": check_dimension_squares,
-    "character-orthogonality": check_character_orthogonality,
-    "staircase-odd-classes": check_staircase_odd_classes,
-    "schur-expansion": check_schur_expansion,
-    "fake-degree": check_fake_degree,
-    "regular-fiber-decomposition": check_regular_fiber_decomposition,
-    "isotypic-characters": check_isotypic_characters,
-    "sl2-decompose-roundtrip": check_sl2_decompose_roundtrip,
-    "fiber-layer-factorization": check_fiber_layer_factorization,
-    "tangent-factorization": check_tangent_factorization,
-    "exponent-duality": check_exponent_duality,
-    "odd-weight-fixed-points": check_odd_weight_fixed_points,
-    "borel-stability": check_borel_stability,
-    "hilbert-orbit-classification": check_hilbert_orbit_classification,
-    "closure-edges": check_closure_edges,
-    "cm-orbit-classification": check_cm_orbit_classification,
-    "monomial-ideal-dims": check_monomial_ideal_dims,
-    "cli-json-roundtrip": check_cli_json_roundtrip,
+    name[len("check_"):].replace("_", "-"): lambda limits, check=check: list(check(limits))
+    for name, check in list(globals().items())
+    if name.startswith("check_")
 }
 
 
