@@ -1,8 +1,7 @@
 """Named verification checks mirroring the stated invariants of every
-module.  Each check_* function yields its failure messages (none means
-pass).  CHECKS holds them in definition order, each named without check_
-and with - for _, and each returning its failures as a list.  The CLI
-runs any subset and reports one line per check.
+module.  Each check_* function yields its failure messages; CHECKS holds
+them in definition order, each returning its failures as a list (empty
+means pass).  The CLI runs any subset and reports one line per check.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from .exactalg import (
     LaurentPolynomial, NonPolynomialError, _pack, _slot_bits, _unpack, one_minus_q_product, one_minus_q_quotient,
 )
 from .orbits import (
-    CALOGERO_MOSER, CONTAINS_BOREL, HILBERT, ORBIT_MODEL, closure_graph, cm_orbit, hilb_orbit, is_borel_stable,
+    CALOGERO_MOSER, CONTAINS_BOREL, HILBERT, closure_graph, cm_orbit, hilb_orbit, is_borel_stable,
     monomial_ideal,
 )
 from .partitions import (
@@ -392,18 +391,14 @@ def _derivation_stabilizer(lam: Partition) -> str:
 
 
 def check_hilbert_orbit_classification(limits):
+    """The stabilizer, and the boundary of each orbit that is not closed
+    (Borel-stable, same diagonals); OrbitReport enforces the rest."""
     for lam in _partitions_upto(limits, 30):
         rep = hilb_orbit(lam)
         expected = _derivation_stabilizer(lam)
-        if (rep.stabilizer, rep.orbit_model) != (expected, ORBIT_MODEL[expected]):
-            got = f"{rep.stabilizer} ({rep.orbit_model})"
-            yield f"orbit at {lam} is {got}, expected {expected}"
-        if rep.closed != (expected in CONTAINS_BOREL):
-            yield f"closedness at {lam} disagrees with the derivation test"
-        if rep.closed:
-            if rep.boundary is not None:
-                yield f"closed orbit at {lam} reports a boundary"
-        elif rep.boundary is None or not (
+        if rep.stabilizer != expected:
+            yield f"stabilizer at {lam} is {rep.stabilizer}, expected {expected}"
+        if rep.boundary is not None and not (
             is_borel_stable(rep.boundary) and diagonals(rep.boundary) == diagonals(lam)
         ):
             yield f"boundary at {lam} is not steep with the same antidiagonal profile"
@@ -419,7 +414,7 @@ def check_closure_edges(limits):
                 yield f"closure edge {src} -> {dst} targets the staircase"
             if dst.size != src.size:
                 yield f"closure edge {src} -> {dst} changes the size"
-            if is_steep(src) or is_steep(transpose(src)):
+            if _derivation_stabilizer(src) in CONTAINS_BOREL:
                 yield f"closed orbit {src} has an outgoing edge"
         cm_graph = closure_graph(n, CALOGERO_MOSER)
         if cm_graph.edges:
@@ -427,21 +422,18 @@ def check_closure_edges(limits):
 
 
 def check_cm_orbit_classification(limits):
+    """The stabilizer, and the partner (the transpose); OrbitReport enforces
+    the rest.  Every orbit here is closed, so no stabilizer is a Borel: a
+    point stable under one derivation only shares its orbit with its
+    transpose and keeps T."""
     for lam in _partitions_upto(limits, 30):
         rep = cm_orbit(lam)
-        lamt = transpose(lam)
-        # every orbit here is closed, so no stabilizer is a Borel: a point
-        # stable under one derivation only shares its orbit with its
-        # transpose and keeps T
         expected = _derivation_stabilizer(lam)
         if expected in ("B", "B_minus"):
             expected = "T"
-        if (rep.stabilizer, rep.orbit_model) != (expected, ORBIT_MODEL[expected]):
-            got = f"{rep.stabilizer} ({rep.orbit_model})"
-            yield f"orbit at {lam} is {got}, expected {expected}"
-        if not rep.closed or rep.boundary is not None:
-            yield f"Calogero-Moser orbit at {lam} is not closed"
-        if rep.partner != (lamt if expected == "T" else None):
+        if rep.stabilizer != expected:
+            yield f"stabilizer at {lam} is {rep.stabilizer}, expected {expected}"
+        if rep.partner is not None and rep.partner != transpose(lam):
             yield f"shared orbit with the transpose misreported at {lam}"
 
 
