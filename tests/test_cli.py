@@ -310,6 +310,21 @@ def test_verify_list(capsys):
     assert "character-orthogonality" in names
 
 
+def test_verify_list_pins_the_registry(capsys):
+    # the names come from the check_* functions in definition order, so a
+    # stray check_ name or a moved definition shows here
+    code, out, _ = run_cli(capsys, "verify", "--list")
+    assert code == 0
+    assert out.split() == [
+        "laurent-ring-axioms", "partition-involutions", "diagonal-u-map", "odd-hooks-staircase",
+        "staircase-n-stat", "dimension-squares", "character-orthogonality", "staircase-odd-classes",
+        "schur-expansion", "fake-degree", "regular-fiber-decomposition", "isotypic-characters",
+        "sl2-decompose-roundtrip", "fiber-layer-factorization", "tangent-factorization", "exponent-duality",
+        "odd-weight-fixed-points", "borel-stability", "hilbert-orbit-classification", "closure-edges",
+        "cm-orbit-classification", "monomial-ideal-dims", "cli-json-roundtrip",
+    ]
+
+
 def test_verify_unknown_check_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["verify", "does-not-exist"])
