@@ -95,7 +95,7 @@ ks_lists = st.lists(st.integers(1, 12), max_size=8)
 
 
 @given(ks_lists)
-def test_ratfun_self_division(ks):
+def test_one_minus_q_quotient_of_its_product_is_one(ks):
     assert one_minus_q_quotient(one_minus_q_product(ks), ks) == LaurentPolynomial.one()
 
 
@@ -105,18 +105,18 @@ def test_exact_div_by_zero_raises():
         f.exact_div(0)
 
 
-def test_ratfun_to_laurent_geometric():
+def test_one_minus_q_quotient_of_a_shifted_geometric_sum():
     f = LaurentPolynomial({-1: 1, 2: -1})  # q^-1 (1 - q^3)
     assert one_minus_q_quotient(f, [1]) == LaurentPolynomial({-1: 1, 0: 1, 1: 1})
 
 
-def test_ratfun_to_laurent_constant():
+def test_constant_divides_by_an_int_and_by_the_empty_product():
     ten = LaurentPolynomial({0: 10})
     assert ten.exact_div(2) == LaurentPolynomial({0: 5})
     assert one_minus_q_quotient(ten, []) == ten
 
 
-def test_ratfun_to_laurent_rejects_series():
+def test_one_minus_q_quotient_rejects_a_series():
     # 1 / (1 - q) is the series 1 + q + q^2 + ..., and (1 - q^2) / (1 - q^3) no polynomial
     with pytest.raises(NonPolynomialError):
         one_minus_q_quotient(LaurentPolynomial.one(), [1])
@@ -124,7 +124,7 @@ def test_ratfun_to_laurent_rejects_series():
         one_minus_q_quotient(LaurentPolynomial({0: 1, 2: -1}), [3])
 
 
-def test_ratfun_to_laurent_rejects_fractional():
+def test_exact_div_rejects_a_fractional_quotient():
     five = LaurentPolynomial({0: 5})
     with pytest.raises(NonPolynomialError):
         five.exact_div(2)
