@@ -140,13 +140,13 @@ def test_division_by_units_and_shifted_dividends(p, k):
 
 
 @given(laurent_polys, ks_lists, st.integers(2, 9))
-def test_exact_div_inverts_multiplication(a, ks, k):
+def test_one_minus_q_quotient_and_exact_div_invert_multiplication(a, ks, k):
     assert one_minus_q_quotient(a * _binomial_product(ks), ks) == a
     assert a.scaled(k).exact_div(k) == a
 
 
 @given(laurent_polys, ks_lists.filter(bool), st.integers(-6, 6))
-def test_exact_div_rejects_remainder(a, ks, j):
+def test_one_minus_q_quotient_rejects_remainder(a, ks, j):
     # the product vanishes at q = 1 and q^j does not
     with pytest.raises(NonPolynomialError):
         one_minus_q_quotient(a * _binomial_product(ks) + LaurentPolynomial.monomial(j), ks)
@@ -249,7 +249,7 @@ def _outcome(num, den, divide):
 
 # (1 - q)^k among the divisors makes quotients far larger than their dividends
 @given(quotients(), ks_lists | st.lists(st.just(1), max_size=12), laurent_polys)
-def test_exact_div_matches_schoolbook_oracle(a, ks, r):
+def test_one_minus_q_quotient_matches_schoolbook_oracle(a, ks, r):
     b = _binomial_product(ks)
     for num in (a * b, a * b + r, (a * b).scaled(3) + r):
         assert _outcome(num, ks, one_minus_q_quotient) == _outcome(num, b, _schoolbook_div)
