@@ -1,17 +1,17 @@
 """Symmetric-group characters and graded fiber characters.
 
 Irreducible character values come from the Murnaghan-Nakayama rule in
-two independent forms.  `character_table(n)` builds its rows from smaller
-tables: p_mu = p_(mu_1) p_(mu_2, ...), so on the classes of largest part k
-a row is the signed sum of the size n - k rows from which a k-strip
-addition reaches it.  Partitions are beta masks (beta sets padded to n
-entries as int bits): a strip addition pads by k, moves a set bit b to a
-clear bit b + k, and reads its height from the bits in between.  A row is
-one byte string of fixed-width slots, so a smaller row is added over a
-block of classes as one big int; the smaller tables stay cached.
-
-`mn_character` removes strips from lam instead, with a memo local to each
-call, so no memo keyed by (lam, mu) outlives it.
+two independent forms, both on beta masks (beta sets padded to n entries
+as int bits): strip additions build tables and expansions, and strip
+removals give single values and chi^delta.  `character_table(n)` builds
+its rows from smaller tables: p_mu = p_(mu_1) p_(mu_2, ...), so on the
+classes of largest part k a row is the signed sum of the size n - k rows
+from which a k-strip addition reaches it.  A strip addition pads by k and
+moves a set bit b up to a clear bit b + k; a removal moves b down to a
+clear b - k and drops k padding entries; each reads its height from the
+bits in between.  A row is one byte string of fixed-width slots, so a
+smaller row is added over a block of classes as one big int; the smaller
+tables stay cached.  `mn_character` keeps its memo for one call only.
 
 Graded multiplicities are Hall-pairing sums over conjugacy classes:
 under the substitution that sends each power sum p_k to p_k / (1 - q^k),
@@ -66,25 +66,6 @@ def centralizer_order(mu: Partition) -> int:
     return z
 
 
-def _strip_removals(parts: tuple, k: int) -> list:
-    """Partitions obtained by removing one border strip of k cells, with sign.
-
-    Beta-set encoding b_i = parts_i + (len - 1 - i): a strip removal moves
-    one entry down by k onto a free slot; the sign is (-1)^height where
-    height counts the entries jumped over.
-    """
-    shifts = range(len(parts) - 1, -1, -1)
-    beta = [p + s for p, s in zip(parts, shifts)]
-    out = []
-    for b in beta:
-        nb = b - k
-        if nb >= 0 and nb not in beta:
-            new = sorted([c for c in beta if c != b] + [nb], reverse=True)
-            height = sum(1 for c in beta if nb < c < b)
-            out.append((tuple([c - s for c, s in zip(new, shifts) if c > s]), -1 if height % 2 else 1))
-    return out
-
-
 def _beta_mask(parts: tuple, n: int) -> int:
     """The beta set of a partition of at most n parts, padded to n entries,
     as an int bit mask: bit parts_i + n - i is set for i = 1..n, the parts
@@ -117,23 +98,31 @@ def _add_strips(out: dict, mask: int, k: int, v: int) -> None:
             out[target] = out.get(target, 0) + v
 
 
-def _mn():
-    """chi^parts(cycle) by border-strip removal, as a function of two parts
-    tuples whose memos, of values by (sub-partition, remaining parts) and
-    of strip removals by (sub-partition, strip size), live as long as it."""
-    memo, strips = {}, {}
+def _remove_strips(mask: int, k: int):
+    """The mirror of _add_strips: yields (target, sign) for every border
+    strip of k cells removed from the partition whose beta mask, padded to
+    its size, is `mask`.  A set bit b moves down to a clear bit b - k, the
+    sign is (-1)^(set bits strictly between), and k set padding bits drop."""
+    between = (1 << (k - 1)) - 1
+    movable = (mask >> k) & ~mask
+    while movable:
+        low = movable & -movable
+        movable ^= low
+        sign = -1 if (mask >> low.bit_length() & between).bit_count() & 1 else 1
+        yield (mask ^ low ^ (low << k)) >> k, sign
 
-    def mn(parts: tuple, cycle: tuple) -> int:
-        if not cycle:
-            return 0 if parts else 1
-        key = (parts, cycle)
+
+def _mn():
+    """chi(cycle) by border-strip removal, as a function of a beta mask
+    padded to its size and a parts tuple, whose memo lives as long as it."""
+    memo = {(0, ()): 1}  # the one character of S_0
+
+    def mn(mask: int, cycle: tuple) -> int:
+        key = (mask, cycle)
         value = memo.get(key)
         if value is None:
-            rest, strip = cycle[1:], (parts, cycle[0])
-            removals = strips.get(strip)
-            if removals is None:
-                removals = strips[strip] = _strip_removals(parts, cycle[0])
-            value = memo[key] = sum(sign * mn(sub, rest) for sub, sign in removals)
+            rest = cycle[1:]
+            value = memo[key] = sum(sign * mn(sub, rest) for sub, sign in _remove_strips(mask, cycle[0]))
         return value
 
     return mn
@@ -145,7 +134,7 @@ def mn_character(lam: Partition, mu: Partition) -> int:
     lives for this one call."""
     if lam.size != mu.size:
         raise ValueError(f"size mismatch: |{lam}| = {lam.size} but |{mu}| = {mu.size}")
-    return _mn()(lam.parts, mu.parts)
+    return _mn()(_beta_mask(lam.parts, lam.size), mu.parts)
 
 
 def _odd_class(parts: tuple) -> bool:
@@ -246,10 +235,11 @@ def _class_weights(delta: Partition) -> list:
     if all_hooks_odd(delta):
         classes = [mu for mu in classes if _odd_class(mu.parts)]
     hooks, nfact, mn = hook_polynomial(delta), factorial(delta.size), _mn()
+    mask = _beta_mask(delta.parts, delta.size)
     return [
         (mu, chi * (nfact // centralizer_order(mu)), _dense(one_minus_q_quotient(hooks, mu.parts)))
         for mu in classes
-        if (chi := mn(delta.parts, mu.parts))
+        if (chi := mn(mask, mu.parts))
     ]
 
 

@@ -50,8 +50,8 @@ from .sl2 import (
     weights_all_odd,
 )
 from .symfun import (
-    _class_weights, _mn, _Numerators, centralizer_order, character_table, fake_degree, isotypic_character,
-    regular_fiber_character,
+    _beta_mask, _class_weights, _mn, _Numerators, centralizer_order, character_table, fake_degree,
+    isotypic_character, regular_fiber_character,
 )
 
 _SEED = 18436
@@ -252,7 +252,7 @@ def check_schur_expansion(limits):
         deltas = [staircase(m)] if m is not None else []
         for delta in deltas + [lam for lam in lams[len(lams) // 2 :] if not all_hooks_odd(lam)][:1]:
             terms = _class_weights(delta)
-            rows = [[mn(lam.parts, mu.parts) for mu, _, _ in terms] for lam in lams]
+            rows = [[mn(_beta_mask(lam.parts, n), mu.parts) for mu, _, _ in terms] for lam in lams]
             tops = [abs(w) * max(map(abs, W)) for _, w, W in terms]
             bits = _slot_bits(max(sum(map(mul, map(abs, row), tops)) for row in rows))
             packed = [w * _pack(W, bits) for _, w, W in terms]
