@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -420,6 +421,10 @@ def main(argv=None) -> int:
     except (MemoryError, RecursionError) as exc:
         print(f"error: {type(exc).__name__}: the computation outgrew this process; "
               "try a smaller size", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout early; point it at devnull so the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -193,19 +193,13 @@ class ClosureGraph(namedtuple("ClosureGraph", "space n nodes edges")):
 
 
 def closure_graph(n: int, space: str) -> ClosureGraph:
-    """Nodes are orbit reports for all partitions of n; in the Hilbert
-    scheme each non-closed orbit sends an edge to its boundary partition,
-    while every Calogero-Moser orbit is closed and the graph has no edges.
+    """Nodes are orbit reports for all partitions of n; each non-closed
+    orbit sends an edge to its boundary partition, so in the Calogero-Moser
+    space, where every orbit is closed, the graph has no edges.
     """
     if space not in (HILBERT, CALOGERO_MOSER):
         raise ValueError(f"unknown space {space!r}")
-    parts = enumerate_partitions(n)
-    if space == HILBERT:
-        nodes = tuple(hilb_orbit(lam) for lam in parts)
-        edges = tuple(
-            (node.partition, node.boundary) for node in nodes if not node.closed
-        )
-    else:
-        nodes = tuple(cm_orbit(lam) for lam in parts)
-        edges = ()
+    orbit = hilb_orbit if space == HILBERT else cm_orbit
+    nodes = tuple(orbit(lam) for lam in enumerate_partitions(n))
+    edges = tuple((node.partition, node.boundary) for node in nodes if not node.closed)
     return ClosureGraph(space=space, n=n, nodes=nodes, edges=edges)

@@ -376,6 +376,18 @@ def test_import_loads_only_what_commands_run():
     assert last == "0 True"
 
 
+def test_closed_pipe_exits_1_without_a_traceback():
+    # the reader takes one line of an output far larger than a pipe buffer
+    # and closes the pipe: exit 1, and nothing on stderr at any point
+    env = dict(os.environ, PYTHONPATH=str(Path(cmhilb.__file__).parents[1]))
+    argv = [sys.executable, "-m", "cmhilb", "hilb", "closure", "30", "--format", "json"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 1
+        assert proc.stderr.read() == b""
+
+
 def test_bad_partition_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["part", "info", "1,2,3"])

@@ -160,7 +160,9 @@ def test_closure_graph_edges_target_steep_non_staircase():
 
 
 def test_cm_closure_graph_edgeless():
-    assert CHECKS["closure-edges"](Limits(max_n=12)) == []
+    # every Calogero-Moser orbit is closed, so no node sends an edge
+    for n in range(1, 13):
+        assert closure_graph(n, CALOGERO_MOSER).edges == ()
 
 
 def test_closure_graph_serializations():
