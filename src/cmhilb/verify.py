@@ -249,10 +249,11 @@ def check_schur_expansion(limits):
     not a 2-core."""
     for n in range(1, min(limits.max_n, 15) + 1):
         lams, m, mn = enumerate_partitions(n), triangular_index(n), _mn()
+        masks = [_beta_mask(lam.parts, n) for lam in lams]
         deltas = [staircase(m)] if m is not None else []
         for delta in deltas + [lam for lam in lams[len(lams) // 2 :] if not all_hooks_odd(lam)][:1]:
             terms = _class_weights(delta)
-            rows = [[mn(_beta_mask(lam.parts, n), mu.parts) for mu, _, _ in terms] for lam in lams]
+            rows = [[mn(mask, mu.parts) for mu, _, _ in terms] for mask in masks]
             tops = [abs(w) * max(map(abs, W)) for _, w, W in terms]
             bits = _slot_bits(max(sum(map(mul, map(abs, row), tops)) for row in rows))
             packed = [w * _pack(W, bits) for _, w, W in terms]
