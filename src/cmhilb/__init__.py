@@ -38,7 +38,6 @@ from .symfun import (
 )
 from .sl2 import (
     NotACharacterError,
-    SL2Character,
     decompose,
     exponent_runs,
     exponent_string,

@@ -1,7 +1,8 @@
 """Highest-weight bookkeeping for torus characters of SL2 representations:
-irreducible characters, decomposition into them, exponents of fiber
-multiplicity spaces, tangent-space characters and the odd-weight fixed
-point criterion, and the layered factorization of the full fiber.
+irreducible characters, decomposition into ascending (highest weight,
+multiplicity) runs, exponents of fiber multiplicity spaces, tangent-space
+characters and the odd-weight fixed point criterion, and the layered
+factorization of the full fiber.
 """
 
 from __future__ import annotations
@@ -34,89 +35,37 @@ def irreducible_character(m: int) -> LaurentPolynomial:
     return LaurentPolynomial({m - 2 * i: 1 for i in range(m + 1)})
 
 
-class SL2Character:
-    """Multiset of highest weights with positive multiplicities."""
-
-    __slots__ = ("_mult",)
-
-    def __init__(self, mult):
-        data = {}
-        items = mult.items() if hasattr(mult, "items") else mult
-        for w, c in items:
-            if not isinstance(w, int) or w < 0:
-                raise ValueError(f"highest weights must be nonnegative integers, got {w}")
-            if not isinstance(c, int) or c < 0:
-                raise NotACharacterError(f"multiplicity of weight {w} is {c}")
-            if c:
-                data[w] = data.get(w, 0) + c
-        self._mult = data
-
-    @property
-    def mult(self) -> dict:
-        """Copy of the weight -> multiplicity map."""
-        return dict(self._mult)
-
-    def items(self) -> tuple:
-        return tuple(sorted(self._mult.items()))
-
-    def multiplicity(self, w: int) -> int:
-        return self._mult.get(w, 0)
-
-    def dimension(self) -> int:
-        return sum(c * (w + 1) for w, c in self._mult.items())
-
-    def to_laurent(self) -> LaurentPolynomial:
-        """Reconstruct the character polynomial exactly."""
-        return sum((irreducible_character(w).scaled(c) for w, c in self._mult.items()), LaurentPolynomial())
-
-    def exponents(self) -> tuple:
-        """Weights repeated with multiplicity, ascending."""
-        return tuple(chain.from_iterable(repeat(w, c) for w, c in sorted(self._mult.items())))
-
-    def __eq__(self, other):
-        if not isinstance(other, SL2Character):
-            return NotImplemented
-        return self._mult == other._mult
-
-    def __hash__(self):
-        return hash(frozenset(self._mult.items()))
-
-    def __repr__(self):
-        return "SL2Character({%s})" % ", ".join(
-            f"{w}: {c}" for w, c in self.items()
-        )
-
-
-def decompose(p: LaurentPolynomial) -> SL2Character:
+def decompose(p: LaurentPolynomial) -> tuple:
     """Decompose a palindromic integer Laurent polynomial into irreducible
-    SL2 characters in one pass over the weights: V(v) has weight w >= 0
-    exactly when v - w is even and nonnegative, so the multiplicity of V(w)
-    is c_w - c_(w+2).  Anything not palindromic, or with a negative
+    SL2 characters, as ascending (highest weight, multiplicity) runs with
+    positive multiplicities.  V(v) has weight w >= 0 exactly when v - w is
+    even and nonnegative, so the multiplicity of V(w) is c_w - c_(w+2), read
+    in one upward pass.  Anything not palindromic, or with a negative
     multiplicity, is no character and raises."""
     if not p.is_palindromic():
         raise NotACharacterError("not an SL2 character: not palindromic")
     coeffs = p.terms
-    mult = {}
-    for w in range(max(coeffs, default=-1), -1, -1):
+    runs = []
+    for w in range(max(coeffs, default=-1) + 1):
         c = coeffs.get(w, 0) - coeffs.get(w + 2, 0)
         if c < 0:
             raise NotACharacterError(f"not an SL2 character: multiplicity {c} at weight {w}")
         if c:
-            mult[w] = c
-    return SL2Character(mult)
+            runs.append((w, c))
+    return tuple(runs)
 
 
 def exponents(lam: Partition) -> tuple:
     """Exponents of lam: the multiset e with the lam-multiplicity space
     isomorphic to the direct sum of the irreducibles V(e_i), ascending,
     one entry per copy (see exponent_runs for the compact form)."""
-    return decompose(isotypic_character(lam)).exponents()
+    return tuple(chain.from_iterable(repeat(w, c) for w, c in exponent_runs(lam)))
 
 
 def exponent_runs(lam: Partition) -> tuple:
-    """The exponents of lam as ascending (value, multiplicity) pairs, read
-    off its SL2 decomposition without writing out one entry per copy."""
-    return decompose(isotypic_character(lam)).items()
+    """The exponents of lam as ascending (value, multiplicity) pairs: the
+    SL2 decomposition of its isotypic character, one run per value."""
+    return decompose(isotypic_character(lam))
 
 
 _SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")

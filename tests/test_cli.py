@@ -320,8 +320,23 @@ def test_verify_list_pins_the_registry(capsys):
         "staircase-n-stat", "dimension-squares", "character-orthogonality", "staircase-odd-classes",
         "schur-expansion", "fake-degree", "regular-fiber-decomposition", "isotypic-characters",
         "sl2-decompose-roundtrip", "fiber-layer-factorization", "tangent-factorization", "exponent-duality",
-        "odd-weight-fixed-points", "borel-stability", "hilbert-orbit-classification", "closure-edges",
+        "odd-weight-fixed-points", "borel-stability", "hilbert-orbit-classification",
         "cm-orbit-classification", "monomial-ideal-dims", "cli-json-roundtrip",
+    ]
+
+
+def test_public_api_is_pinned():
+    # every export change shows here, so adding or dropping one is deliberate
+    assert cmhilb.__all__ == [
+        "CALOGERO_MOSER", "CapExceededError", "CharacterTable", "ClosureGraph", "HILBERT", "LaurentPolynomial",
+        "MonomialIdeal", "NonPolynomialError", "NonTriangularSizeError", "NotACharacterError", "OrbitReport",
+        "Partition", "all_hooks_odd", "cells", "centralizer_order", "character_table", "closure_graph", "cm_orbit",
+        "decompose", "diagonals", "dim_irrep", "enumerate_partitions", "exactalg", "exponent_runs",
+        "exponent_string", "exponents", "fake_degree", "graded_multiplicity", "hilb_orbit", "hook_layer_character",
+        "hook_lengths", "hook_polynomial", "irreducible_character", "is_borel_stable", "is_staircase", "is_steep",
+        "isotypic_character", "layered_fiber_character", "mn_character", "monomial_ideal", "n_stat", "orbits",
+        "parse_partition", "partitions", "q_factorial", "regular_fiber_character", "sl2", "sl2_fixed_set",
+        "staircase", "symfun", "tangent_character", "transpose", "triangular_index", "u_map", "weights_all_odd",
     ]
 
 

@@ -3,6 +3,7 @@ import sys
 import pytest
 from hypothesis import given
 
+import cmhilb.orbits as orbits_module
 import cmhilb.partitions as partitions_module
 from cmhilb import (
     CALOGERO_MOSER,
@@ -18,6 +19,8 @@ from cmhilb import (
     monomial_ideal,
     staircase,
     transpose,
+    u_map,
+    verify,
 )
 from cmhilb.verify import CHECKS, Limits
 from strategies import partitions
@@ -155,8 +158,27 @@ def test_closure_graph_four():
     assert graph.to_text() == "2,2 -> 3,1"
 
 
-def test_closure_graph_edges_target_steep_non_staircase():
-    assert CHECKS["closure-edges"](Limits(max_n=12)) == []
+def test_closure_graph_edges_target_steep_non_staircase(monkeypatch):
+    # the orbit check rebuilds the edges from the boundaries it checks, so a
+    # transposed boundary, or an edge out of a closed orbit, fails it
+    real_orbit, real_graph = orbits_module.hilb_orbit, orbits_module.closure_graph
+
+    def transposed_boundary(lam):
+        rep = real_orbit(lam)
+        return rep if rep.closed else rep._replace(boundary=transpose(rep.boundary))
+
+    def edges_out_of_b_minus(n, space):
+        graph = real_graph(n, space)
+        extra = [(node.partition, u_map(node.partition)) for node in graph.nodes if node.stabilizer == "B_minus"]
+        return graph._replace(edges=graph.edges + tuple(extra))
+
+    check = CHECKS["hilbert-orbit-classification"]
+    with monkeypatch.context() as m:
+        m.setattr(orbits_module, "hilb_orbit", transposed_boundary)
+        assert "boundary at 2,2 is not steep with the same antidiagonal profile" in check(Limits(max_n=12))
+    with monkeypatch.context() as m:
+        m.setattr(verify, "closure_graph", edges_out_of_b_minus)
+        assert check(Limits(max_n=12))[0].startswith("closure edges at n=2 are not the boundaries")
 
 
 def test_cm_closure_graph_edgeless():

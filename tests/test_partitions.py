@@ -1,3 +1,4 @@
+import gc
 import os
 import tracemalloc
 from functools import lru_cache
@@ -239,17 +240,21 @@ def _retained_by_scan() -> int:
     Only the package's blocks count, so an allocation the interpreter or a
     test plugin makes at the same time does not.  CPython keeps up to 2000
     freed tuples of each length below 20 for reuse, still counted as
-    allocated, so that store is filled before counting starts."""
-    spare = [tuple(range(k)) for k in range(1, 20) for _ in range(2000)]
-    del spare
-    tracemalloc.start(8)
+    allocated, so that store is filled before counting starts.  Automatic
+    collection is off meanwhile: a full collection empties that store, and
+    the tuples the scan frees would then refill it and count as retained."""
+    gc.disable()
     try:
+        spare = [tuple(range(k)) for k in range(1, 20) for _ in range(2000)]
+        del spare
+        tracemalloc.start(8)
         lams = partitions_module.enumerate_partitions(30)
         hook_lengths(lams[len(lams) // 2])
         del lams
         snapshot = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
+        gc.enable()
     ours = snapshot.filter_traces([tracemalloc.Filter(True, _PACKAGE_FILES, all_frames=True)])
     return sum(stat.size for stat in ours.statistics("filename"))
 

@@ -9,7 +9,6 @@ from cmhilb import (
     LaurentPolynomial,
     NotACharacterError,
     Partition,
-    SL2Character,
     decompose,
     enumerate_partitions,
     exponent_runs,
@@ -27,9 +26,9 @@ from cmhilb import (
 from cmhilb.verify import CHECKS, Limits
 from strategies import partitions
 
-sl2_characters = st.dictionaries(
+sl2_runs = st.dictionaries(
     st.integers(0, 8), st.integers(1, 4), max_size=5
-).map(SL2Character)
+).map(lambda mult: tuple(sorted(mult.items())))
 
 
 def test_irreducible_character_examples():
@@ -41,20 +40,26 @@ def test_irreducible_character_examples():
 
 
 def test_decompose_examples():
-    assert decompose(LaurentPolynomial({2: 1, 0: 1, -2: 1})) == SL2Character({2: 1})
+    assert decompose(LaurentPolynomial({2: 1, 0: 1, -2: 1})) == ((2, 1),)
     doubled = LaurentPolynomial({1: 2, 0: 2, -1: 2})
-    assert decompose(doubled) == SL2Character({1: 2, 0: 2})
+    assert decompose(doubled) == ((0, 2), (1, 2))
+    # V(3)^2 + V(0): dimension 9, exponents 0, 3, 3
+    char = irreducible_character(3).scaled(2) + irreducible_character(0)
+    assert char.coefficient_sum() == 9
+    assert decompose(char) == ((0, 1), (3, 2))
+    assert tuple(w for w, c in decompose(char) for _ in range(c)) == (0, 3, 3)
     with pytest.raises(NotACharacterError):
         decompose(LaurentPolynomial({1: 1, -1: 1, 0: -1}))
     with pytest.raises(NotACharacterError):
         decompose(LaurentPolynomial({2: 1}))
-    assert decompose(LaurentPolynomial.zero()) == SL2Character({})
+    assert decompose(LaurentPolynomial.zero()) == ()
 
 
-@given(sl2_characters)
-def test_decompose_inverts_reconstruction(char):
-    assert decompose(char.to_laurent()) == char
-    assert char.to_laurent().coefficient_sum() == char.dimension()
+@given(sl2_runs)
+def test_decompose_inverts_reconstruction(runs):
+    char = sum((irreducible_character(w).scaled(c) for w, c in runs), LaurentPolynomial())
+    assert decompose(char) == runs
+    assert char.coefficient_sum() == sum(c * (w + 1) for w, c in runs)
 
 
 @given(partitions(max_size=10))
@@ -161,15 +166,3 @@ def test_layered_fiber_character():
 
 def test_layered_matches_regular_fiber():
     assert CHECKS["fiber-layer-factorization"](Limits(max_m=4)) == []
-
-
-def test_sl2_character_validation():
-    with pytest.raises(ValueError):
-        SL2Character({-1: 2})
-    with pytest.raises(NotACharacterError):
-        SL2Character({2: -1})
-    char = SL2Character({3: 2, 0: 1})
-    assert char.dimension() == 9
-    assert char.exponents() == (0, 3, 3)
-    assert char.multiplicity(3) == 2
-    assert char.multiplicity(5) == 0
