@@ -3,7 +3,9 @@
 Subcommands mirror the two spaces: `cm ...` for the Calogero-Moser side,
 `hilb ...` for the Hilbert scheme, `part info` for raw partition data and
 `verify` for the named invariant checks.  Exit codes: 0 success, 1 a
-verification or computation failure, 2 a usage error.
+verification or computation failure, 2 a usage error.  Exponent tables
+and closure graphs are computed whole, so that a fault prints nothing, and
+then written row by row.
 """
 
 from __future__ import annotations
@@ -12,10 +14,12 @@ import argparse
 import functools
 import os
 import sys
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 
 from .exactalg import NonPolynomialError
 from .orbits import (
+    CALOGERO_MOSER,
     closure_graph,
     cm_orbit,
     hilb_orbit,
@@ -82,9 +86,9 @@ def _json_dump(obj, pad="\n") -> str:
         return str(obj)
     if obj is None or kind is bool:
         return "null" if obj is None else "true" if obj else "false"
-    inner, chunks = pad + "  ", []
     if kind is list and set(map(type, obj)) <= {int}:
-        return f"[{inner}{(',' + inner).join(map(str, obj))}{pad}]" if obj else "[]"
+        return _json_ints(obj, pad)
+    inner, chunks = pad + "  ", []
     if kind is list:
         for x in obj:
             chunks += (",", inner, _json_dump(x, inner))
@@ -98,6 +102,12 @@ def _json_dump(obj, pad="\n") -> str:
     chunks[0] = "[" if kind is list else "{"
     chunks += (pad, "]" if kind is list else "}")
     return "".join(chunks)
+
+
+def _json_ints(values, pad: str) -> str:
+    """_json_dump of a list or tuple of ints, its closing bracket after pad."""
+    inner = pad + "  "
+    return f"[{inner}{(',' + inner).join(map(str, values))}{pad}]" if values else "[]"
 
 
 def _print_kv(pairs):
@@ -304,13 +314,13 @@ def _cmd_orbit(args) -> int:
 
 def _write_exponents_json(n: int, rows) -> None:
     """Prints json.dumps({"n": n, "rows": [{"exponents": runs, "partition": parts}, ...]}, indent=2,
-    sort_keys=True) row by row: _json_dump of the whole table takes 5-8x the time and 34 MB more at n = 28."""
+    sort_keys=True) row by row, as closure graphs are written: _json_dump of the whole table takes 5-8x the time
+    and 34 MB more at n = 28."""
     sys.stdout.write('{\n  "n": %d,\n  "rows": [' % n)
     for i, (lam, runs) in enumerate(rows):
         exponents = ",\n".join("        [\n          %d,\n          %d\n        ]" % run for run in runs)
-        parts = "[\n%s\n      ]" % ",\n".join("        %d" % p for p in lam.parts) if lam.parts else "[]"
         sys.stdout.write('%s\n    {\n      "exponents": [\n%s\n      ],\n      "partition": %s\n    }'
-                         % ("," if i else "", exponents, parts))
+                         % ("," if i else "", exponents, _json_ints(lam.parts, "\n      ")))
     sys.stdout.write("\n  ]\n}\n")
 
 
@@ -372,15 +382,58 @@ def _cmd_hilb_ideal(args) -> int:
     return 0
 
 
+# one node of the closure JSON, its keys sorted: separator, boundary, closed, orbit id,
+# orbit model, partition, partner, space, stabilizer
+_CLOSURE_NODE = ('%s\n    {\n%s      "closed": %s,\n%s      "orbit_model": "%s",\n      "partition": %s,\n%s'
+                 '      "space": "%s",\n      "stabilizer": "%s"\n    }')
+_CLOSURE_BOUNDARY = '      "boundary": {\n        "model": "P1",\n        "partition": %s\n      },\n'
+
+
+def _closure_json(graph):
+    """Yields json.dumps({"edges": [[src, dst], ...], "n": n, "nodes": [report.to_json_obj(), ...], "space":
+    space}, indent=2, sort_keys=True) edge by edge and node by node, each node from _CLOSURE_NODE: at n = 45
+    the whole document took 286 MB, where the graph alone holds 59 MB."""
+    pad, deeper = "\n      ", "\n        "
+    yield '{\n  "edges": ['
+    for i, (src, dst) in enumerate(graph.edges):
+        yield ('%s\n    [\n      %s,\n      %s\n    ]'
+               % ("," if i else "", _json_ints(src.parts, pad), _json_ints(dst.parts, pad)))
+    yield '%s],\n  "n": %d,\n  "nodes": [' % ("\n  " if graph.edges else "", graph.n)
+    for i, node in enumerate(graph.nodes):
+        boundary, partner = node.boundary, node.partner
+        yield _CLOSURE_NODE % (
+            "," if i else "",
+            "" if boundary is None else _CLOSURE_BOUNDARY % _json_ints(boundary.parts, deeper),
+            "true" if node.closed else "false",
+            '      "orbit_id": "%s",\n' % node.orbit_id if node.space == CALOGERO_MOSER else "",
+            node.orbit_model, _json_ints(node.partition.parts, pad),
+            "" if partner is None else '      "partner": %s,\n' % _json_ints(partner.parts, pad),
+            node.space, node.stabilizer,
+        )
+    yield '\n  ],\n  "space": "%s"\n}\n' % graph.space  # a graph has a node, () at n = 0
+
+
+def _write_chunked(pieces) -> None:
+    """Writes the strings pieces to stdout 256 to a write: a write per piece costs
+    about 1 us, and one join of them all would hold the whole document."""
+    pieces = iter(pieces)
+    while chunk := list(islice(pieces, 256)):
+        sys.stdout.write("".join(chunk))
+
+
 def _cmd_hilb_closure(args) -> int:
+    # the graph is built whole first, so that a fault prints nothing, and then written piece by piece
     graph = closure_graph(args.n, args.space)
     if args.format == "json":
-        print(_json_dump(graph.to_json_obj()))
+        pieces = _closure_json(graph)
     elif args.format == "dot":
-        print(graph.to_dot())
+        shapes = {True: "doublecircle", False: "circle"}
+        pieces = chain(["digraph closure {\n"],
+                       (f'  "{node.partition}" [shape={shapes[node.closed]}];\n' for node in graph.nodes),
+                       (f'  "{src}" -> "{dst}";\n' for src, dst in graph.edges), ["}\n"])
     else:
-        text = graph.to_text()
-        print(text if text else "(no edges)")
+        pieces = (f"{src} -> {dst}\n" for src, dst in graph.edges) if graph.edges else ["(no edges)\n"]
+    _write_chunked(pieces)
     return 0
 
 

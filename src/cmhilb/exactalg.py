@@ -220,7 +220,16 @@ class LaurentPolynomial:
 
     @classmethod
     def from_json(cls, pairs) -> "LaurentPolynomial":
-        return cls({int(e): int(c) for e, c in pairs})
+        """The inverse of to_json, refusing what it never writes: an exponent not exactly
+        an int or not above the one before, or a coefficient such as 2, "+2", "02" or "0"."""
+        terms = {}
+        for e, c in pairs:
+            if type(e) is not int or type(c) is not str:
+                raise TypeError(f"a term is [int, str], got [{e!r}, {c!r}]")
+            if (terms and e <= last) or c == "0" or str(int(c)) != c:
+                raise ValueError(f"[{e}, {c!r}] is not a term to_json writes")
+            terms[e], last = int(c), e
+        return _unchecked(terms)
 
     def __repr__(self):
         return self.to_text()

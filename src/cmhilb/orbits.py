@@ -97,9 +97,14 @@ class OrbitReport(namedtuple("OrbitReport", "space partition stabilizer orbit_mo
         if self.partner is not None:
             out["partner"] = self.partner.to_json()
         if self.space == CALOGERO_MOSER:
-            other = self.partition if self.partner is None else self.partner
-            out["orbit_id"] = str(min(self.partition, other, key=lambda p: p.parts))
+            out["orbit_id"] = self.orbit_id
         return out
+
+    @property
+    def orbit_id(self) -> str:
+        """The orbit's name: the lesser of its partition and the partner sharing it, if any."""
+        lam, other = self.partition, self.partner
+        return str(lam if other is None or lam.parts < other.parts else other)
 
 
 def monomial_ideal(lam: Partition) -> MonomialIdeal:
@@ -165,31 +170,8 @@ def cm_orbit(lam: Partition) -> OrbitReport:
     return OrbitReport(CALOGERO_MOSER, lam, stabilizer, ORBIT_MODEL[stabilizer], True, partner=partner)
 
 
-class ClosureGraph(namedtuple("ClosureGraph", "space n nodes edges")):
-    """Directed closure graph over all partitions of n in one space."""
-
-    __slots__ = ()
-
-    def to_text(self) -> str:
-        return "\n".join(f"{src} -> {dst}" for src, dst in self.edges)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "space": self.space,
-            "n": self.n,
-            "nodes": [node.to_json_obj() for node in self.nodes],
-            "edges": [[src.to_json(), dst.to_json()] for src, dst in self.edges],
-        }
-
-    def to_dot(self) -> str:
-        lines = ["digraph closure {"]
-        for node in self.nodes:
-            shape = "doublecircle" if node.closed else "circle"
-            lines.append(f'  "{node.partition}" [shape={shape}];')
-        for src, dst in self.edges:
-            lines.append(f'  "{src}" -> "{dst}";')
-        lines.append("}")
-        return "\n".join(lines)
+# the directed closure graph over all partitions of n in one space; the CLI writes it
+ClosureGraph = namedtuple("ClosureGraph", "space n nodes edges")
 
 
 def closure_graph(n: int, space: str) -> ClosureGraph:

@@ -447,20 +447,37 @@ def check_monomial_ideal_dims(limits):
                 yield f"generator ({a},{b}) of {lam} lies inside the diagram"
 
 
+def _report_fields(obj):
+    """An orbit report's JSON, from `cm orbit`, `hilb orbit` or a closure node,
+    as the report's fields, the boundary's model and the orbit id."""
+    boundary, partner = obj.get("boundary"), obj.get("partner")
+    return (obj["space"], Partition(obj["partition"]), obj["stabilizer"], obj["orbit_model"], obj["closed"],
+            boundary and Partition(boundary["partition"]), partner and Partition(partner),
+            boundary and boundary["model"], obj.get("orbit_id"))
+
+
+def _expected_fields(rep):
+    """_report_fields of rep's JSON, the orbit id by its own route: the lesser of
+    the partition and its transpose, on Calogero-Moser orbits only."""
+    ident = str(min(rep.partition, transpose(rep.partition), key=lambda p: p.parts))
+    return (*rep, rep.boundary and "P1", ident if rep.space == CALOGERO_MOSER else None)
+
+
 def _cli_json_cases():
     """(argv, decode, expected): decode turns the JSON that argv prints back
     into library values, which must equal the expected library values."""
     lam, hooked = Partition((4, 3, 3, 1, 1)), Partition((2, 1))
-    cm_rep, hilb_rep = cm_orbit(Partition((3, 1))), hilb_orbit(Partition((2, 2)))
     ideal = monomial_ideal(hooked)
     laurent = LaurentPolynomial.from_json
+    closure = lambda o: ([_report_fields(node) for node in o["nodes"]],
+                         [(Partition(src), Partition(dst)) for src, dst in o["edges"]])
+    # 10 is the least size whose Hilbert orbits have all five stabilizers (6 has no N_T)
+    hilb10 = [hilb_orbit(mu) for mu in enumerate_partitions(10)]
     return [
         (["part", "info", "4,3,3,1,1"],
          lambda o: (laurent(o["hook_polynomial"]), Partition(o["u_map"]), tuple(o["diagonals"])),
          (hook_polynomial(lam), u_map(lam), diagonals(lam))),
-        (["cm", "orbit", "3,1"],
-         lambda o: (o["stabilizer"], o["closed"], Partition(o["partner"])),
-         (cm_rep.stabilizer, cm_rep.closed, cm_rep.partner)),
+        (["cm", "orbit", "3,1"], _report_fields, _expected_fields(cm_orbit(Partition((3, 1))))),
         (["cm", "exponents", "6"],
          lambda o: [(Partition(r["partition"]), tuple(map(tuple, r["exponents"]))) for r in o["rows"]],
          [(mu, exponent_runs(mu)) for mu in enumerate_partitions(6)]),
@@ -469,18 +486,15 @@ def _cli_json_cases():
          (regular_fiber_character(2), factorial(3))),
         (["cm", "tangent", "2,1"], lambda o: laurent(o["character"]), tangent_character(hooked)),
         (["cm", "fixed", "6"], lambda o: {Partition(p) for p in o["fixed"]}, sl2_fixed_set(6)),
-        (["hilb", "orbit", "2,2"],
-         lambda o: (o["stabilizer"], o["closed"], Partition(o["boundary"]["partition"])),
-         (hilb_rep.stabilizer, hilb_rep.closed, hilb_rep.boundary)),
+        (["hilb", "orbit", "2,2"], _report_fields, _expected_fields(hilb_orbit(Partition((2, 2))))),
         (["hilb", "ideal", "2,1"],
          lambda o: (tuple(map(tuple, o["generators"])), tuple(o["graded_dims"])),
          (ideal.generators, ideal.graded_dims)),
-        (["hilb", "closure", "4"],
-         lambda o: tuple((Partition(a), Partition(b)) for a, b in o["edges"]),
-         closure_graph(4, HILBERT).edges),
-        (["hilb", "closure", "4", "--space", CALOGERO_MOSER],
-         lambda o: [node["orbit_id"] for node in o["nodes"]],
-         [str(min(mu, transpose(mu), key=lambda p: p.parts)) for mu in enumerate_partitions(4)]),
+        (["hilb", "closure", "10"], closure,
+         ([_expected_fields(rep) for rep in hilb10],
+          [(rep.partition, rep.boundary) for rep in hilb10 if not rep.closed])),
+        (["hilb", "closure", "10", "--space", CALOGERO_MOSER], closure,
+         ([_expected_fields(cm_orbit(mu)) for mu in enumerate_partitions(10)], [])),
     ]
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 
 import cmhilb
-from cmhilb import LaurentPolynomial, NonPolynomialError, cli, verify
+from cmhilb import LaurentPolynomial, NonPolynomialError, cli, orbits, verify
 from cmhilb.cli import main
 from strategies import partitions
 
@@ -403,6 +403,18 @@ def test_closed_pipe_exits_1_without_a_traceback():
         assert proc.stderr.read() == b""
 
 
+@pytest.mark.parametrize("fmt, first", [("text", b"28,1,1 -> 28,2\n"), ("dot", b"digraph closure {\n")])
+def test_closed_pipe_on_streamed_closure_exits_1(fmt, first):
+    # text and dot are written line by line: the reader takes the first line and closes the pipe
+    env = dict(os.environ, PYTHONPATH=str(Path(cmhilb.__file__).parents[1]))
+    argv = [sys.executable, "-m", "cmhilb", "hilb", "closure", "30", "--format", fmt]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == first
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 1
+        assert proc.stderr.read() == b""
+
+
 def test_bad_partition_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["part", "info", "1,2,3"])
@@ -500,23 +512,83 @@ def test_cli_json_roundtrip_checks_the_bytes(monkeypatch):
     # indent=1 decodes to the same values, but is not the library's indent=2
     monkeypatch.setattr(cli, "_json_dump", lambda obj: json.dumps(obj, indent=1, sort_keys=True))
     failures = verify.CHECKS["cli-json-roundtrip"](verify.Limits())
-    # every command but `cm exponents`, which has a row writer of its own
-    assert len(failures) == len(verify._cli_json_cases()) - 1
+    # every command but `cm exponents` and the two `hilb closure` cases, which have writers of their own
+    assert len(failures) == len(verify._cli_json_cases()) - 3
     assert all(f.endswith("JSON differs from json.dumps(..., indent=2, sort_keys=True)") for f in failures)
 
 
 def test_cli_json_roundtrip_decodes_the_orbit_id(monkeypatch):
-    to_json_obj = cmhilb.OrbitReport.to_json_obj
-
-    def own_id(report):
-        out = to_json_obj(report)
-        if "orbit_id" in out:
-            out["orbit_id"] = str(report.partition)
-        return out
-
-    monkeypatch.setattr(cmhilb.OrbitReport, "to_json_obj", own_id)
+    monkeypatch.setattr(cmhilb.OrbitReport, "orbit_id", property(lambda report: str(report.partition)))
     failures = verify.CHECKS["cli-json-roundtrip"](verify.Limits())
-    assert [f.split(" JSON")[0] for f in failures] == ["command hilb closure 4 --space calogero-moser"]
+    assert [f.split(" JSON")[0] for f in failures] == [
+        "command cm orbit 3,1", "command hilb closure 10 --space calogero-moser"
+    ]
+
+
+@pytest.mark.parametrize("first, second, commands", [
+    ("stabilizer", "orbit_model", ["hilb closure 10", "hilb closure 10 --space calogero-moser"]),
+    ("partition", "partner", ["hilb closure 10 --space calogero-moser"]),
+    ("closed", "space", ["hilb closure 10", "hilb closure 10 --space calogero-moser"]),
+])
+def test_cli_json_roundtrip_reads_every_closure_node(monkeypatch, first, second, commands):
+    # the bytes are json.dumps's, but two fields of each node that has both are swapped
+    closure_json = cli._closure_json
+
+    def swapped(graph):
+        obj = json.loads("".join(closure_json(graph)))
+        for node in obj["nodes"]:
+            if second in node:
+                node[first], node[second] = node[second], node[first]
+        return [json.dumps(obj, indent=2, sort_keys=True) + "\n"]
+
+    monkeypatch.setattr(cli, "_closure_json", swapped)
+    failures = verify.CHECKS["cli-json-roundtrip"](verify.Limits())
+    assert [f.split(" JSON decodes to")[0] for f in failures] == [f"command {c}" for c in commands]
+
+
+def _closure_oracle(graph, fmt):
+    """`hilb closure` output of graph, built without the CLI's writers."""
+    if fmt == "json":
+        obj = {
+            "space": graph.space,
+            "n": graph.n,
+            "nodes": [node.to_json_obj() for node in graph.nodes],
+            "edges": [[src.to_json(), dst.to_json()] for src, dst in graph.edges],
+        }
+        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    edges = [f'  "{src}" -> "{dst}";\n' if fmt == "dot" else f"{src} -> {dst}\n" for src, dst in graph.edges]
+    if fmt == "text":
+        return "".join(edges) if edges else "(no edges)\n"
+    shapes = {True: "doublecircle", False: "circle"}
+    nodes = [f'  "{node.partition}" [shape={shapes[node.closed]}];\n' for node in graph.nodes]
+    return "".join(["digraph closure {\n", *nodes, *edges, "}\n"])
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+@pytest.mark.parametrize("space", ["hilbert", "calogero-moser"])
+def test_closure_output_matches_oracles(capsys, space, fmt):
+    for n in range(1, 25):
+        code, out, err = run_cli(capsys, "hilb", "closure", str(n), "--space", space, "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == _closure_oracle(cmhilb.closure_graph(n, space), fmt), n
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+def test_closure_fault_prints_nothing(capsys, monkeypatch, fmt):
+    # the graph is built whole before the first byte, so a fault in its 10th orbit leaves stdout empty
+    real, calls = orbits.hilb_orbit, []
+
+    def failing(lam):
+        calls.append(lam)
+        if len(calls) == 10:
+            raise MemoryError
+        return real(lam)
+
+    monkeypatch.setattr(orbits, "hilb_orbit", failing)
+    code, out, err = run_cli(capsys, "hilb", "closure", "8", "--format", fmt)
+    assert (code, out) == (1, "")
+    assert len(calls) == 10
+    assert err.startswith("error: MemoryError") and err.count("\n") == 1
 
 
 # (command words, argument kind, formats) for every non-verify command

@@ -81,6 +81,25 @@ def test_json_roundtrip(p):
     assert LaurentPolynomial.from_json(p.to_json()) == p
 
 
+@pytest.mark.parametrize("pairs", [
+    [[1.5, "2"]], [[True, "1"]], [["1", "1"]],  # exponents that are not exactly int
+    [[1, 2.7]], [[1, 2]], [[1, True]], [[1, None]],  # coefficients that are no string
+    [[0, "1.0"]], [[0, "+2"]], [[0, "02"]], [[0, " 2"]], [[0, "1_000"]], [[0, "-0"]], [[0, "0"]], [[0, "x"]],
+    [[1, "1"], [1, "1"]], [[2, "1"], [1, "1"]],  # a repeated or descending exponent
+], ids=repr)
+def test_from_json_refuses_what_to_json_never_writes(pairs):
+    with pytest.raises((TypeError, ValueError)):
+        LaurentPolynomial.from_json(pairs)
+
+
+def test_from_json_reads_signs_and_wide_coefficients():
+    pairs = [[-3, "-12"], [0, "1"], [5, str(10**40)]]
+    p = LaurentPolynomial.from_json(pairs)
+    assert p == LaurentPolynomial({-3: -12, 0: 1, 5: 10**40})
+    assert p.to_json() == pairs
+    assert LaurentPolynomial.from_json([]) == LaurentPolynomial.zero()
+
+
 def test_coefficient_sum_is_value_at_one():
     # the value at q = 1, the only point the package evaluates at
     assert LaurentPolynomial({-1: 1, 1: 1}).coefficient_sum() == 2

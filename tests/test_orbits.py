@@ -1,3 +1,4 @@
+import json
 import sys
 
 import pytest
@@ -22,6 +23,7 @@ from cmhilb import (
     u_map,
     verify,
 )
+from cmhilb.cli import main
 from cmhilb.verify import CHECKS, Limits
 from strategies import partitions
 
@@ -147,7 +149,7 @@ def test_cm_orbits_always_closed():
 def test_cm_partner_orbits_share_identifier():
     a = cm_orbit(Partition((3, 1))).to_json_obj()
     b = cm_orbit(Partition((2, 1, 1))).to_json_obj()
-    assert a["orbit_id"] == b["orbit_id"]
+    assert a["orbit_id"] == b["orbit_id"] == cm_orbit(Partition((2, 1, 1))).orbit_id == "2,1,1"
 
 
 def test_closure_graph_four():
@@ -155,7 +157,6 @@ def test_closure_graph_four():
     assert graph.edges == ((Partition((2, 2)), Partition((3, 1))),)
     closed = {str(n.partition) for n in graph.nodes if n.closed}
     assert closed == {"4", "3,1", "2,1,1", "1,1,1,1"}
-    assert graph.to_text() == "2,2 -> 3,1"
 
 
 def test_closure_graph_edges_target_steep_non_staircase(monkeypatch):
@@ -187,12 +188,16 @@ def test_cm_closure_graph_edgeless():
         assert closure_graph(n, CALOGERO_MOSER).edges == ()
 
 
-def test_closure_graph_serializations():
-    graph = closure_graph(4, HILBERT)
-    obj = graph.to_json_obj()
+def test_closure_graph_serializations(capsys):
+    # the CLI writes the graph; each format shows the one edge of n = 4
+    assert main(["hilb", "closure", "4"]) == 0
+    assert capsys.readouterr().out == "2,2 -> 3,1\n"
+    assert main(["hilb", "closure", "4", "--format", "json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
     assert obj["edges"] == [[[2, 2], [3, 1]]]
-    assert len(obj["nodes"]) == 5
-    dot = graph.to_dot()
+    assert obj["nodes"] == [node.to_json_obj() for node in closure_graph(4, HILBERT).nodes]
+    assert main(["hilb", "closure", "4", "--format", "dot"]) == 0
+    dot = capsys.readouterr().out
     assert dot.startswith("digraph closure {")
     assert '"2,2" -> "3,1";' in dot
 
