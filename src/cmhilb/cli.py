@@ -38,6 +38,7 @@ from .partitions import (
     is_staircase,
     is_steep,
     n_stat,
+    parse_int,
     parse_partition,
     transpose,
     triangular_index,
@@ -137,7 +138,7 @@ def _size_arg(text: str, cap: int | None = None, triangular: bool = False) -> in
     only the empty partition, a bound below 1 leaves nothing to check, and
     only triangular sizes carry a staircase fiber."""
     try:
-        value = int(text)
+        value = parse_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
     if value < 1:

@@ -80,13 +80,22 @@ def _unchecked(parts: tuple) -> Partition:
     return lam
 
 
+def parse_int(text: str) -> int:
+    """An integer in ASCII digits after an optional "-", with surrounding
+    whitespace; int() alone also takes "５", "1_0" and "+3"."""
+    digits = text.strip().removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
+
+
 def parse_partition(text: str) -> Partition:
     """Parse comma-separated parts, e.g. "4,3,3,1,1"; "" is the empty partition."""
     text = text.strip()
     if not text:
         return Partition()
     try:
-        nums = tuple(int(tok) for tok in text.split(","))
+        nums = tuple(parse_int(tok) for tok in text.split(","))
     except ValueError:
         raise ValueError(f"cannot parse partition from {text!r}") from None
     return Partition(nums)

@@ -317,10 +317,9 @@ def test_verify_list_pins_the_registry(capsys):
     assert code == 0
     assert out.split() == [
         "laurent-ring-axioms", "partition-involutions", "diagonal-u-map", "odd-hooks-staircase",
-        "staircase-n-stat", "dimension-squares", "character-orthogonality", "staircase-odd-classes",
-        "schur-expansion", "fake-degree", "regular-fiber-decomposition", "isotypic-characters",
-        "sl2-decompose-roundtrip", "fiber-layer-factorization", "tangent-factorization", "exponent-duality",
-        "odd-weight-fixed-points", "borel-stability", "hilbert-orbit-classification",
+        "staircase-n-stat", "character-orthogonality", "staircase-odd-classes", "schur-expansion",
+        "fake-degree", "isotypic-characters", "sl2-decompose-roundtrip", "fiber-layer-factorization",
+        "tangent-factorization", "odd-weight-fixed-points", "hilbert-orbit-classification",
         "cm-orbit-classification", "monomial-ideal-dims", "cli-json-roundtrip",
     ]
 
@@ -430,6 +429,28 @@ def test_nonpositive_size_is_usage_error(capsys, command, size):
         main([*command, size])
     assert err.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    "part info {}", "cm tangent 12,{}", "cm fixed {}", "hilb closure {}", "verify --max-n {}", "verify --max-m {}",
+], ids=lambda argv: "-".join(argv.split()[:2]))
+@pytest.mark.parametrize("text", ["５", "1_0", "+3", "٣"], ids=["fullwidth", "underscore", "plus", "arabic-indic"])
+def test_integer_arguments_take_only_ascii_digits(capsys, argv, text):
+    # int() would read each of these as a number
+    with pytest.raises(SystemExit) as err:
+        main(argv.format(text).split())
+    assert err.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_integer_arguments_keep_whitespace_and_sign(capsys):
+    assert run_cli(capsys, "cm", "fixed", " 6 ")[:2] == (0, "3,2,1\n")
+    assert run_cli(capsys, "part", "info", " 3, 1 ")[1] == run_cli(capsys, "part", "info", "3,1")[1]
+    for argv, message in [(["cm", "fixed", "-3"], "must be at least 1, got -3"),
+                          (["part", "info", "-3"], "partition parts must be positive, got -3")]:
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("size", ["60", "1000000000"])
@@ -735,6 +756,16 @@ def _first_choices(line: str) -> str:
     """line with each optional [...] group replaced by its first choice,
     whose metavars (N, M) read 1."""
     return re.sub(r"\[([^]|]*)[^]]*\]", lambda group: re.sub(r"\b[A-Z]+\b", "1", group[1]), line)
+
+
+def test_readme_names_only_registered_checks():
+    # every check name written after `verify` in the README, so that a folded
+    # or renamed check cannot leave a stale name in the docs
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    runs = re.findall(r"\bverify((?:\s+(?:all\b|[a-z0-9]+(?:-[a-z0-9]+)+))+)", readme)
+    names = {name for run in runs for name in run.split()} - {"all"}
+    assert "fiber-layer-factorization" in names
+    assert names <= set(verify.CHECKS), names - set(verify.CHECKS)
 
 
 @pytest.mark.parametrize("line", _readme_command_lines())

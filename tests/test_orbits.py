@@ -20,6 +20,7 @@ from cmhilb import (
     monomial_ideal,
     staircase,
     transpose,
+    triangular_index,
     u_map,
     verify,
 )
@@ -82,7 +83,9 @@ def test_borel_stability_examples():
 
 
 def test_borel_stability_is_steepness():
-    assert CHECKS["borel-stability"](Limits(max_n=12)) == []
+    # hilb_orbit reads steepness and the check reads the derivation tests,
+    # so the stabilizers agree exactly when is_borel_stable is is_steep
+    assert CHECKS["hilbert-orbit-classification"](Limits(max_n=12)) == []
 
 
 def test_orbit_check_catches_wrong_steepness(monkeypatch):
@@ -96,6 +99,15 @@ def test_orbit_check_catches_wrong_steepness(monkeypatch):
             monkeypatch.setattr(module, "is_steep", wrong)
     assert hilb_orbit(Partition((3, 1))).stabilizer != "B"
     assert CHECKS["hilbert-orbit-classification"](Limits(max_n=12))
+
+
+def test_orbit_check_catches_wrong_borel_stability(monkeypatch):
+    def wrong(lam):  # reads every even-size steep non-staircase as not Borel-stable
+        return is_borel_stable(lam) and (lam.size % 2 == 1 or is_staircase(lam))
+
+    monkeypatch.setattr(verify, "is_borel_stable", wrong)
+    failures = CHECKS["hilbert-orbit-classification"](Limits(max_n=12))
+    assert "stabilizer at 3,1 is B, expected T" in failures
 
 
 def test_hilb_orbit_running_example():
@@ -168,6 +180,10 @@ def test_closure_graph_edges_target_steep_non_staircase(monkeypatch):
         rep = real_orbit(lam)
         return rep if rep.closed else rep._replace(boundary=transpose(rep.boundary))
 
+    def staircase_boundary(lam):
+        rep, m = real_orbit(lam), triangular_index(lam.size)
+        return rep if rep.closed or m is None else rep._replace(boundary=staircase(m))
+
     def edges_out_of_b_minus(n, space):
         graph = real_graph(n, space)
         extra = [(node.partition, u_map(node.partition)) for node in graph.nodes if node.stabilizer == "B_minus"]
@@ -180,6 +196,10 @@ def test_closure_graph_edges_target_steep_non_staircase(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(verify, "closure_graph", edges_out_of_b_minus)
         assert check(Limits(max_n=12))[0].startswith("closure edges at n=2 are not the boundaries")
+    # a staircase boundary cannot share the diagonals of an orbit that is not closed
+    with monkeypatch.context() as m:
+        m.setattr(orbits_module, "hilb_orbit", staircase_boundary)
+        assert check(Limits(max_n=12))[0] == "boundary at 4,1,1 is not steep with the same antidiagonal profile"
 
 
 def test_cm_closure_graph_edgeless():

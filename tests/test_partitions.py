@@ -24,6 +24,7 @@ from cmhilb import (
     transpose,
     triangular_index,
     u_map,
+    verify,
 )
 import cmhilb.partitions as partitions_module
 from cmhilb.partitions import PARTITION_BUDGET, partition_count
@@ -120,7 +121,16 @@ def test_dim_irrep():
 
 
 def test_dimension_squares_sum_to_factorial():
-    assert CHECKS["dimension-squares"](Limits(max_n=8)) == []
+    # the Gram matrix of the square table and chi(1^n) = dim give sum dim^2 = n!
+    assert CHECKS["character-orthogonality"](Limits(max_n=8)) == []
+
+
+def test_orthogonality_check_catches_a_wrong_dimension(monkeypatch):
+    wrong = lambda lam: dim_irrep(lam) + (lam == Partition((3, 2, 1)))
+    monkeypatch.setattr(verify, "dim_irrep", wrong)
+    assert CHECKS["character-orthogonality"](Limits(max_n=8)) == [
+        "character at the identity is not the dimension for 3,2,1"
+    ]
 
 
 def test_is_steep():
@@ -177,13 +187,21 @@ def _with_invalid(n):
      lambda lam: partitions_module._unchecked(transpose(lam).parts[::-1]), "weakly decreasing"),
     ("partition-involutions", "enumerate_partitions", _with_invalid, "weakly decreasing"),
     ("diagonal-u-map", "diagonals", lambda lam: diagonals(lam)[::-1], "cell counts"),
+    ("diagonal-u-map", "diagonals", lambda lam: diagonals(lam) + (1,), "cell counts"),
     ("diagonal-u-map", "u_map", lambda lam: lam, "count of diagonals"),
     ("diagonal-u-map", "u_map", lambda lam: partitions_module._unchecked(u_map(lam).parts[::-1]),
      "weakly decreasing"),
     ("diagonal-u-map", "u_map", lambda lam: partitions_module._unchecked(u_map(lam).parts + (0,)),
      "must be positive"),
+    # transpose((3, 1)) = (2, 1, 1) goes to (2, 2), not back: no involution
+    ("partition-involutions", "transpose",
+     lambda lam: Partition((2, 2)) if lam == Partition((2, 1, 1)) else transpose(lam), "not the cell swap"),
+    # the steep (3, 1) goes to (2, 2), and (2, 2) back to (3, 1): not idempotent
+    ("diagonal-u-map", "u_map", lambda lam: Partition((2, 2)) if lam == Partition((3, 1)) else u_map(lam),
+     "count of diagonals"),
 ], ids=["transpose-identity", "transpose-increasing", "enumeration-increasing", "diagonals-reversed",
-        "u_map-identity", "u_map-increasing", "u_map-zero-part"])
+        "diagonals-extra-cell", "u_map-identity", "u_map-increasing", "u_map-zero-part", "transpose-no-involution",
+        "u_map-not-idempotent"])
 def test_partition_checks_catch_a_wrong_rule(monkeypatch, check, name, wrong, message):
     import cmhilb.verify as verify_module
 

@@ -93,7 +93,7 @@ def test_exponent_runs_compress_exponents():
 
 
 def test_exponent_duality_and_dimension():
-    assert CHECKS["exponent-duality"](Limits(max_m=3)) == []
+    assert CHECKS["isotypic-characters"](Limits(max_m=3)) == []
 
 
 def test_tangent_character_examples():

@@ -436,7 +436,40 @@ def test_isotypic_dimension_and_symmetry():
 
 
 def test_fiber_decomposes_into_isotypic_pieces():
-    assert CHECKS["regular-fiber-decomposition"](Limits(max_m=3)) == []
+    assert CHECKS["isotypic-characters"](Limits(max_m=3)) == []
+
+
+_HOOK, _HOOK_T = (5, 1), (2, 1, 1, 1, 1)  # a transpose pair at m = 3 with character V(1) + V(2)
+
+
+@pytest.mark.parametrize("changed, wrong, message", [
+    ({(2, 1): lambda chi: chi.shifted(1)}, None, "isotypic character of 2,1 is not an SL2 character: not palindromic"),
+    ({_HOOK: lambda chi: LaurentPolynomial({-4: 1, -2: 1, 0: 1, 2: 1, 4: 1})}, None,
+     "isotypic character changes under transpose at 5,1"),
+    ({_HOOK: lambda chi: chi.scaled(2), _HOOK_T: lambda chi: chi.scaled(2)}, None,
+     "isotypic character of 5,1 has the wrong dimension"),
+    ({}, lambda m: LaurentPolynomial({0: 1}), "fiber dimension at m=3 is not 6!"),
+    ({}, lambda m: LaurentPolynomial({0: -1, 1: 1}), "sum of dim * isotypic characters misses the fiber at m=3"),
+], ids=["not-palindromic", "not-transpose-invariant", "wrong-dimension", "fiber-extra-term", "fiber-moved-term"])
+def test_isotypic_check_catches_a_wrong_character(monkeypatch, changed, wrong, message):
+    # each piece the one-pass check reads, changed at m = 2 or 3: a character
+    # that is no SL2 character, V(4) in place of V(1) + V(2) (still a character
+    # of dimension 5), a transpose pair at twice its dimension, and the fiber
+    # with one term added or one moved to the next weight
+    real_chars, real_fiber = symfun._isotypic_characters, verify.regular_fiber_character
+
+    def chars(m):
+        out = dict(real_chars(m))
+        for parts, change in changed.items():
+            if parts in out:
+                out[parts] = change(out[parts])
+        return out
+
+    monkeypatch.setattr(symfun, "_isotypic_characters", chars)
+    if wrong:
+        monkeypatch.setattr(verify, "regular_fiber_character",
+                            lambda m: real_fiber(m) + wrong(m) if m == 3 else real_fiber(m))
+    assert message in CHECKS["isotypic-characters"](Limits(max_m=3))
 
 
 def test_fake_degree_check_sums_to_the_coinvariant_series(monkeypatch):
