@@ -1,0 +1,41 @@
+"""Golden outputs: the SHA-256 of stdout of the commands whose bytes depend
+on how a Laurent polynomial is stored, rendered and serialised.  The
+digests were taken from the dict-backed LaurentPolynomial, so any change of
+storage must leave every byte of these outputs as it was."""
+
+import hashlib
+
+import pytest
+
+from cmhilb.cli import main
+
+GOLDEN = {
+    "cm char-L 1 --format text": "a935007d876b95eb7490b6cc64e572513323418157a4a7a72d8517820bdf9900",
+    "cm char-L 1 --format json": "73370b97797a1b573681627b050a6b5c2021e2b02fa41a24dbec15f1c9cffc26",
+    "cm char-L 2 --format text": "eaca4faee7b71798d75cd2480198b38d478c18ae6f0c0acf4ebca0e28d5b76de",
+    "cm char-L 2 --format json": "b892be16b6242e234a9dc99d1945d469cf9609508b293b36349554227d30eddd",
+    "cm char-L 3 --format text": "080fd0a3a1b3930ac6c885ebb12baf711a7aac89d25cdecaeec748ec68aa5b59",
+    "cm char-L 3 --format json": "f1abea66a04f286e3f6a830c739fa99ea9ff88f721383c16a40e6256f9bd6862",
+    "cm char-L 4 --format text": "e25e4c184361d838267f559243534b74f67cda1314f63f5abc633fa206585dd3",
+    "cm char-L 4 --format json": "116acc328e9ac3c0219f1acce415c5caf41d028b8f6b9351a7bed91c88461221",
+    "cm char-L 5 --format text": "255d07090268489deae9262216f07bf18274cbee911197bb426b1317add0f251",
+    "cm char-L 5 --format json": "a3d468671424fc908bbdd3cf1e9d246b82a3d92430faa9e1f1f2269591710b58",
+    "cm char-L 6 --format text": "fadca0e8e6b2db5cf0c804ad4e564cd073daecfe5799a772a22327e0263f8d43",
+    "cm char-L 6 --format json": "95611e2361163d137b95480bbb3364ac5eb6b24f826dc29491ff808d62ff6e06",
+    "cm char-L 7 --format text": "b93b763c97bec12ff67be183d2f5f887a21c6b169630e79767a2f9f2e2c2db8f",
+    "cm char-L 7 --format json": "e5d53418937a92c6e2c211ec7ea47ca310e7b91655f425b8e6fbcbabb52b54bf",
+    "cm exponents 15 --format text": "214122874bf45da331fcc7f75858318c00c9c01e601594eb2ec7f3f5aeef6fb3",
+    "cm exponents 15 --format json": "2e4ff0c8745f1d9fd9253592d02c9252c5a114b2446a0824bbd6e1d9c648daab",
+    "cm exponents 15 --format csv": "c17841cca3f9e7ea48771e82ed5a99bcb29ac9738326df1b2247c2190f6a961a",
+    "part info 9,6,3,3,1 --format text": "f279fc691f4a87f85da893cfe5eec9365735a92be663c76cc2ef4ce9a41b2cf0",
+    "part info 9,6,3,3,1 --format json": "260e3223834c693943b5632a5fc941300f4e00eb095a25e6cabdf96b64da9ce8",
+    "cm tangent 8,5,3,2,1,1 --format text": "0d5a5ca1e0650f600feffb4ab158e4e2b4477aacdd1711cd59e503ac6edce228",
+    "cm tangent 8,5,3,2,1,1 --format json": "5c0e696d204c52092f0f71ece39e666b653f369b13b57eccf8b26bde28ceb4c4",
+    "verify fiber-layer-factorization --max-m 12": "70f48996b658c923603748ece4ac34b0b14bf9c4952f22e3e3418dde30f3ec66",
+}
+
+
+@pytest.mark.parametrize("command", GOLDEN)
+def test_stdout_matches_its_golden_digest(capsys, command):
+    assert main(command.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == GOLDEN[command]
