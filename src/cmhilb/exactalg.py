@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import sys
 from itertools import accumulate
+from operator import add
 
 
 class NonPolynomialError(ArithmeticError):
@@ -33,11 +34,13 @@ class NonPolynomialError(ArithmeticError):
 class LaurentPolynomial:
     """Immutable Laurent polynomial over the integers.
 
-    Stored as a map from exponent (possibly negative) to nonzero integer
-    coefficient; the zero polynomial is the empty map.
+    Stored dense, in the kernel's form: _lo is the lowest exponent and
+    _coeffs the tuple of coefficients from q^_lo upward, the first and the
+    last nonzero.  The zero polynomial has _coeffs == () and _lo == 0, so
+    equal polynomials have equal storage.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_lo", "_coeffs")
 
     def __init__(self, terms=None):
         data = {}
@@ -48,12 +51,12 @@ class LaurentPolynomial:
                 if type(exp) is not int or type(coeff) is not int:
                     raise TypeError("exponents and coefficients must be integers")
                 if coeff:
-                    total = data.get(exp, 0) + coeff
-                    if total:
-                        data[exp] = total
-                    else:
-                        del data[exp]
-        self._terms = data
+                    data[exp] = data.get(exp, 0) + coeff
+        lo = min(data, default=0)
+        dense = [0] * (max(data, default=lo - 1) - lo + 1)
+        for exp, coeff in data.items():
+            dense[exp - lo] = coeff
+        self._lo, self._coeffs = _trimmed(dense, lo)
 
     @classmethod
     def zero(cls) -> "LaurentPolynomial":
@@ -69,44 +72,45 @@ class LaurentPolynomial:
 
     @property
     def terms(self) -> dict:
-        """Copy of the exponent -> coefficient map."""
-        return dict(self._terms)
+        """The exponent -> coefficient map of the nonzero terms, a new dict."""
+        return dict(self.sorted_terms())
 
     def sorted_terms(self) -> tuple:
         """Term pairs in ascending exponent order."""
-        return tuple(sorted(self._terms.items()))
+        return tuple((e, c) for e, c in enumerate(self._coeffs, self._lo) if c)
 
     def coefficient(self, exponent: int) -> int:
-        return self._terms.get(exponent, 0)
+        i = exponent - self._lo
+        return self._coeffs[i] if 0 <= i < len(self._coeffs) else 0
 
     def support(self) -> tuple:
-        return tuple(sorted(self._terms))
+        return tuple(e for e, c in enumerate(self._coeffs, self._lo) if c)
 
     def __bool__(self):
-        return bool(self._terms)
+        return bool(self._coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
-        return self._terms == other._terms
+        return self._lo == other._lo and self._coeffs == other._coeffs
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return hash((self._lo, self._coeffs))
 
     def __add__(self, other):
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
-        data = dict(self._terms)
-        for e, c in other._terms.items():
-            total = data.get(e, 0) + c
-            if total:
-                data[e] = total
-            else:
-                del data[e]
-        return _unchecked(data)
+        if not self._coeffs or not other._coeffs:
+            return other if not self._coeffs else self
+        lo = min(self._lo, other._lo)
+        out = [0] * (max(self._lo + len(self._coeffs), other._lo + len(other._coeffs)) - lo)
+        for p in (self, other):
+            span = slice(p._lo - lo, p._lo - lo + len(p._coeffs))
+            out[span] = map(add, out[span], p._coeffs)
+        return _from_dense(out, lo)
 
     def __neg__(self):
-        return _unchecked({e: -c for e, c in self._terms.items()})
+        return self.scaled(-1)
 
     def __sub__(self, other):
         if not isinstance(other, LaurentPolynomial):
@@ -118,26 +122,12 @@ class LaurentPolynomial:
             return self.scaled(other)
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
-        a, b = self._terms, other._terms
-        pairs = len(a) * len(b)
-        # one packed multiply from 256 term pairs on, unless the spans dwarf them:
-        # sparse operands of small coefficients break even at pairs = 2-4 x spans
-        if pairs >= 256 and pairs >= 4 * (max(a) - min(a) + max(b) - min(b)):
-            top_a, top_b = max(map(abs, a.values())), max(map(abs, b.values()))
-            l1_a, l1_b = sum(map(abs, a.values())), sum(map(abs, b.values()))
-            # every coefficient of A B is at most ||A||_inf ||B||_1 in size
-            coeffs = _packed_product(_dense(self), _dense(other), _slot_bits(min(top_a * l1_b, top_b * l1_a)))
-            return _from_dense(coeffs, self.min_exponent() + other.min_exponent())
-        data = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = e1 + e2
-                total = data.get(e, 0) + c1 * c2
-                if total:
-                    data[e] = total
-                else:
-                    del data[e]
-        return _unchecked(data)
+        a, b = self._coeffs, other._coeffs
+        if not a or not b:
+            return LaurentPolynomial()
+        # every coefficient of A B is at most ||A||_inf ||B||_1 in size
+        bound = min(max(map(abs, a)) * sum(map(abs, b)), max(map(abs, b)) * sum(map(abs, a)))
+        return _from_dense(_packed_product(a, b, _slot_bits(bound)), self._lo + other._lo)
 
     __rmul__ = __mul__
 
@@ -156,29 +146,29 @@ class LaurentPolynomial:
     def scaled(self, c: int) -> "LaurentPolynomial":
         if not _int(c):
             return LaurentPolynomial()
-        return _unchecked({e: c * v for e, v in self._terms.items()})
+        return _from_dense(tuple(c * v for v in self._coeffs), self._lo)
 
     def shifted(self, k: int) -> "LaurentPolynomial":
         """Multiply by q**k."""
-        k = _int(k)
-        return _unchecked({e + k: v for e, v in self._terms.items()})
+        return _from_dense(self._coeffs, self._lo + _int(k))
 
     def min_exponent(self) -> int:
-        if not self._terms:
+        if not self._coeffs:
             raise ValueError("zero polynomial has no exponents")
-        return min(self._terms)
+        return self._lo
 
     def max_exponent(self) -> int:
-        if not self._terms:
+        if not self._coeffs:
             raise ValueError("zero polynomial has no exponents")
-        return max(self._terms)
+        return self._lo + len(self._coeffs) - 1
 
     def is_palindromic(self) -> bool:
-        return self._terms == {-e: v for e, v in self._terms.items()}
+        coeffs = self._coeffs
+        return not coeffs or (2 * self._lo + len(coeffs) == 1 and coeffs == coeffs[::-1])
 
     def coefficient_sum(self) -> int:
         """Sum of the coefficients, which is the value at q = 1."""
-        return sum(self._terms.values())
+        return sum(self._coeffs)
 
     def exact_div(self, divisor: int) -> "LaurentPolynomial":
         """Exact quotient by a nonzero int, coefficient by coefficient.
@@ -188,19 +178,20 @@ class LaurentPolynomial:
         """
         if not _int(divisor):
             raise ZeroDivisionError("division by zero")
-        data = {}
-        for e, c in self._terms.items():
-            data[e], leftover = divmod(c, divisor)
+        quotient = []
+        for e, c in enumerate(self._coeffs, self._lo):
+            c, leftover = divmod(c, divisor)
             if leftover:
                 raise NonPolynomialError(f"coefficient of q^{e} not divisible by {divisor}")
-        return _unchecked(data)
+            quotient.append(c)
+        return _from_dense(quotient, self._lo)
 
     def to_text(self) -> str:
         """Readable form, terms in ascending exponent: "q^-1 + 2 + q^3"."""
-        if not self._terms:
-            return "0"
         pieces = []
-        for e, c in self.sorted_terms():
+        for e, c in enumerate(self._coeffs, self._lo):
+            if not c:
+                continue
             mag = abs(c)
             if e == 0:
                 body = str(mag)
@@ -211,12 +202,11 @@ class LaurentPolynomial:
                 pieces.append(body if c > 0 else f"-{body}")
             else:
                 pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(pieces)
+        return " ".join(pieces) or "0"
 
     def to_json(self) -> list:
         """List of [exponent, coefficient-string] pairs, ascending."""
-        terms = self._terms
-        return [[e, str(terms[e])] for e in sorted(terms)]
+        return [[e, str(c)] for e, c in enumerate(self._coeffs, self._lo) if c]
 
     @classmethod
     def from_json(cls, pairs) -> "LaurentPolynomial":
@@ -229,7 +219,7 @@ class LaurentPolynomial:
             if (terms and e <= last) or c == "0" or str(int(c)) != c:
                 raise ValueError(f"[{e}, {c!r}] is not a term to_json writes")
             terms[e], last = int(c), e
-        return _unchecked(terms)
+        return cls(terms)
 
     def __repr__(self):
         return self.to_text()
@@ -283,28 +273,35 @@ def one_minus_q_quotient(p: LaurentPolynomial, ks) -> LaurentPolynomial:
     """
     if not p:
         return LaurentPolynomial()
-    coeffs = _dense(p)
+    coeffs = list(p._coeffs)
     for k in sorted(ks, reverse=True):
         for r in range(k):
             coeffs[r::k] = accumulate(coeffs[r::k])
         if any(coeffs[-k:]):
             raise NonPolynomialError(f"1 - q^{k} leaves a nonzero remainder")
         del coeffs[-k:]
-    return _from_dense(coeffs, p.min_exponent())
-
-
-def _dense(p: LaurentPolynomial) -> list:
-    """Coefficients from the lowest exponent to the highest."""
-    lo, hi = p.min_exponent(), p.max_exponent()
-    out = [0] * (hi - lo + 1)
-    for e, c in p._terms.items():
-        out[e - lo] = c
-    return out
+    return _from_dense(coeffs, p._lo)
 
 
 def _from_dense(coeffs, lo: int = 0) -> LaurentPolynomial:
-    """The Laurent polynomial with coefficients coeffs from q^lo upward."""
-    return _unchecked({lo + i: c for i, c in enumerate(coeffs) if c})
+    """The Laurent polynomial with coefficients coeffs from q^lo upward,
+    taken as its storage once the zeros at either end are trimmed."""
+    out = LaurentPolynomial.__new__(LaurentPolynomial)
+    out._lo, out._coeffs = _trimmed(coeffs, lo)
+    return out
+
+
+def _trimmed(coeffs, lo: int) -> tuple:
+    """(lo, coeffs) with the zeros at either end of coeffs dropped and coeffs
+    made a tuple: (0, ()) when every coefficient is zero."""
+    start, end = 0, len(coeffs)
+    while end and not coeffs[end - 1]:
+        end -= 1
+    if not end:
+        return 0, ()
+    while not coeffs[start]:
+        start += 1
+    return lo + start, tuple(coeffs if end - start == len(coeffs) else coeffs[start:end])
 
 
 def _int(x) -> int:
@@ -312,14 +309,6 @@ def _int(x) -> int:
     if type(x) is not int:
         raise TypeError(f"expected an int, got {type(x).__name__}")
     return x
-
-
-def _unchecked(terms: dict) -> LaurentPolynomial:
-    """The Laurent polynomial with terms, an exponent -> coefficient map of
-    ints with no zero coefficient, taken as it is."""
-    out = LaurentPolynomial.__new__(LaurentPolynomial)
-    out._terms = terms
-    return out
 
 
 # -- Kronecker packing -------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain, repeat
 
-from .exactalg import LaurentPolynomial
+from .exactalg import LaurentPolynomial, _from_dense
 from .partitions import (
     Partition,
     dim_irrep,
@@ -32,7 +32,7 @@ def irreducible_character(m: int) -> LaurentPolynomial:
     irreducible of highest weight m."""
     if m < 0:
         raise ValueError("highest weight must be nonnegative")
-    return LaurentPolynomial({m - 2 * i: 1 for i in range(m + 1)})
+    return _from_dense([1, 0] * m + [1], -m)
 
 
 def decompose(p: LaurentPolynomial) -> tuple:
@@ -44,10 +44,10 @@ def decompose(p: LaurentPolynomial) -> tuple:
     multiplicity, is no character and raises."""
     if not p.is_palindromic():
         raise NotACharacterError("not an SL2 character: not palindromic")
-    coeffs = p.terms
+    upper = p._coeffs[len(p._coeffs) // 2 :]  # the coefficients of weights 0, 1, ..., top
     runs = []
-    for w in range(max(coeffs, default=-1) + 1):
-        c = coeffs.get(w, 0) - coeffs.get(w + 2, 0)
+    for w, (c, above) in enumerate(zip(upper, upper[2:] + (0, 0))):
+        c -= above
         if c < 0:
             raise NotACharacterError(f"not an SL2 character: multiplicity {c} at weight {w}")
         if c:
@@ -83,17 +83,19 @@ def exponent_string(runs) -> str:
 def tangent_character(lam: Partition) -> LaurentPolynomial:
     """Torus character of the tangent space at the fixed point labeled by
     lam: the sum of q^h + q^(-h) over the hook multiset."""
-    terms = {}
-    for h in hook_lengths(lam):
-        terms[h] = terms.get(h, 0) + 1
-        terms[-h] = terms.get(-h, 0) + 1
-    return LaurentPolynomial(terms)
+    hooks = hook_lengths(lam)
+    top = max(hooks, default=0)
+    coeffs = [0] * (2 * top + 1)
+    for h in hooks:
+        coeffs[top + h] += 1
+        coeffs[top - h] += 1
+    return _from_dense(coeffs, -top)
 
 
 def weights_all_odd(p: LaurentPolynomial) -> bool:
     """True when every exponent carrying a nonzero coefficient is odd
     (vacuously true for the zero polynomial)."""
-    return all(e % 2 for e in p.support())
+    return not any(p._coeffs[p._lo % 2 :: 2])
 
 
 def sl2_fixed_set(n: int) -> set:

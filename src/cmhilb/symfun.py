@@ -45,7 +45,7 @@ from itertools import groupby
 from math import factorial, isqrt
 
 from .exactalg import (
-    LaurentPolynomial, _bias, _dense, _from_dense, _pack, _slot_bits, _spread, _unpack,
+    LaurentPolynomial, _bias, _from_dense, _pack, _slot_bits, _spread, _unpack,
     one_minus_q_product, one_minus_q_quotient,
 )
 from .partitions import (
@@ -237,7 +237,7 @@ def _class_weights(delta: Partition) -> list:
     hooks, nfact, mn = hook_polynomial(delta), factorial(delta.size), _mn()
     mask = _beta_mask(delta.parts, delta.size)
     return [
-        (mu, chi * (nfact // centralizer_order(mu)), _dense(one_minus_q_quotient(hooks, mu.parts)))
+        (mu, chi * (nfact // centralizer_order(mu)), one_minus_q_quotient(hooks, mu.parts)._coeffs)
         for mu in classes
         if (chi := mn(mask, mu.parts))
     ]

@@ -146,11 +146,8 @@ def test_08_kernel_checks(capsys):
             capsys,
             "character-orthogonality",
             "fake-degree",
-            "isotypic-characters",
             "--max-n",
             "12",
-            "--max-m",
-            "4",
         )
     print(capsys.readouterr().out, end="")
 

@@ -316,3 +316,77 @@ def test_laurent_check_covers_the_packed_kernel(monkeypatch):
     assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == [
         "FAIL laurent-ring-axioms"
     ] * 4
+
+
+# ---------------------------------------------------------------------------
+# The dense storage form: every route that builds a polynomial leaves _lo
+# the lowest exponent and _coeffs a tuple whose first and last entries are
+# nonzero, or (0, ()) for zero.  The oracle is a dict model: a map from
+# exponent to nonzero coefficient, with arithmetic done term by term.
+
+models = st.dictionaries(st.integers(-8, 8), st.integers(-(2 ** 70), 2 ** 70).filter(bool), max_size=8)
+
+
+def _assert_stored(p, model):
+    """p is the polynomial of the dict model, in trimmed dense storage."""
+    assert type(p._coeffs) is tuple
+    if model:
+        lo = min(model)
+        assert p._lo == lo and p._coeffs == tuple(model.get(e, 0) for e in range(lo, max(model) + 1))
+    else:
+        assert (p._lo, p._coeffs) == (0, ())
+    twin = LaurentPolynomial(model)
+    assert p == twin and hash(p) == hash(twin) and p.terms == model
+    assert p.sorted_terms() == tuple(sorted(model.items())) and p.support() == tuple(sorted(model))
+
+
+def _model_sum(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _model_product(a, b):
+    out = {}
+    for e, c in a.items():
+        out = _model_sum(out, {e + f: c * d for f, d in b.items()})
+    return out
+
+
+@given(models, st.integers(-6, 6), st.integers(1, 2 ** 70), st.integers(0, 4), st.integers(0, 4))
+def test_every_construction_route_stores_trimmed(model, k, c, pad_lo, pad_hi):
+    p = LaurentPolynomial(model)
+    _assert_stored(p, model)
+    # pairs that cancel below and above the model's span
+    lo, hi = min(model, default=0), max(model, default=0)
+    pairs = [(lo - 1 - pad_lo, c)] + list(model.items()) + [(hi + 1 + pad_hi, -c), (lo - 1 - pad_lo, -c), (hi + 1 + pad_hi, c)]
+    _assert_stored(LaurentPolynomial(pairs), model)
+    dense = [model.get(e, 0) for e in range(lo, hi + 1)] if model else []
+    _assert_stored(exactalg._from_dense([0] * pad_lo + dense + [0] * pad_hi, lo - pad_lo), model)
+    _assert_stored(p.shifted(k), {e + k: v for e, v in model.items()})
+    _assert_stored(p.scaled(k), {e: k * v for e, v in model.items()} if k else {})
+    _assert_stored(p.scaled(0), {})
+    _assert_stored(p + (-p), {})
+    _assert_stored(LaurentPolynomial.from_json(p.to_json()), model)
+
+
+@given(models, models, st.integers(2, 9), ks_lists)
+def test_arithmetic_matches_the_dict_model(a, b, k, ks):
+    p, q = LaurentPolynomial(a), LaurentPolynomial(b)
+    _assert_stored(p + q, _model_sum(a, b))
+    _assert_stored(p - q, _model_sum(a, {e: -c for e, c in b.items()}))
+    _assert_stored(p * q, _model_product(a, b))
+    assert p * q == _schoolbook_product(p, q)
+    _assert_stored(p.scaled(k).exact_div(k), a)
+    _assert_stored(p.exact_div(-1), {e: -c for e, c in a.items()})
+    _assert_stored(one_minus_q_quotient(p * _binomial_product(ks), ks), a)
+
+
+@given(st.integers(-50, 50), st.integers(0, 5), laurent_polys)
+def test_zero_is_one_value_whatever_its_lowest_exponent(lo, length, p):
+    zero = LaurentPolynomial()
+    for z in (exactalg._from_dense([0] * length, lo), zero.shifted(lo), p - p, p.scaled(0),
+              LaurentPolynomial([(lo, 1), (lo, -1)]), zero * p, one_minus_q_quotient(zero, [1, 2])):
+        assert z == zero and hash(z) == hash(zero) and not z
+        assert (z._lo, z._coeffs) == (0, ())
