@@ -8,6 +8,11 @@ raise NonPolynomialError on any remainder; that error is the single alarm
 for an upstream sum that failed to cancel.  There is no floating point and
 no series truncation anywhere.
 
+A Laurent polynomial is stored in the kernel's own dense form: its lowest
+exponent and the tuple of its coefficients from there upward, trimmed so
+that both ends are nonzero.  The coefficient lists the kernel unpacks or
+sums become polynomials by that end trim alone.
+
 Inside the kernel, long products run on Kronecker-packed ints: a
 polynomial is replaced by its value at q = 2^bits, so that each product
 or sum is one big-int operation (Harvey, arXiv:0712.4046).  Packing is
@@ -180,10 +185,10 @@ class LaurentPolynomial:
             raise ZeroDivisionError("division by zero")
         quotient = []
         for e, c in enumerate(self._coeffs, self._lo):
-            c, leftover = divmod(c, divisor)
+            part, leftover = divmod(c, divisor)
             if leftover:
                 raise NonPolynomialError(f"coefficient of q^{e} not divisible by {divisor}")
-            quotient.append(c)
+            quotient.append(part)
         return _from_dense(quotient, self._lo)
 
     def to_text(self) -> str:

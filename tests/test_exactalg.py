@@ -187,7 +187,7 @@ def test_one_minus_q_product_matches_binomial_products(ks):
     assert one_minus_q_product(ks) == _binomial_product(ks)
 
 
-# operands on both sides of the packed-multiply cutoff, up to 2^200 in size
+# operands from 0 to 40 terms over a span of 81 exponents, up to 2^200 in size
 wide_laurent_polys = st.integers(0, 40).flatmap(
     lambda size: st.dictionaries(st.integers(-40, 40), st.integers(-(2 ** 200), 2 ** 200), max_size=size)
 ).map(LaurentPolynomial)
