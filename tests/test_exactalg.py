@@ -360,7 +360,8 @@ def test_every_construction_route_stores_trimmed(model, k, c, pad_lo, pad_hi):
     _assert_stored(p, model)
     # pairs that cancel below and above the model's span
     lo, hi = min(model, default=0), max(model, default=0)
-    pairs = [(lo - 1 - pad_lo, c)] + list(model.items()) + [(hi + 1 + pad_hi, -c), (lo - 1 - pad_lo, -c), (hi + 1 + pad_hi, c)]
+    below, above = lo - 1 - pad_lo, hi + 1 + pad_hi
+    pairs = [(below, c)] + list(model.items()) + [(above, -c), (below, -c), (above, c)]
     _assert_stored(LaurentPolynomial(pairs), model)
     dense = [model.get(e, 0) for e in range(lo, hi + 1)] if model else []
     _assert_stored(exactalg._from_dense([0] * pad_lo + dense + [0] * pad_hi, lo - pad_lo), model)
