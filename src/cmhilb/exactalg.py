@@ -31,6 +31,9 @@ import sys
 from itertools import accumulate
 from operator import add
 
+# from_json refuses a wider exponent span; the widest a command prints is 20,101
+JSON_SPAN_CAP = 1 << 20
+
 
 class NonPolynomialError(ArithmeticError):
     """A quotient that was expected to be a Laurent polynomial is not one."""
@@ -215,8 +218,8 @@ class LaurentPolynomial:
 
     @classmethod
     def from_json(cls, pairs) -> "LaurentPolynomial":
-        """The inverse of to_json, refusing what it never writes: an exponent not exactly
-        an int or not above the one before, or a coefficient such as 2, "+2", "02" or "0"."""
+        """The inverse of to_json, refusing what it never writes: an exponent not exactly an int
+        or not above the one before, a coefficient such as 2, "+2", "02" or "0", or a span over JSON_SPAN_CAP."""
         terms = {}
         for e, c in pairs:
             if type(e) is not int or type(c) is not str:
@@ -224,6 +227,8 @@ class LaurentPolynomial:
             if (terms and e <= last) or c == "0" or str(int(c)) != c:
                 raise ValueError(f"[{e}, {c!r}] is not a term to_json writes")
             terms[e], last = int(c), e
+        if terms and last - next(iter(terms)) >= JSON_SPAN_CAP:
+            raise ValueError(f"exponents {next(iter(terms))} to {last} span more than {JSON_SPAN_CAP} slots")
         return cls(terms)
 
     def __repr__(self):

@@ -32,7 +32,6 @@ from .partitions import (
     hook_polynomial,
     is_staircase,
     is_steep,
-    n_stat,
     staircase,
     transpose,
     triangular_index,
@@ -181,20 +180,6 @@ def check_diagonal_u_map(limits):
             yield f"u_map({lam}) hits the staircase unexpectedly"
 
 
-def check_odd_hooks_staircase(limits):
-    for lam in _partitions_upto(limits, 30):
-        if all_hooks_odd(lam) != is_staircase(lam):
-            yield f"odd-hook criterion disagrees with staircase test at {lam}"
-
-
-def check_staircase_n_stat(limits):
-    for m in range(11):
-        expected = (m - 1) * m * (m + 1) // 6
-        got = n_stat(staircase(m))
-        if got != expected:
-            yield f"n(staircase({m})) = {got}, expected {expected}"
-
-
 def check_character_orthogonality(limits):
     for n in range(1, min(limits.max_n, 15) + 1):
         table = character_table(n)
@@ -216,32 +201,24 @@ def check_character_orthogonality(limits):
             yield f"the trivial character is not 1 on every class at n={n}"
 
 
-def check_staircase_odd_classes(limits):
-    """chi^delta of a staircase vanishes on every class the Hall pairing
-    skips, those with an even part: the classes and values it keeps are
-    the nonzero entries of delta's row in the full table."""
-    for m in range(1, 6):
-        delta, n = staircase(m), m * (m + 1) // 2
-        if n <= min(limits.max_n, 15):
-            kept = {mu: w * centralizer_order(mu) // factorial(n) for mu, w, _ in _class_weights(delta)}
-            table = character_table(n)
-            for mu, value in zip(table.partitions, table.row(delta)):
-                if value != kept.get(mu, 0):
-                    yield f"chi^({delta}) is {value} on {mu}, not the pairing's {kept.get(mu, 0)}"
-
-
 def check_schur_expansion(limits):
     """Every Hall-pairing numerator from the Schur expansion, which adds
     strips, against sum over mu of chi^lam(mu) W_mu with each chi^lam(mu)
     by strip removal, the rule of mn_character, summed at a width of its
     own: for the staircase of each triangular size and one delta that is
-    not a 2-core."""
+    not a 2-core.  The classes and values w z_mu / n! the pairing keeps are
+    the nonzero entries of delta's row in the full table, so chi^delta of a
+    staircase is 0 on each class it skips; both routes share those classes."""
     for n in range(1, min(limits.max_n, 15) + 1):
-        lams, m, mn = enumerate_partitions(n), triangular_index(n), _mn()
+        lams, m, mn, table = enumerate_partitions(n), triangular_index(n), _mn(), character_table(n)
         masks = [_beta_mask(lam.parts, n) for lam in lams]
         deltas = [staircase(m)] if m is not None else []
         for delta in deltas + [lam for lam in lams[len(lams) // 2 :] if not all_hooks_odd(lam)][:1]:
             terms = _class_weights(delta)
+            kept = {mu: w * centralizer_order(mu) // factorial(n) for mu, w, _ in terms}
+            for mu, value in zip(table.partitions, table.row(delta)):
+                if value != kept.get(mu, 0):
+                    yield f"chi^({delta}) is {value} on {mu}, not the pairing's {kept.get(mu, 0)}"
             rows = [[mn(mask, mu.parts) for mu, _, _ in terms] for mask in masks]
             tops = [abs(w) * max(map(abs, W)) for _, w, W in terms]
             bits = _slot_bits(max(sum(map(mul, map(abs, row), tops)) for row in rows))
@@ -334,13 +311,16 @@ def check_tangent_factorization(limits):
 
 
 def check_odd_weight_fixed_points(limits):
-    """sl2_fixed_set, read off the triangular index, against the partitions
-    whose tangent character has only odd weights, found one by one."""
-    for n in range(1, min(limits.max_n, 21) + 1):
+    """Only a staircase has all hooks odd, and so all tangent weights, which
+    are plus and minus the hooks; sl2_fixed_set, read off the triangular
+    index, against the partitions with only odd weights, found one by one."""
+    for n in range(1, min(limits.max_n, 30) + 1):
         odd = set()
         for lam in enumerate_partitions(n):
-            all_odd = weights_all_odd(tangent_character(lam))
-            if all_odd != is_staircase(lam):
+            stair, all_odd = is_staircase(lam), weights_all_odd(tangent_character(lam))
+            if all_hooks_odd(lam) != stair:
+                yield f"odd-hook criterion disagrees with staircase test at {lam}"
+            if all_odd != stair:
                 yield f"odd-weight criterion disagrees with staircase at {lam}"
             if all_odd:
                 odd.add(lam)
@@ -365,17 +345,20 @@ def _derivation_stabilizer(lam: Partition) -> str:
     return "N_T" if lam == lamt else "T"
 
 
-def check_hilbert_orbit_classification(limits):
-    """The stabilizer, the boundary of each orbit that is not closed
+def check_orbit_classification(limits):
+    """Both spaces against the derivation tests, one stabilizer per partition.
+    Hilbert: the stabilizer, the boundary of each orbit that is not closed
     (Borel-stable with the same diagonals, so not the staircase, which alone
     has its diagonals) and the closure edges, exactly the (partition, boundary)
-    pairs of the orbits whose stabilizer, by the derivation tests, contains no
-    Borel; OrbitReport enforces the rest."""
+    pairs of the orbits whose stabilizer contains no Borel.  Calogero-Moser:
+    every orbit is closed, so a point stable under one derivation only shares
+    its orbit with its partner, the transpose, and keeps T.  OrbitReport
+    enforces the rest."""
     for n in range(min(limits.max_n, 30) + 1):
         graph = closure_graph(n, HILBERT)
         edges = []
         for rep in graph.nodes:
-            lam, boundary = rep.partition, rep.boundary
+            lam, boundary, cm = rep.partition, rep.boundary, cm_orbit(rep.partition)
             expected = _derivation_stabilizer(lam)
             if rep.stabilizer != expected:
                 yield f"stabilizer at {lam} is {rep.stabilizer}, expected {expected}"
@@ -383,24 +366,13 @@ def check_hilbert_orbit_classification(limits):
                 edges.append((lam, boundary))
             if boundary is not None and not (is_borel_stable(boundary) and diagonals(boundary) == diagonals(lam)):
                 yield f"boundary at {lam} is not steep with the same antidiagonal profile"
+            expected = "T" if expected in ("B", "B_minus") else expected
+            if cm.stabilizer != expected:
+                yield f"Calogero-Moser stabilizer at {lam} is {cm.stabilizer}, expected {expected}"
+            if cm.partner is not None and cm.partner != transpose(lam):
+                yield f"shared orbit with the transpose misreported at {lam}"
         if graph.edges != tuple(edges):
             yield f"closure edges at n={n} are not the boundaries of the orbits with no Borel in their stabilizer"
-
-
-def check_cm_orbit_classification(limits):
-    """The stabilizer, and the partner (the transpose); OrbitReport enforces
-    the rest.  Every orbit here is closed, so no stabilizer is a Borel: a
-    point stable under one derivation only shares its orbit with its
-    transpose and keeps T."""
-    for lam in _partitions_upto(limits, 30):
-        rep = cm_orbit(lam)
-        expected = _derivation_stabilizer(lam)
-        if expected in ("B", "B_minus"):
-            expected = "T"
-        if rep.stabilizer != expected:
-            yield f"stabilizer at {lam} is {rep.stabilizer}, expected {expected}"
-        if rep.partner is not None and rep.partner != transpose(lam):
-            yield f"shared orbit with the transpose misreported at {lam}"
 
 
 def check_monomial_ideal_dims(limits):

@@ -263,10 +263,10 @@ def test_hilb_closure_json(capsys):
 
 def test_verify_selected_checks(capsys):
     code, out, _ = run_cli(
-        capsys, "verify", "staircase-n-stat", "tangent-factorization", "--max-n", "8"
+        capsys, "verify", "sl2-decompose-roundtrip", "tangent-factorization", "--max-n", "8"
     )
     assert code == 0
-    assert "PASS staircase-n-stat" in out
+    assert "PASS sl2-decompose-roundtrip" in out
     assert "PASS tangent-factorization" in out
     assert "2/2 checks passed" in out
 
@@ -292,11 +292,11 @@ def test_verify_reports_raising_check(capsys, monkeypatch):
         raise NonPolynomialError("division leaves a nonzero remainder")
 
     monkeypatch.setitem(verify.CHECKS, "boom", boom)
-    code, out, err = run_cli(capsys, "verify", "boom", "staircase-n-stat")
+    code, out, err = run_cli(capsys, "verify", "boom", "tangent-factorization")
     assert code == 1
     assert out.splitlines() == [
         "FAIL boom: raised NonPolynomialError: division leaves a nonzero remainder",
-        "PASS staircase-n-stat",
+        "PASS tangent-factorization",
         "1/2 checks passed",
     ]
     assert "Traceback" not in err
@@ -316,11 +316,10 @@ def test_verify_list_pins_the_registry(capsys):
     code, out, _ = run_cli(capsys, "verify", "--list")
     assert code == 0
     assert out.split() == [
-        "laurent-ring-axioms", "partition-involutions", "diagonal-u-map", "odd-hooks-staircase",
-        "staircase-n-stat", "character-orthogonality", "staircase-odd-classes", "schur-expansion",
-        "fake-degree", "isotypic-characters", "sl2-decompose-roundtrip", "fiber-layer-factorization",
-        "tangent-factorization", "odd-weight-fixed-points", "hilbert-orbit-classification",
-        "cm-orbit-classification", "monomial-ideal-dims", "cli-json-roundtrip",
+        "laurent-ring-axioms", "partition-involutions", "diagonal-u-map", "character-orthogonality",
+        "schur-expansion", "fake-degree", "isotypic-characters", "sl2-decompose-roundtrip",
+        "fiber-layer-factorization", "tangent-factorization", "odd-weight-fixed-points",
+        "orbit-classification", "monomial-ideal-dims", "cli-json-roundtrip",
     ]
 
 
@@ -759,13 +758,15 @@ def _first_choices(line: str) -> str:
 
 
 def test_readme_names_only_registered_checks():
-    # every check name written after `verify` in the README, so that a folded
-    # or renamed check cannot leave a stale name in the docs
+    # every check name written after `verify` in the README is registered, and
+    # every registered name is in the README, so a fold or rename cannot leave
+    # the docs stale
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     runs = re.findall(r"\bverify((?:\s+(?:all\b|[a-z0-9]+(?:-[a-z0-9]+)+))+)", readme)
     names = {name for run in runs for name in run.split()} - {"all"}
     assert "fiber-layer-factorization" in names
     assert names <= set(verify.CHECKS), names - set(verify.CHECKS)
+    assert not [name for name in verify.CHECKS if f"`{name}`" not in readme]
 
 
 @pytest.mark.parametrize("line", _readme_command_lines())

@@ -1,11 +1,14 @@
+import json
 import random
+import tracemalloc
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
 from cmhilb import LaurentPolynomial, NonPolynomialError
-from cmhilb import exactalg
+from cmhilb import Partition, exactalg, hook_polynomial, regular_fiber_character
+from cmhilb.cli import main
 from cmhilb.exactalg import _pack, _slot_bits, _unpack, one_minus_q_product, one_minus_q_quotient
 from cmhilb.verify import CHECKS, Limits, _binomial_product, _schoolbook_product, run_checks
 from strategies import laurent_polys
@@ -98,6 +101,32 @@ def test_from_json_reads_signs_and_wide_coefficients():
     assert p == LaurentPolynomial({-3: -12, 0: 1, 5: 10**40})
     assert p.to_json() == pairs
     assert LaurentPolynomial.from_json([]) == LaurentPolynomial.zero()
+
+
+def test_from_json_refuses_a_wide_span_before_storing_it():
+    # two terms 10^7 apart would store 10^7 slots, some 80 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="span"):
+            LaurentPolynomial.from_json([[0, "1"], [10**7, "1"]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    cap = exactalg.JSON_SPAN_CAP
+    with pytest.raises(ValueError, match="span"):
+        LaurentPolynomial.from_json([[-1, "1"], [cap - 1, "1"]])
+    assert LaurentPolynomial.from_json([[-1, "1"], [cap - 2, "1"]]) == LaurentPolynomial({-1: 1, cap - 2: 1})
+
+
+@pytest.mark.parametrize("argv, key, expected", [
+    (["part", "info", "200"], "hook_polynomial", lambda: hook_polynomial(Partition((200,)))),
+    (["cm", "char-L", "20"], "character", lambda: regular_fiber_character(20)),
+], ids=["part info 200", "cm char-L 20"])
+def test_widest_printed_polynomials_read_back(capsys, argv, key, expected):
+    # the widest polynomials the commands print stay well inside JSON_SPAN_CAP
+    assert main([*argv, "--format", "json"]) == 0
+    assert LaurentPolynomial.from_json(json.loads(capsys.readouterr().out)[key]) == expected()
 
 
 def test_coefficient_sum_is_value_at_one():

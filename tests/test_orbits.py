@@ -14,6 +14,7 @@ from cmhilb import (
     closure_graph,
     cm_orbit,
     diagonals,
+    enumerate_partitions,
     hilb_orbit,
     is_borel_stable,
     is_staircase,
@@ -85,7 +86,7 @@ def test_borel_stability_examples():
 def test_borel_stability_is_steepness():
     # hilb_orbit reads steepness and the check reads the derivation tests,
     # so the stabilizers agree exactly when is_borel_stable is is_steep
-    assert CHECKS["hilbert-orbit-classification"](Limits(max_n=12)) == []
+    assert CHECKS["orbit-classification"](Limits(max_n=12)) == []
 
 
 def test_orbit_check_catches_wrong_steepness(monkeypatch):
@@ -98,7 +99,7 @@ def test_orbit_check_catches_wrong_steepness(monkeypatch):
         if name.startswith("cmhilb") and getattr(module, "is_steep", None) is real:
             monkeypatch.setattr(module, "is_steep", wrong)
     assert hilb_orbit(Partition((3, 1))).stabilizer != "B"
-    assert CHECKS["hilbert-orbit-classification"](Limits(max_n=12))
+    assert CHECKS["orbit-classification"](Limits(max_n=12))
 
 
 def test_orbit_check_catches_wrong_borel_stability(monkeypatch):
@@ -106,7 +107,7 @@ def test_orbit_check_catches_wrong_borel_stability(monkeypatch):
         return is_borel_stable(lam) and (lam.size % 2 == 1 or is_staircase(lam))
 
     monkeypatch.setattr(verify, "is_borel_stable", wrong)
-    failures = CHECKS["hilbert-orbit-classification"](Limits(max_n=12))
+    failures = CHECKS["orbit-classification"](Limits(max_n=12))
     assert "stabilizer at 3,1 is B, expected T" in failures
 
 
@@ -133,7 +134,7 @@ def test_hilb_orbit_steep_and_self_transpose():
 def test_hilb_closed_iff_steep_side():
     # closed exactly when the stabilizer holds a Borel, read off the
     # derivation tests, with a steep boundary of the same diagonals otherwise
-    assert CHECKS["hilbert-orbit-classification"](Limits(max_n=12)) == []
+    assert CHECKS["orbit-classification"](Limits(max_n=12)) == []
 
 
 _W0 = {"SL2": "SL2", "B": "B_minus", "B_minus": "B", "T": "T", "N_T": "N_T"}
@@ -155,7 +156,26 @@ def test_cm_orbit_examples():
 
 
 def test_cm_orbits_always_closed():
-    assert CHECKS["cm-orbit-classification"](Limits(max_n=12)) == []
+    assert all(cm_orbit(lam).closed for n in range(13) for lam in enumerate_partitions(n))
+
+
+def test_orbit_check_catches_a_wrong_cm_partner_or_stabilizer(monkeypatch):
+    # the Calogero-Moser side shares the Hilbert side's stabilizer, so a
+    # partner that is not the transpose, or a stabilizer not mapped from it,
+    # must still fail the one orbit check
+    real = verify.cm_orbit
+    faults = [
+        (lambda rep: rep._replace(partner=rep.partner and rep.partition),
+         "shared orbit with the transpose misreported at 3,1"),
+        (lambda rep: rep._replace(stabilizer="T") if rep.stabilizer == "N_T" else rep,
+         "Calogero-Moser stabilizer at 2,2 is T, expected N_T"),
+        (lambda rep: rep._replace(stabilizer="B") if rep.partition == Partition((3, 1)) else rep,
+         "Calogero-Moser stabilizer at 3,1 is B, expected T"),
+    ]
+    for fault, message in faults:
+        with monkeypatch.context() as m:
+            m.setattr(verify, "cm_orbit", lambda lam, fault=fault: fault(real(lam)))
+            assert message in CHECKS["orbit-classification"](Limits(max_n=6))
 
 
 def test_cm_partner_orbits_share_identifier():
@@ -189,7 +209,7 @@ def test_closure_graph_edges_target_steep_non_staircase(monkeypatch):
         extra = [(node.partition, u_map(node.partition)) for node in graph.nodes if node.stabilizer == "B_minus"]
         return graph._replace(edges=graph.edges + tuple(extra))
 
-    check = CHECKS["hilbert-orbit-classification"]
+    check = CHECKS["orbit-classification"]
     with monkeypatch.context() as m:
         m.setattr(orbits_module, "hilb_orbit", transposed_boundary)
         assert "boundary at 2,2 is not steep with the same antidiagonal profile" in check(Limits(max_n=12))

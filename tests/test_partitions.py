@@ -27,6 +27,7 @@ from cmhilb import (
     verify,
 )
 import cmhilb.partitions as partitions_module
+from cmhilb import symfun
 from cmhilb.partitions import PARTITION_BUDGET, partition_count
 from cmhilb.verify import CHECKS, Limits
 from strategies import partitions
@@ -112,6 +113,19 @@ def test_n_stat():
 def test_n_stat_staircase_formula():
     for m in range(11):
         assert n_stat(staircase(m)) == (m - 1) * m * (m + 1) // 6
+
+
+def test_fiber_check_catches_a_wrong_staircase_n_stat(monkeypatch):
+    # the fiber character is shifted by -n(delta) and the layered product
+    # is not, so n(delta) off by one on a staircase must fail the check
+    real = symfun.n_stat
+    monkeypatch.setattr(symfun, "n_stat", lambda lam: real(lam) + (is_staircase(lam) and lam.size >= 3))
+    symfun.regular_fiber_character.cache_clear()
+    try:
+        failures = CHECKS["fiber-layer-factorization"](Limits(max_m=4))
+    finally:
+        symfun.regular_fiber_character.cache_clear()
+    assert "layered factorization misses the fiber character at m=2" in failures
 
 
 def test_dim_irrep():
@@ -219,7 +233,10 @@ def test_staircase_and_odd_hooks():
 
 
 def test_odd_hooks_iff_staircase_exhaustive():
-    assert CHECKS["odd-hooks-staircase"](Limits(max_n=12)) == []
+    for n in range(13):
+        assert [lam for lam in enumerate_partitions(n) if all_hooks_odd(lam)] == [
+            lam for lam in enumerate_partitions(n) if is_staircase(lam)
+        ]
 
 
 def test_enumerate_partitions():

@@ -139,6 +139,20 @@ def test_fixed_set_check_catches_wrong_triangular_index(monkeypatch):
     ]
 
 
+def test_fixed_set_check_catches_odd_hooks_off_the_staircase(monkeypatch):
+    real = partitions_module.all_hooks_odd
+
+    def wrong(lam):  # (2,2) has hooks 3, 2, 2, 1
+        return lam.parts == (2, 2) or real(lam)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cmhilb") and getattr(module, "all_hooks_odd", None) is real:
+            monkeypatch.setattr(module, "all_hooks_odd", wrong)
+    assert CHECKS["odd-weight-fixed-points"](Limits(max_n=6)) == [
+        "odd-hook criterion disagrees with staircase test at 2,2"
+    ]
+
+
 def test_fixed_set_check_catches_an_empty_fixed_set(monkeypatch):
     monkeypatch.setattr(verify, "sl2_fixed_set", lambda n: set())
     failures = CHECKS["odd-weight-fixed-points"](Limits(max_n=6))
