@@ -75,6 +75,9 @@ EXPONENT_SIZE_CAP = EXPONENT_STAIRCASE_CAP * (EXPONENT_STAIRCASE_CAP + 1) // 2
 # (about 1 s at m = 20).
 _VERIFY_MAX_M = {"fiber-layer-factorization": STAIRCASE_CAP}
 
+# Each command's parser by its command words ("cm", "tangent"), filled by build_parser.
+_COMMAND_PARSERS: dict[tuple[str, ...], argparse.ArgumentParser] = {}
+
 
 def _json_dump(obj, pad="\n") -> str:
     """json.dumps(obj, indent=2, sort_keys=True), each container one join of its
@@ -171,6 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     def command(group, name, help, func, **defaults):
         p = group.add_parser(name, help=help)
         p.set_defaults(func=func, parser=p, **defaults)
+        _COMMAND_PARSERS[tuple(p.prog.split()[1:])] = p
         return p
 
     def add_format(p, choices=("text", "json")):
@@ -464,7 +468,15 @@ class UsageError(Exception):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser()
+    # Parse once, with the parser the full tree would hand the rest of the line to.  A line that names no
+    # command or leaves arguments over goes through the full tree, whose top-level parser words the refusal.
+    words = tuple(argv[:2]) if tuple(argv[:2]) in _COMMAND_PARSERS else tuple(argv[:1])
+    command = _COMMAND_PARSERS.get(words)
+    args, rest = command.parse_known_args(argv[len(words):]) if command else (None, True)
+    if rest:
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (UsageError, CapExceededError) as exc:

@@ -732,16 +732,18 @@ def test_exponent_staircase_cap_admits_m_8(monkeypatch, capsys):
 def test_parser_is_built_once_and_keeps_no_state(capsys):
     assert cli.build_parser() is cli.build_parser()
     env = dict(os.environ, PYTHONPATH=str(Path(cmhilb.__file__).parents[1]))
+    # `cm tangent 3,2 extra` leaves a word over, so the full tree parses it, between two lines parsed by
+    # their command's parser alone
     sequence = [["cm", "orbit", "3,1", "--format", "json"], ["cm", "fixed", "0"],
-                ["cm", "orbit", "3,1"], ["verify", "--list"]]
+                ["cm", "orbit", "3,1"], ["cm", "tangent", "3,2", "extra"], ["verify", "--list"]]
     for argv in sequence:
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-        out = capsys.readouterr().out
+        captured = capsys.readouterr()
         fresh = subprocess.run([sys.executable, "-m", "cmhilb", *argv], env=env, capture_output=True, text=True)
-        assert (code, out) == (fresh.returncode, fresh.stdout), argv
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
 def _readme_command_lines() -> list:
@@ -775,3 +777,29 @@ def test_readme_command_lines_parse(line):
     parser = cli.build_parser()
     parser.parse_args(re.sub(r"\s*\[[^]]*\]", "", line).split())
     parser.parse_args(_first_choices(line).split())
+
+
+# lines that go to their command's parser, fall back to the full tree on words left over, or name no command
+ROUTED_LINES = [
+    *map(_first_choices, _readme_command_lines()), *REFUSED_AFTER_PARSING,
+    "part info 0", "part info 1,,1", "cm tangent 3,2 extra", "cm tangent 3,2 --bogus",
+    "cm --format json tangent 3,2", "cm", "part", "hilb closure 3 --space nowhere", "verify --max-m 0",
+    "cm tangent -h", "cm tangent 3,2 --he", "part info -- 2,1", "hilb ideal 2,1 --form json",
+    "cm char-L 3 --format=json",
+]
+
+
+@pytest.mark.parametrize("line", ROUTED_LINES)
+def test_command_parsers_answer_as_the_full_tree(monkeypatch, capsys, line):
+    def run():
+        try:
+            code = main(line.split())
+        except SystemExit as exc:
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    cli.build_parser()  # fills the table of command parsers
+    assert set(cli._COMMAND_PARSERS) == {tuple(words) for words, _, _ in GRAMMAR} | {("verify",)}
+    dispatched = run()
+    monkeypatch.setattr(cli, "_COMMAND_PARSERS", {})  # every line through the full tree
+    assert run() == dispatched
