@@ -85,10 +85,7 @@ def test_borel_stability_examples():
 
 def test_borel_stability_is_steepness():
     # hilb_orbit reads steepness and the check reads the derivation tests,
-    # so the stabilizers agree exactly when is_borel_stable is is_steep;
-    # the check also asserts closed exactly when the stabilizer holds a Borel,
-    # read off the derivation tests, with a steep boundary of the same
-    # diagonals otherwise
+    # so the stabilizers agree exactly when is_borel_stable is is_steep
     assert CHECKS["orbit-classification"](Limits(max_n=12)) == []
 
 
@@ -132,6 +129,18 @@ def test_hilb_orbit_steep_and_self_transpose():
     assert rep.stabilizer == "B_minus" and rep.closed
     rep = hilb_orbit(staircase(3))
     assert rep.stabilizer == "SL2" and rep.orbit_model == "point" and rep.closed
+
+
+def test_hilb_closed_iff_steep_side():
+    # closed exactly when the partition or its transpose is Borel-stable, that
+    # is when the stabilizer holds a Borel; otherwise the boundary is
+    # Borel-stable with the same diagonals
+    for n in range(13):
+        for lam in enumerate_partitions(n):
+            rep = hilb_orbit(lam)
+            assert rep.closed == (is_borel_stable(lam) or is_borel_stable(transpose(lam)))
+            if not rep.closed:
+                assert is_borel_stable(rep.boundary) and diagonals(rep.boundary) == diagonals(lam)
 
 
 _W0 = {"SL2": "SL2", "B": "B_minus", "B_minus": "B", "T": "T", "N_T": "N_T"}
