@@ -467,16 +467,59 @@ class UsageError(Exception):
     pass
 
 
+@functools.cache
+def _placement_table(parser: argparse.ArgumentParser):
+    """(positionals in order, store actions by exact option string, defaults) of a command parser, read from its
+    own actions and set_defaults; None if it has an action that `_placed` does not mirror (all of verify)."""
+    actions = [a for a in parser._actions if type(a) is not argparse._HelpAction]
+    if parser._mutually_exclusive_groups or any(
+            type(a) is not argparse._StoreAction or a.nargs is not None or a.option_strings and a.required
+            or a.default is argparse.SUPPRESS or isinstance(a.default, str) and a.type for a in actions):
+        return None
+    options = {option: a for a in actions for option in a.option_strings}
+    defaults = {**parser._defaults, **{a.dest: a.default for a in actions}}
+    return tuple(a for a in actions if not a.option_strings), options, defaults
+
+
+def _placed(parser: argparse.ArgumentParser, words):
+    """The Namespace that parser.parse_known_args(words) returns with no words left over, or None for a line
+    the table cannot place exactly as argparse would: help, `--opt=value`, `--`, any other word that starts
+    with `-`, a positional missing or over, or a value that its action's type or choices refuse."""
+    table = _placement_table(parser)
+    if table is None:
+        return None
+    positionals, options, defaults = table
+    values, words, placed = dict(defaults), iter(words), 0
+    for word in words:
+        if word in options:
+            action, word = options[word], next(words, "-")  # a missing value declines as "-" does
+        elif placed < len(positionals):
+            action, placed = positionals[placed], placed + 1
+        else:
+            return None
+        try:
+            value = action.type(word) if action.type else word
+        except (argparse.ArgumentTypeError, TypeError, ValueError):  # the refusals argparse words
+            return None
+        if word.startswith("-") or action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    return argparse.Namespace(**values) if placed == len(positionals) else None
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
-    # Parse once, with the parser the full tree would hand the rest of the line to.  A line that names no
-    # command or leaves arguments over goes through the full tree, whose top-level parser words the refusal.
+    # Parse once, with the parser the full tree would hand the rest of the line to: by its placement table,
+    # else by its parse_known_args.  A line that names no command or leaves arguments over goes through the
+    # full tree, whose top-level parser words the refusal.
     words = tuple(argv[:2]) if tuple(argv[:2]) in _COMMAND_PARSERS else tuple(argv[:1])
     command = _COMMAND_PARSERS.get(words)
-    args, rest = command.parse_known_args(argv[len(words):]) if command else (None, True)
-    if rest:
-        args = parser.parse_args(argv)
+    args = _placed(command, argv[len(words):]) if command else None
+    if args is None:
+        args, rest = command.parse_known_args(argv[len(words):]) if command else (None, True)
+        if rest:
+            args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (UsageError, CapExceededError) as exc:

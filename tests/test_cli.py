@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from math import factorial
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 import cmhilb
 from cmhilb import LaurentPolynomial, NonPolynomialError, cli, orbits, verify
@@ -731,11 +732,14 @@ def test_exponent_staircase_cap_admits_m_8(monkeypatch, capsys):
 
 def test_parser_is_built_once_and_keeps_no_state(capsys):
     assert cli.build_parser() is cli.build_parser()
+    tables = {words: cli._placement_table(p) for words, p in cli._COMMAND_PARSERS.items()}
+    shown = {words: repr(table) for words, table in tables.items()}
     env = dict(os.environ, PYTHONPATH=str(Path(cmhilb.__file__).parents[1]))
-    # `cm tangent 3,2 extra` leaves a word over, so the full tree parses it, between two lines parsed by
-    # their command's parser alone
+    # placed lines around declined ones: `cm fixed 0` is refused by its type, so the command parser words
+    # the refusal; `cm tangent 3,2 extra` leaves a word over, so the full tree parses it; verify has no table
     sequence = [["cm", "orbit", "3,1", "--format", "json"], ["cm", "fixed", "0"],
-                ["cm", "orbit", "3,1"], ["cm", "tangent", "3,2", "extra"], ["verify", "--list"]]
+                ["cm", "orbit", "3,1"], ["cm", "tangent", "3,2", "extra"], ["cm", "tangent", "3,2"],
+                ["verify", "--list"], ["hilb", "ideal", "2,1", "--format", "json"]]
     for argv in sequence:
         try:
             code = main(argv)
@@ -744,6 +748,8 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
         captured = capsys.readouterr()
         fresh = subprocess.run([sys.executable, "-m", "cmhilb", *argv], env=env, capture_output=True, text=True)
         assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert all(cli._placement_table(cli._COMMAND_PARSERS[words]) is table for words, table in tables.items())
+    assert {words: repr(table) for words, table in tables.items()} == shown
 
 
 def _readme_command_lines() -> list:
@@ -779,27 +785,110 @@ def test_readme_command_lines_parse(line):
     parser.parse_args(_first_choices(line).split())
 
 
-# lines that go to their command's parser, fall back to the full tree on words left over, or name no command
+# lines that are placed by their command's table, go to its parser, fall back to the full tree on words left
+# over, or name no command (split as a shell would)
 ROUTED_LINES = [
     *map(_first_choices, _readme_command_lines()), *REFUSED_AFTER_PARSING,
     "part info 0", "part info 1,,1", "cm tangent 3,2 extra", "cm tangent 3,2 --bogus",
     "cm --format json tangent 3,2", "cm", "part", "hilb closure 3 --space nowhere", "verify --max-m 0",
     "cm tangent -h", "cm tangent 3,2 --he", "part info -- 2,1", "hilb ideal 2,1 --form json",
     "cm char-L 3 --format=json",
+    "cm tangent --format json 3,2", "hilb closure 4 --format dot --space calogero-moser --format json",
+    "part info ''", "part info -1", "part info '3, 2'", "cm tangent", "cm tangent 3,2 --format",
+    "hilb closure --space hilbert", "cm exponents 6 --format csv", "cm orbit 3,1 --format csv",
 ]
+
+
+def _run_line(argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code
 
 
 @pytest.mark.parametrize("line", ROUTED_LINES)
 def test_command_parsers_answer_as_the_full_tree(monkeypatch, capsys, line):
     def run():
-        try:
-            code = main(line.split())
-        except SystemExit as exc:
-            code = exc.code
-        return (code, *capsys.readouterr())
+        return (_run_line(shlex.split(line)), *capsys.readouterr())
 
     cli.build_parser()  # fills the table of command parsers
     assert set(cli._COMMAND_PARSERS) == {tuple(words) for words, _, _ in GRAMMAR} | {("verify",)}
-    dispatched = run()
+    placed = run()
+    monkeypatch.setattr(cli, "_placed", lambda parser, words: None)  # each line through its command's parser
+    assert run() == placed
     monkeypatch.setattr(cli, "_COMMAND_PARSERS", {})  # every line through the full tree
-    assert run() == dispatched
+    assert run() == placed
+
+
+def _orbit_query_argvs() -> list:
+    """The command lines of the benchmark's orbit-queries passes at seeds 1-3."""
+    sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return [argv for seed in (1, 2, 3) for argv in workloads.make_inputs("orbit-queries", seed)["argvs"]]
+
+
+def test_placement_answers_as_the_command_parser_on_orbit_queries(monkeypatch, capsys):
+    argvs = _orbit_query_argvs()
+    assert len(argvs) == 546
+    placed = [(_run_line(argv), *capsys.readouterr()) for argv in argvs]
+    assert all(code == 0 for code, _, _ in placed)
+    monkeypatch.setattr(cli, "_placed", lambda parser, words: None)
+    assert [(_run_line(argv), *capsys.readouterr()) for argv in argvs] == placed
+
+
+# words after the command words: would-be values and positionals, well formed or not, and would-be options
+PLACEMENT_VALUES = ["3,2", "2,1", "1", "3", "6", "0", "46", "-1", "", "3, 2", " 3", "1,,1", "2,3",
+                    "text", "json", "csv", "dot", "hilbert", "calogero-moser", "nowhere"]
+PLACEMENT_OPTIONS = ["--format", "--space", "--format=json", "--form", "--max-n", "-h", "--", "-"]
+
+
+@st.composite
+def placement_lines(draw):
+    """(command words, the rest of a line): options of the command with their choices, other options with or
+    without a value, and mostly one would-be positional, at most two, each put anywhere between them."""
+    words, _, formats = draw(st.sampled_from(GRAMMAR))
+    choices = [("--format", f) for f in formats]
+    if words[-1] == "closure":
+        choices += [("--space", "hilbert"), ("--space", "calogero-moser")]
+    chunks = draw(st.lists(st.one_of(
+        st.sampled_from(choices),
+        st.tuples(st.sampled_from(PLACEMENT_OPTIONS), st.sampled_from(PLACEMENT_VALUES)),
+        st.tuples(st.sampled_from(PLACEMENT_OPTIONS)),
+    ), max_size=3))
+    for _ in range(draw(st.sampled_from((1, 1, 0, 2)))):
+        chunks.insert(draw(st.integers(0, len(chunks))), (draw(st.sampled_from(PLACEMENT_VALUES)),))
+    return words, [word for chunk in chunks for word in chunk]
+
+
+def _placement_agrees(words, argv):
+    """_placed of the command's parser, which must equal its parse_known_args when it places argv."""
+    cli.build_parser()
+    parser = cli._COMMAND_PARSERS[tuple(words)]
+    placed = cli._placed(parser, argv)
+    if placed is not None:
+        args, rest = parser.parse_known_args(argv)
+        assert (vars(placed), rest) == (vars(args), [])
+    return placed
+
+
+@settings(max_examples=500)
+@given(placement_lines())
+def test_placement_equals_parse_known_args(line):
+    _placement_agrees(*line)
+
+
+@pytest.mark.parametrize("line, placed", [
+    ("cm tangent --format json 3,2", True),  # an option before the positional
+    ("hilb closure 4 --format dot --space calogero-moser --format json", True),  # the last --format wins
+    ("cm tangent 3,2 --format=json", False), ("cm tangent 3,2 --form json", False),
+    ("part info ''", True), ("part info -1", False), ("part info '3, 2'", True), ("part info 1,,1", False),
+    ("part info -- 2,1", False), ("cm tangent -h", False), ("cm tangent", False), ("cm tangent 3,2 extra", False),
+    ("cm orbit 3,1 --format csv", False), ("cm fixed 0", False), ("cm tangent 3,2 --format", False),
+])
+def test_placement_shapes(line, placed):
+    words = shlex.split(line)
+    assert (_placement_agrees(words[:2], words[2:]) is not None) == placed
