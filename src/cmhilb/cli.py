@@ -470,7 +470,8 @@ class UsageError(Exception):
 @functools.cache
 def _placement_table(parser: argparse.ArgumentParser):
     """(positionals in order, store actions by exact option string, defaults) of a command parser, read from its
-    own actions and set_defaults; None if it has an action that `_placed` does not mirror (all of verify)."""
+    own actions and set_defaults; None if it has an action that `_placed` does not mirror (all of verify).  It
+    mirrors argparse internals; test_placement_equals_parse_known_args guards it on every Python the CI runs."""
     actions = [a for a in parser._actions if type(a) is not argparse._HelpAction]
     if parser._mutually_exclusive_groups or any(
             type(a) is not argparse._StoreAction or a.nargs is not None or a.option_strings and a.required
@@ -497,11 +498,13 @@ def _placed(parser: argparse.ArgumentParser, words):
             action, placed = positionals[placed], placed + 1
         else:
             return None
+        if word.startswith("-"):  # argparse would read it as an option, not hand it to the type
+            return None
         try:
             value = action.type(word) if action.type else word
         except (argparse.ArgumentTypeError, TypeError, ValueError):  # the refusals argparse words
             return None
-        if word.startswith("-") or action.choices is not None and value not in action.choices:
+        if action.choices is not None and value not in action.choices:
             return None
         values[action.dest] = value
     return argparse.Namespace(**values) if placed == len(positionals) else None
@@ -510,16 +513,13 @@ def _placed(parser: argparse.ArgumentParser, words):
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
-    # Parse once, with the parser the full tree would hand the rest of the line to: by its placement table,
-    # else by its parse_known_args.  A line that names no command or leaves arguments over goes through the
-    # full tree, whose top-level parser words the refusal.
+    # Place the rest of a named command's line by its command parser's table; a line the table declines, or
+    # that names no command, goes through the full tree, which words its help and every refusal.
     words = tuple(argv[:2]) if tuple(argv[:2]) in _COMMAND_PARSERS else tuple(argv[:1])
     command = _COMMAND_PARSERS.get(words)
     args = _placed(command, argv[len(words):]) if command else None
     if args is None:
-        args, rest = command.parse_known_args(argv[len(words):]) if command else (None, True)
-        if rest:
-            args = parser.parse_args(argv)
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (UsageError, CapExceededError) as exc:

@@ -735,8 +735,8 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
     tables = {words: cli._placement_table(p) for words, p in cli._COMMAND_PARSERS.items()}
     shown = {words: repr(table) for words, table in tables.items()}
     env = dict(os.environ, PYTHONPATH=str(Path(cmhilb.__file__).parents[1]))
-    # placed lines around declined ones: `cm fixed 0` is refused by its type, so the command parser words
-    # the refusal; `cm tangent 3,2 extra` leaves a word over, so the full tree parses it; verify has no table
+    # placed lines around declined ones, which the full tree parses: `cm fixed 0` is refused by its type,
+    # `cm tangent 3,2 extra` has a word over, and verify has no table
     sequence = [["cm", "orbit", "3,1", "--format", "json"], ["cm", "fixed", "0"],
                 ["cm", "orbit", "3,1"], ["cm", "tangent", "3,2", "extra"], ["cm", "tangent", "3,2"],
                 ["verify", "--list"], ["hilb", "ideal", "2,1", "--format", "json"]]
@@ -785,8 +785,8 @@ def test_readme_command_lines_parse(line):
     parser.parse_args(_first_choices(line).split())
 
 
-# lines that are placed by their command's table, go to its parser, fall back to the full tree on words left
-# over, or name no command (split as a shell would)
+# lines that are placed by their command's table, or that it declines or that name no command, so the full
+# tree parses them (split as a shell would)
 ROUTED_LINES = [
     *map(_first_choices, _readme_command_lines()), *REFUSED_AFTER_PARSING,
     "part info 0", "part info 1,,1", "cm tangent 3,2 extra", "cm tangent 3,2 --bogus",
@@ -815,9 +815,7 @@ def test_command_parsers_answer_as_the_full_tree(monkeypatch, capsys, line):
     cli.build_parser()  # fills the table of command parsers
     assert set(cli._COMMAND_PARSERS) == {tuple(words) for words, _, _ in GRAMMAR} | {("verify",)}
     placed = run()
-    monkeypatch.setattr(cli, "_placed", lambda parser, words: None)  # each line through its command's parser
-    assert run() == placed
-    monkeypatch.setattr(cli, "_COMMAND_PARSERS", {})  # every line through the full tree
+    monkeypatch.setattr(cli, "_placed", lambda parser, words: None)  # every line through the full tree
     assert run() == placed
 
 
@@ -831,9 +829,12 @@ def _orbit_query_argvs() -> list:
     return [argv for seed in (1, 2, 3) for argv in workloads.make_inputs("orbit-queries", seed)["argvs"]]
 
 
-def test_placement_answers_as_the_command_parser_on_orbit_queries(monkeypatch, capsys):
+def test_placement_answers_as_the_full_tree_on_orbit_queries(monkeypatch, capsys):
     argvs = _orbit_query_argvs()
     assert len(argvs) == 546
+    # every benchmark line takes the placement, so a placement that began to decline them fails here
+    cli.build_parser()
+    assert all(cli._placed(cli._COMMAND_PARSERS[tuple(argv[:2])], argv[2:]) is not None for argv in argvs)
     placed = [(_run_line(argv), *capsys.readouterr()) for argv in argvs]
     assert all(code == 0 for code, _, _ in placed)
     monkeypatch.setattr(cli, "_placed", lambda parser, words: None)
