@@ -90,8 +90,13 @@ def _json_dump(obj, pad="\n") -> str:
         return str(obj)
     if obj is None or kind is bool:
         return "null" if obj is None else "true" if obj else "false"
-    if kind is list and set(map(type, obj)) <= {int}:
+    if kind is list and (types := set(map(type, obj))) <= {int}:
         return _json_ints(obj, pad)
+    if kind is list and types == {list} and set(map(len, obj)) == {2}:
+        exponents, coefficients = zip(*obj)
+        if set(map(type, exponents)) == {int} and set(map(type, coefficients)) == {str}:  # to_json() terms
+            term = f"{pad}  [{pad}    %d,{pad}    %s{pad}  ]"  # one format per term
+            return f"[{','.join([term % t for t in zip(exponents, map(encode_basestring_ascii, coefficients))])}{pad}]"
     inner, chunks = pad + "  ", []
     if kind is list:
         for x in obj:
@@ -116,8 +121,7 @@ def _json_ints(values, pad: str) -> str:
 
 def _print_kv(pairs):
     width = max(len(k) for k, _ in pairs)
-    for key, value in pairs:
-        print(f"{key:<{width}}  {value}")
+    sys.stdout.write("".join([f"{key:<{width}}  {value}\n" for key, value in pairs]))
 
 
 def _joined(values) -> str:
@@ -507,7 +511,10 @@ def _placed(parser: argparse.ArgumentParser, words):
         if action.choices is not None and value not in action.choices:
             return None
         values[action.dest] = value
-    return argparse.Namespace(**values) if placed == len(positionals) else None
+    if placed != len(positionals):
+        return None
+    vars(args := argparse.Namespace()).update(values)  # Namespace(**values) would setattr each field in turn
+    return args
 
 
 def main(argv=None) -> int:

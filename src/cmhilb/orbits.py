@@ -9,6 +9,7 @@ diagram monomials as a basis.
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import sub
 
 from .partitions import (
     Partition,
@@ -116,11 +117,9 @@ def monomial_ideal(lam: Partition) -> MonomialIdeal:
         width = parts[a] if a < ell else 0
         if a == 0 or width < parts[a - 1]:
             gens.append((a, width))
-    d = diagonals(lam)
-    dims = tuple(
-        sum(1 for a in range(k + 1) if not (a < ell and k - a < parts[a]))
-        for k in range(len(d) + 2)
-    )
+    # the degree-k monomials outside the diagram: all k + 1 of them but the d_k cells on antidiagonal k
+    d = diagonals(lam) + (0, 0)
+    dims = tuple(map(sub, range(1, len(d) + 1), d))
     return MonomialIdeal(shape=lam, generators=tuple(gens), graded_dims=dims)
 
 

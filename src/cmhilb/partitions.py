@@ -7,6 +7,7 @@ sits on antidiagonal k = r + c.
 
 from __future__ import annotations
 
+import re
 from itertools import accumulate
 from math import factorial, isqrt
 from operator import add
@@ -89,13 +90,19 @@ def parse_int(text: str) -> int:
     return int(text)
 
 
+# comma-separated parts, each as parse_int takes it: ASCII digits after an optional "-", whitespace around
+_PARTITION_TEXT = re.compile(r"\s*-?[0-9]+\s*(?:,\s*-?[0-9]+\s*)*")
+
+
 def parse_partition(text: str) -> Partition:
     """Parse comma-separated parts, e.g. "4,3,3,1,1"; "" is the empty partition."""
     text = text.strip()
     if not text:
         return Partition()
     try:
-        nums = tuple(parse_int(tok) for tok in text.split(","))
+        if not _PARTITION_TEXT.fullmatch(text):
+            raise ValueError
+        nums = tuple(map(int, text.split(",")))  # int also refuses more digits than its limit
     except ValueError:
         raise ValueError(f"cannot parse partition from {text!r}") from None
     return Partition(nums)

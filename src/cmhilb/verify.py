@@ -376,16 +376,15 @@ def check_orbit_classification(limits):
 
 
 def check_monomial_ideal_dims(limits):
+    """Graded dimensions against the monomials x^a y^(k-a) counted outside the diagram, one degree past it."""
     for lam in _partitions_upto(limits, 30):
         ideal = monomial_ideal(lam)
-        d = diagonals(lam)
-        for k in range(len(ideal.graded_dims)):
-            dk = d[k] if k < len(d) else 0
-            expected = k + 1 - dk
-            if ideal.graded_dim(k) != expected or expected < 0:
+        inside = set(cells(lam))
+        for k in range(max(len(ideal.graded_dims), len(lam) + sum(lam.parts[:1])) + 1):
+            if ideal.graded_dim(k) != sum((a, k - a) not in inside for a in range(k + 1)):
                 yield f"graded dimension at {lam}, degree {k} is off"
         for a, b in ideal.generators:
-            if a < len(lam.parts) and b < lam.parts[a]:
+            if (a, b) in inside:
                 yield f"generator ({a},{b}) of {lam} lies inside the diagram"
 
 

@@ -131,6 +131,9 @@ json_values = st.recursive(
     -7, [-1, 0, -(2**63), 2**64, -(2**200)], {"wide": 2**200, "neg": -(2**64)},
     ['"quoted"', "back\\slash", "ctl\x00\x01\x1f\n\t\r\x7f", "non-ASCII é ü 你 \U0001F600", ""],
     {'"\\\n\u00e9\U0001F600': "key", "": "empty key", "b": 1, "a": [2, "s"]},
+    # a polynomial's to_json() term list [[int, str], ...], written one format per term, and near misses of it
+    [[0, "1"]], {"character": [[-3, "-2"], [0, "5"], [7, "-123456789012345678901234567890"]]},
+    [[1, 'a"\\b\u00e9']], [[[1, 'a"\\b\u00e9']], [[2, "1"]]], [[1, "2"], [3]], [[True, "1"], [2, "3"]], [[1, 2]],
 ])
 def test_json_dump_matches_the_library_encoder_on_edge_cases(obj):
     assert cli._json_dump(obj) == json.dumps(obj, indent=2, sort_keys=True)

@@ -1,7 +1,9 @@
 """Golden outputs: the SHA-256 of stdout of the commands whose bytes depend
-on how a Laurent polynomial is stored, rendered and serialised.  The
-digests were taken from the dict-backed LaurentPolynomial, so any change of
-storage must leave every byte of these outputs as it was."""
+on how a Laurent polynomial is stored, rendered and serialised, or on how a
+reply is written: the key-value reports, the JSON term lists and the ideal,
+orbit and partition data of the one-shot commands.  The digests were taken
+before each change of storage or of a reply writer, so any such change must
+leave every byte of these outputs as it was."""
 
 import hashlib
 
@@ -31,6 +33,13 @@ GOLDEN = {
     "part info 9,6,3,3,1 --format json": "260e3223834c693943b5632a5fc941300f4e00eb095a25e6cabdf96b64da9ce8",
     "cm tangent 8,5,3,2,1,1 --format text": "0d5a5ca1e0650f600feffb4ab158e4e2b4477aacdd1711cd59e503ac6edce228",
     "cm tangent 8,5,3,2,1,1 --format json": "5c0e696d204c52092f0f71ece39e666b653f369b13b57eccf8b26bde28ceb4c4",
+    "hilb ideal 9,7,7,5,4,4,3,2,2,1,1 --format text": "6353e727b946ca98e8e38d314ab4e4ef586b27b50aaeb687066fb418a0fd3b47",
+    "hilb ideal 9,7,7,5,4,4,3,2,2,1,1 --format json": "5e5f2d531f167ebd8840c6ea8949fb9c7afd1d20975c9904b923551bd8c57bfd",
+    "hilb orbit 9,7,7,5,4,4,3,2,2,1,1 --format text": "78d69121f1d373642812338a09337ed0cd55a6f89d2ef5cd9156cdff181813f1",
+    "hilb orbit 9,7,7,5,4,4,3,2,2,1,1 --format json": "56014bab32028c1780f0a6f5266e2d7f841adb801f3266929f246de684b2502b",
+    "cm orbit 9,7,7,5,4,4,3,2,2,1,1 --format text": "96137eccff3abe2db14f35be2efbe5a1f1be735c82d9fa6f582c7650e7e71735",
+    "cm orbit 9,7,7,5,4,4,3,2,2,1,1 --format json": "8b941d2f693934ec85f5bc77748d01cbfb8622a86c4bd50baa266b14a69d518c",
+    "part info 12,10,9,8,7,5,4,3,1,1 --format json": "9169df11f7bfc7c284d64aac002ff7beacd15a04c998dcff48f45c3c7860bfe2",
     "verify fiber-layer-factorization --max-m 12": "70f48996b658c923603748ece4ac34b0b14bf9c4952f22e3e3418dde30f3ec66",
 }
 

@@ -83,6 +83,15 @@ def test_borel_stability_examples():
     assert not is_borel_stable(Partition((2, 2)))
 
 
+def test_monomial_ideal_dims_check_counts_the_monomials(monkeypatch):
+    # monomial_ideal reads its dimensions as k + 1 - d_k; one more cell on the antidiagonal just past the
+    # diagram makes it one short at k = len(d), and the check, which counts monomials, reports exactly that
+    monkeypatch.setattr(orbits_module, "diagonals", lambda lam: diagonals(lam) + (1,))
+    failures = list(CHECKS["monomial-ideal-dims"](Limits(max_n=6)))
+    assert failures == [f"graded dimension at {lam}, degree {len(diagonals(lam))} is off"
+                        for n in range(7) for lam in enumerate_partitions(n)]
+
+
 def test_borel_stability_is_steepness():
     # hilb_orbit reads steepness and the check reads the derivation tests,
     # so the stabilizers agree exactly when is_borel_stable is is_steep

@@ -3,8 +3,9 @@ import os
 import tracemalloc
 from functools import lru_cache
 
+import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from cmhilb import (
     CapExceededError,
@@ -64,6 +65,49 @@ def test_parse():
         parse_partition("1,2")
     with pytest.raises(ValueError):
         parse_partition("2,x")
+
+
+def _parse_int_rule(token):
+    """The per-token rule of parse_partition before it read the whole text with one pattern: ASCII digits
+    after an optional "-", with whitespace around them, read by int()."""
+    digits = token.strip().removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid integer {token!r}")
+    return int(token)
+
+
+def _parse_by_tokens(text):
+    text = text.strip()
+    if not text:
+        return Partition()
+    try:
+        nums = tuple(_parse_int_rule(tok) for tok in text.split(","))
+    except ValueError:
+        raise ValueError(f"cannot parse partition from {text!r}") from None
+    return Partition(nums)
+
+
+def _outcome(make, arg):
+    """The parts made, or the type and text of the refusal."""
+    try:
+        return make(arg).parts
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# whitespace that str.strip, int() and the pattern's \s must treat alike, and look-alikes of digits and signs
+_PARSE_ALPHABET = "0123456789,-+_\uff15\u0663 \t\x1c\x85\u2003"
+_SPACES = st.text(" \t\x1c\x85\u2003", max_size=2)
+# mostly well-formed tokens, so that the draws reach the parts and not only the refusals
+_TOKENS = st.tuples(_SPACES, st.sampled_from(["", "", "-", "+", "--", "_"]),
+                    st.text(st.sampled_from("01234567890123456789_\uff15\u0663"), min_size=1, max_size=3),
+                    _SPACES).map("".join)
+
+
+@settings(max_examples=500)
+@given(st.one_of(st.text(_PARSE_ALPHABET, max_size=12), st.lists(_TOKENS, max_size=4).map(",".join)))
+def test_parse_partition_keeps_the_per_token_rule(text):
+    assert _outcome(parse_partition, text) == _outcome(_parse_by_tokens, text)
 
 
 def test_transpose_examples():
