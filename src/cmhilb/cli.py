@@ -10,12 +10,11 @@ then written row by row.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
 import sys
 from itertools import chain, islice
-from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from .exactalg import NonPolynomialError
 from .orbits import (
@@ -75,8 +74,23 @@ EXPONENT_SIZE_CAP = EXPONENT_STAIRCASE_CAP * (EXPONENT_STAIRCASE_CAP + 1) // 2
 # (about 1 s at m = 20).
 _VERIFY_MAX_M = {"fiber-layer-factorization": STAIRCASE_CAP}
 
-# Each command's parser by its command words ("cm", "tangent"), filled by build_parser.
-_COMMAND_PARSERS: dict[tuple[str, ...], argparse.ArgumentParser] = {}
+# Each command's argparse parser by its command words ("cm", "tangent"), filled by build_parser.
+_COMMAND_PARSERS: dict = {}
+
+
+class UsageError(Exception):
+    """A refused command line: by an argument's validator, or by a handler after placement."""
+
+
+def _escape(text: str) -> str:
+    """The JSON string literal of text in ASCII, as the json package writes it.  The escaper is bound on the
+    first call, so that only JSON output loads it, and then called directly."""
+    global _escape
+    try:
+        from _json import encode_basestring_ascii as _escape  # the C escaper, without the json package
+    except ImportError:  # an interpreter without the C accelerator
+        from json.encoder import encode_basestring_ascii as _escape
+    return _escape(text)
 
 
 def _json_dump(obj, pad="\n") -> str:
@@ -85,7 +99,7 @@ def _json_dump(obj, pad="\n") -> str:
     pure Python).  A float, tuple, set or non-str key raises TypeError."""
     kind = type(obj)
     if kind is str:
-        return encode_basestring_ascii(obj)
+        return _escape(obj)
     if kind is int:
         return str(obj)
     if obj is None or kind is bool:
@@ -96,14 +110,14 @@ def _json_dump(obj, pad="\n") -> str:
         exponents, coefficients = zip(*obj)
         if set(map(type, exponents)) == {int} and set(map(type, coefficients)) == {str}:  # to_json() terms
             term = f"{pad}  [{pad}    %d,{pad}    %s{pad}  ]"  # one format per term
-            return f"[{','.join([term % t for t in zip(exponents, map(encode_basestring_ascii, coefficients))])}{pad}]"
+            return f"[{','.join([term % t for t in zip(exponents, map(_escape, coefficients))])}{pad}]"
     inner, chunks = pad + "  ", []
     if kind is list:
         for x in obj:
             chunks += (",", inner, _json_dump(x, inner))
     elif kind is dict:
         for key in sorted(obj):  # the encoder refuses a key that is no str
-            chunks += (",", inner, encode_basestring_ascii(key), ": ", _json_dump(obj[key], inner))
+            chunks += (",", inner, _escape(key), ": ", _json_dump(obj[key], inner))
     else:
         raise TypeError(f"cannot write {kind.__name__} {obj!r:.40} as JSON")
     if not chunks:
@@ -133,9 +147,9 @@ def _partition_arg(text: str) -> Partition:
     try:
         lam = parse_partition(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+        raise UsageError(str(exc)) from None
     if lam.size > PARTITION_CELL_CAP:
-        raise argparse.ArgumentTypeError(f"partition of {lam.size} cells exceeds the cap {PARTITION_CELL_CAP}")
+        raise UsageError(f"partition of {lam.size} cells exceeds the cap {PARTITION_CELL_CAP}")
     return lam
 
 
@@ -147,121 +161,34 @@ def _size_arg(text: str, cap: int | None = None, triangular: bool = False) -> in
     try:
         value = parse_int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        raise UsageError(f"invalid integer {text!r}") from None
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        raise UsageError(f"must be at least 1, got {value}")
     if cap is not None and value > cap:
-        raise argparse.ArgumentTypeError(f"{value} exceeds the cap {cap}")
+        raise UsageError(f"{value} exceeds the cap {cap}")
     if triangular and triangular_index(value) is None:
-        raise argparse.ArgumentTypeError(f"{value} is not a triangular number m(m+1)/2")
+        raise UsageError(f"{value} is not a triangular number m(m+1)/2")
     return value
-
-
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and then reused for the
-    life of the process.
-
-    Every handler (`func`), the `orbit` function of the orbit commands and
-    the command's own `parser`, through which `main` reports refusals, are
-    bound into the parser when it is built, so patching one of them later
-    has no effect: tests patch what a handler calls instead, such as
-    `verify.run_checks`, which `_cmd_verify` looks up when it runs.
-    """
-    parser = argparse.ArgumentParser(
-        prog="cmhilb",
-        description="Exact hook, character and orbit computations for "
-        "torus-fixed points on Hilbert schemes and Calogero-Moser spaces.",
-    )
-    sub = parser.add_subparsers(dest="group", required=True)
-
-    def command(group, name, help, func, **defaults):
-        p = group.add_parser(name, help=help)
-        p.set_defaults(func=func, parser=p, **defaults)
-        _COMMAND_PARSERS[tuple(p.prog.split()[1:])] = p
-        return p
-
-    def add_format(p, choices=("text", "json")):
-        p.add_argument("--format", choices=choices, default="text",
-                       help="output format (default text)")
-
-    part = sub.add_parser("part", help="partition combinatorics")
-    part_sub = part.add_subparsers(dest="command", required=True)
-    p = command(part_sub, "info", "hooks, diagonals, rectification and statistics", _cmd_part_info)
-    p.add_argument("partition", type=_partition_arg, help='comma form, e.g. "4,3,3,1,1"')
-    add_format(p)
-
-    cm = sub.add_parser("cm", help="Calogero-Moser space")
-    cm_sub = cm.add_subparsers(dest="command", required=True)
-
-    p = command(cm_sub, "tangent", "tangent-space character at a fixed point", _cmd_cm_tangent)
-    p.add_argument("partition", type=_partition_arg)
-    add_format(p)
-
-    p = command(cm_sub, "orbit", "orbit and stabilizer of a fixed point", _cmd_orbit, orbit=cm_orbit)
-    p.add_argument("partition", type=_partition_arg)
-    add_format(p)
-
-    p = command(cm_sub, "exponents", "exponent table for all partitions of n", _cmd_cm_exponents)
-    p.add_argument("n", type=functools.partial(_size_arg, cap=EXPONENT_SIZE_CAP, triangular=True))
-    add_format(p, ("text", "json", "csv"))
-
-    p = command(cm_sub, "char-L", "graded character of the staircase fiber", _cmd_cm_char_l)
-    p.add_argument("m", type=functools.partial(_size_arg, cap=STAIRCASE_CAP))
-    add_format(p)
-
-    p = command(cm_sub, "fixed", "partitions of n fixed by the full group action", _cmd_cm_fixed)
-    p.add_argument("n", type=_size_arg)
-    add_format(p)
-
-    hilb = sub.add_parser("hilb", help="Hilbert scheme of points in the plane")
-    hilb_sub = hilb.add_subparsers(dest="command", required=True)
-
-    p = command(hilb_sub, "orbit", "orbit, stabilizer and boundary of a fixed point", _cmd_orbit,
-                orbit=hilb_orbit)
-    p.add_argument("partition", type=_partition_arg)
-    add_format(p)
-
-    p = command(hilb_sub, "ideal", "monomial ideal generators and graded dimensions", _cmd_hilb_ideal)
-    p.add_argument("partition", type=_partition_arg)
-    add_format(p)
-
-    p = command(hilb_sub, "closure", "orbit-closure graph over all partitions of n", _cmd_hilb_closure)
-    p.add_argument("n", type=_size_arg)
-    p.add_argument("--space", choices=("hilbert", "calogero-moser"), default="hilbert")
-    add_format(p, ("text", "json", "dot"))
-
-    ver = command(sub, "verify", "run named invariant checks", _cmd_verify)
-    ver.add_argument("checks", nargs="*", default=("all",),
-                     help='check names, or "all" (default)')
-    ver.add_argument("--max-n", type=_size_arg, default=20,
-                     help="combinatorial size bound (default 20)")
-    ver.add_argument("--max-m", type=_size_arg, default=4,
-                     help="staircase bound for character identities (default 4)")
-    ver.add_argument("--list", action="store_true", help="list check names and exit")
-    return parser
 
 
 def _cmd_part_info(args) -> int:
     lam = args.partition
     hook_poly = hook_polynomial(lam)
     data = {
-        "partition": lam.to_json(),
         "size": lam.size,
-        "length": len(lam),
         "transpose": transpose(lam).to_json(),
         "is_steep": is_steep(lam),
         "is_staircase": is_staircase(lam),
         "all_hooks_odd": all_hooks_odd(lam),
         "hooks": list(hook_lengths(lam)),
-        "hook_polynomial": hook_poly.to_json(),
         "n_stat": n_stat(lam),
         "dim_irrep": dim_irrep(lam),
         "diagonals": list(diagonals(lam)),
         "u_map": u_map(lam).to_json(),
         "is_borel_stable": is_borel_stable(lam),
     }
-    if args.format == "json":
+    if args.format == "json":  # the values that only JSON prints are made here alone
+        data.update(partition=lam.to_json(), length=len(lam), hook_polynomial=hook_poly.to_json())
         print(_json_dump(data))
     else:
         _print_kv([
@@ -467,70 +394,123 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-class UsageError(Exception):
-    pass
+def _format(*choices):
+    """The --format option of a command, text by default."""
+    return {"--format": ("format", choices or ("text", "json"), "text", "output format (default text)")}
+
+
+_PARTITION, _SIZE = [("partition", _partition_arg, None)], [("n", _size_arg, None)]
+
+# Each command once, by its words: help, handler, positionals as (dest, validator, help), options by flag as
+# (dest, choices, default, help) and extra defaults.  _placed places a well-formed line by it without argparse,
+# and build_parser builds the full tree from it.  verify's arguments take several words or none, so it has
+# None here: build_parser adds them, and every verify line goes through the full tree.
+COMMANDS = {
+    ("part", "info"): ("hooks, diagonals, rectification and statistics", _cmd_part_info,
+                       [("partition", _partition_arg, 'comma form, e.g. "4,3,3,1,1"')], _format(), {}),
+    ("cm", "tangent"): ("tangent-space character at a fixed point", _cmd_cm_tangent, _PARTITION, _format(), {}),
+    ("cm", "orbit"): ("orbit and stabilizer of a fixed point", _cmd_orbit, _PARTITION, _format(),
+                      {"orbit": cm_orbit}),
+    ("cm", "exponents"): ("exponent table for all partitions of n", _cmd_cm_exponents,
+                          [("n", functools.partial(_size_arg, cap=EXPONENT_SIZE_CAP, triangular=True), None)],
+                          _format("text", "json", "csv"), {}),
+    ("cm", "char-L"): ("graded character of the staircase fiber", _cmd_cm_char_l,
+                       [("m", functools.partial(_size_arg, cap=STAIRCASE_CAP), None)], _format(), {}),
+    ("cm", "fixed"): ("partitions of n fixed by the full group action", _cmd_cm_fixed, _SIZE, _format(), {}),
+    ("hilb", "orbit"): ("orbit, stabilizer and boundary of a fixed point", _cmd_orbit, _PARTITION, _format(),
+                        {"orbit": hilb_orbit}),
+    ("hilb", "ideal"): ("monomial ideal generators and graded dimensions", _cmd_hilb_ideal, _PARTITION,
+                        _format(), {}),
+    ("hilb", "closure"): ("orbit-closure graph over all partitions of n", _cmd_hilb_closure, _SIZE,
+                          {"--space": ("space", ("hilbert", "calogero-moser"), "hilbert", None),
+                           **_format("text", "json", "dot")}, {}),
+    ("verify",): ("run named invariant checks", _cmd_verify, None, {}, {}),
+}
+_GROUP_HELP = {"part": "partition combinatorics", "cm": "Calogero-Moser space",
+               "hilb": "Hilbert scheme of points in the plane"}
 
 
 @functools.cache
-def _placement_table(parser: argparse.ArgumentParser):
-    """(positionals in order, store actions by exact option string, defaults) of a command parser, read from its
-    own actions and set_defaults; None if it has an action that `_placed` does not mirror (all of verify).  It
-    mirrors argparse internals; test_placement_equals_parse_known_args guards it on every Python the CI runs."""
-    actions = [a for a in parser._actions if type(a) is not argparse._HelpAction]
-    if parser._mutually_exclusive_groups or any(
-            type(a) is not argparse._StoreAction or a.nargs is not None or a.option_strings and a.required
-            or a.default is argparse.SUPPRESS or isinstance(a.default, str) and a.type for a in actions):
-        return None
-    options = {option: a for a in actions for option in a.option_strings}
-    defaults = {**parser._defaults, **{a.dest: a.default for a in actions}}
-    return tuple(a for a in actions if not a.option_strings), options, defaults
+def build_parser():
+    """The argparse tree of COMMANDS, built on the first call and then reused for the life of the process.  Only
+    lines that _placed declines (help, refusals, verify) and refusals after placement need it, so argparse loads
+    here.  Each command parser's defaults are its handler (`func`), its `words` and its extra defaults, bound
+    when the tree is built: tests patch what a handler calls instead, such as `verify.run_checks`."""
+    import argparse
+
+    def typed(check):
+        def argparse_type(text):  # a validator's refusal, worded as argparse words a type's
+            try:
+                return check(text)
+            except UsageError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+        return argparse_type
+
+    parser = argparse.ArgumentParser(
+        prog="cmhilb",
+        description="Exact hook, character and orbit computations for "
+        "torus-fixed points on Hilbert schemes and Calogero-Moser spaces.",
+    )
+    groups = {(): parser.add_subparsers(dest="group", required=True)}
+    for words, (help, func, positionals, options, extra) in COMMANDS.items():
+        if words[:-1] not in groups:
+            group = groups[()].add_parser(words[0], help=_GROUP_HELP[words[0]])
+            groups[words[:-1]] = group.add_subparsers(dest="command", required=True)
+        p = _COMMAND_PARSERS[words] = groups[words[:-1]].add_parser(words[-1], help=help)
+        p.set_defaults(func=func, words=words, **extra)
+        for dest, check, text in positionals or ():
+            p.add_argument(dest, type=typed(check), help=text)
+        for flag, (_, choices, default, text) in options.items():
+            p.add_argument(flag, choices=choices, default=default, help=text)
+    ver = _COMMAND_PARSERS[("verify",)]
+    ver.add_argument("checks", nargs="*", default=("all",), help='check names, or "all" (default)')
+    ver.add_argument("--max-n", type=typed(_size_arg), default=20, help="combinatorial size bound (default 20)")
+    ver.add_argument("--max-m", type=typed(_size_arg), default=4,
+                     help="staircase bound for character identities (default 4)")
+    ver.add_argument("--list", action="store_true", help="list check names and exit")
+    return parser
 
 
-def _placed(parser: argparse.ArgumentParser, words):
-    """The Namespace that parser.parse_known_args(words) returns with no words left over, or None for a line
-    the table cannot place exactly as argparse would: help, `--opt=value`, `--`, any other word that starts
-    with `-`, a positional missing or over, or a value that its action's type or choices refuse."""
-    table = _placement_table(parser)
-    if table is None:
+def _placed(words, rest):
+    """The namespace that the command parser of `words` gives for the rest of the line, or None for a line that
+    the table cannot place exactly as argparse would: help, `--opt=value`, `--`, any other word that starts with
+    `-` where a value belongs, a positional missing or over, or a value that its validator or choices refuse."""
+    _, func, positionals, options, extra = COMMANDS[words]
+    if positionals is None:
         return None
-    positionals, options, defaults = table
-    values, words, placed = dict(defaults), iter(words), 0
-    for word in words:
+    values, rest, placed = {"func": func, "words": words, **extra}, iter(rest), 0
+    for dest, _, default, _ in options.values():
+        values[dest] = default
+    for word in rest:
         if word in options:
-            action, word = options[word], next(words, "-")  # a missing value declines as "-" does
-        elif placed < len(positionals):
-            action, placed = positionals[placed], placed + 1
+            dest, choices, _, _ = options[word]
+            if (value := next(rest, None)) not in choices:  # also a missing value
+                return None
+        elif placed < len(positionals) and not word.startswith("-"):  # argparse reads that as an option
+            (dest, check, _), placed = positionals[placed], placed + 1
+            try:
+                value = check(word)
+            except (UsageError, TypeError, ValueError):  # the refusals argparse words
+                return None
         else:
             return None
-        if word.startswith("-"):  # argparse would read it as an option, not hand it to the type
-            return None
-        try:
-            value = action.type(word) if action.type else word
-        except (argparse.ArgumentTypeError, TypeError, ValueError):  # the refusals argparse words
-            return None
-        if action.choices is not None and value not in action.choices:
-            return None
-        values[action.dest] = value
-    if placed != len(positionals):
-        return None
-    vars(args := argparse.Namespace()).update(values)  # Namespace(**values) would setattr each field in turn
-    return args
+        values[dest] = value
+    return SimpleNamespace(**values) if placed == len(positionals) else None
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser()
-    # Place the rest of a named command's line by its command parser's table; a line the table declines, or
-    # that names no command, goes through the full tree, which words its help and every refusal.
-    words = tuple(argv[:2]) if tuple(argv[:2]) in _COMMAND_PARSERS else tuple(argv[:1])
-    command = _COMMAND_PARSERS.get(words)
-    args = _placed(command, argv[len(words):]) if command else None
+    # Place the rest of a named command's line by its table entry; a line the table declines, or that names no
+    # command, goes through the full tree, which words its help and every refusal.
+    words = tuple(argv[:2]) if tuple(argv[:2]) in COMMANDS else tuple(argv[:1])
+    args = _placed(words, argv[len(words):]) if words in COMMANDS else None
     if args is None:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (UsageError, CapExceededError) as exc:
-        args.parser.error(str(exc))
+        build_parser()  # the command's parser words the refusal, as it words one made while parsing
+        _COMMAND_PARSERS[args.words].error(str(exc))
     except (NonPolynomialError, NotACharacterError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

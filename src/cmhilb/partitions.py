@@ -81,17 +81,17 @@ def _unchecked(parts: tuple) -> Partition:
     return lam
 
 
+# The integer syntax of a CLI argument: ASCII digits after an optional "-", with whitespace around;
+# int() alone also takes "５", "1_0" and "+3".  A size is one, a partition comma-separated ones.
+_INT = r"\s*-?[0-9]+\s*"
+_INT_TEXT, _PARTITION_TEXT = re.compile(_INT), re.compile(f"{_INT}(?:,{_INT})*")
+
+
 def parse_int(text: str) -> int:
-    """An integer in ASCII digits after an optional "-", with surrounding
-    whitespace; int() alone also takes "５", "1_0" and "+3"."""
-    digits = text.strip().removeprefix("-")
-    if not (digits.isascii() and digits.isdigit()):
+    """An integer written as _INT takes it."""
+    if not _INT_TEXT.fullmatch(text):
         raise ValueError(f"invalid integer {text!r}")
     return int(text)
-
-
-# comma-separated parts, each as parse_int takes it: ASCII digits after an optional "-", whitespace around
-_PARTITION_TEXT = re.compile(r"\s*-?[0-9]+\s*(?:,\s*-?[0-9]+\s*)*")
 
 
 def parse_partition(text: str) -> Partition:

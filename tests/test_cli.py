@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import io
@@ -373,24 +374,41 @@ def test_refusal_after_parsing_names_the_subcommand(capsys, line):
     assert f"\n{prog}: error: " in captured.err
 
 
-def test_import_loads_only_what_commands_run():
-    # every command pays for this import: the check suite, csv and
-    # dataclasses (with inspect, ast, dis) wait until a command needs them
+def test_import_loads_only_what_commands_run(capsys):
+    # every command pays for this import: the check suite, csv, dataclasses (with inspect, ast, dis), argparse
+    # (with gettext) and json wait until a command needs them.  A placed line, in JSON too, loads none of the
+    # last three; a declined line loads argparse and gets its usage and error bytes
     script = """if True:
-        import sys
+        import contextlib, io, sys
         bare = set(sys.modules)
         import cmhilb, cmhilb.cli
-        print(" ".join(sorted(set(sys.modules) - bare)))
-        code = cmhilb.cli.main(["verify", "--list"])
-        print(code, "cmhilb.verify" in sys.modules)
+        print(repr((None, "", "", sorted(set(sys.modules) - bare))))
+        for argv in (["cm", "orbit", "3,2,1"], ["cm", "orbit", "3,2,1", "--format", "json"], ["verify", "--list"],
+                     ["cm", "tangent", "3,2", "--bogus"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cmhilb.cli.main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            print(repr((code, out.getvalue(), err.getvalue(), sorted(set(sys.modules) - bare))))
     """
     env = dict(os.environ, PYTHONPATH=str(Path(cmhilb.__file__).parents[1]))
     run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-    added, *names, last = run.stdout.splitlines()
-    assert "cmhilb.cli" in added.split()
-    assert not {"dataclasses", "inspect", "csv", "cmhilb.verify"} & set(added.split())
-    assert names == list(verify.CHECKS)
-    assert last == "0 True"
+    imported, text, as_json, listed, declined = map(ast.literal_eval, run.stdout.splitlines())
+    lazy = {"argparse", "gettext", "json"}
+    assert "cmhilb.cli" in imported[3]
+    assert not {"dataclasses", "inspect", "csv", "cmhilb.verify"} & set(imported[3])
+    assert not lazy & set(imported[3])
+    assert text[:3] == run_cli(capsys, "cm", "orbit", "3,2,1")
+    assert not lazy & set(text[3])
+    assert as_json[:3] == run_cli(capsys, "cm", "orbit", "3,2,1", "--format", "json")
+    assert not lazy & set(as_json[3])
+    assert listed[:3] == (0, "".join(f"{name}\n" for name in verify.CHECKS), "")
+    assert "cmhilb.verify" in listed[3]
+    assert declined[:3] == (2, "", "usage: cmhilb [-h] {part,cm,hilb,verify} ...\n"
+                                   "cmhilb: error: unrecognized arguments: --bogus\n")
+    assert "argparse" in declined[3]
 
 
 def test_closed_pipe_exits_1_without_a_traceback():
@@ -734,15 +752,16 @@ def test_exponent_staircase_cap_admits_m_8(monkeypatch, capsys):
 
 
 def test_parser_is_built_once_and_keeps_no_state(capsys):
-    assert cli.build_parser() is cli.build_parser()
-    tables = {words: cli._placement_table(p) for words, p in cli._COMMAND_PARSERS.items()}
-    shown = {words: repr(table) for words, table in tables.items()}
+    parser = cli.build_parser()
+    parsers, table = dict(cli._COMMAND_PARSERS), repr(cli.COMMANDS)
     env = dict(os.environ, PYTHONPATH=str(Path(cmhilb.__file__).parents[1]))
-    # placed lines around declined ones, which the full tree parses: `cm fixed 0` is refused by its type,
-    # `cm tangent 3,2 extra` has a word over, and verify has no table
+    # placed lines around declined ones, which the full tree parses: `cm fixed 0` is refused by its validator,
+    # `cm tangent 3,2 extra` has a word over, `cm tangent 3,2 --bogus` an unknown option, verify is never placed,
+    # and `cm fixed 46` is placed and then refused by its handler
     sequence = [["cm", "orbit", "3,1", "--format", "json"], ["cm", "fixed", "0"],
                 ["cm", "orbit", "3,1"], ["cm", "tangent", "3,2", "extra"], ["cm", "tangent", "3,2"],
-                ["verify", "--list"], ["hilb", "ideal", "2,1", "--format", "json"]]
+                ["verify", "--list"], ["cm", "fixed", "46"], ["cm", "tangent", "3,2", "--bogus"],
+                ["hilb", "ideal", "2,1", "--format", "json"]]
     for argv in sequence:
         try:
             code = main(argv)
@@ -751,8 +770,8 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
         captured = capsys.readouterr()
         fresh = subprocess.run([sys.executable, "-m", "cmhilb", *argv], env=env, capture_output=True, text=True)
         assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
-    assert all(cli._placement_table(cli._COMMAND_PARSERS[words]) is table for words, table in tables.items())
-    assert {words: repr(table) for words, table in tables.items()} == shown
+    assert cli.build_parser() is parser
+    assert cli._COMMAND_PARSERS == parsers and repr(cli.COMMANDS) == table
 
 
 def _readme_command_lines() -> list:
@@ -816,9 +835,9 @@ def test_command_parsers_answer_as_the_full_tree(monkeypatch, capsys, line):
         return (_run_line(shlex.split(line)), *capsys.readouterr())
 
     cli.build_parser()  # fills the table of command parsers
-    assert set(cli._COMMAND_PARSERS) == {tuple(words) for words, _, _ in GRAMMAR} | {("verify",)}
+    assert set(cli._COMMAND_PARSERS) == set(cli.COMMANDS) == {tuple(words) for words, _, _ in GRAMMAR} | {("verify",)}
     placed = run()
-    monkeypatch.setattr(cli, "_placed", lambda parser, words: None)  # every line through the full tree
+    monkeypatch.setattr(cli, "_placed", lambda words, rest: None)  # every line through the full tree
     assert run() == placed
 
 
@@ -836,11 +855,10 @@ def test_placement_answers_as_the_full_tree_on_orbit_queries(monkeypatch, capsys
     argvs = _orbit_query_argvs()
     assert len(argvs) == 546
     # every benchmark line takes the placement, so a placement that began to decline them fails here
-    cli.build_parser()
-    assert all(cli._placed(cli._COMMAND_PARSERS[tuple(argv[:2])], argv[2:]) is not None for argv in argvs)
+    assert all(cli._placed(tuple(argv[:2]), argv[2:]) is not None for argv in argvs)
     placed = [(_run_line(argv), *capsys.readouterr()) for argv in argvs]
     assert all(code == 0 for code, _, _ in placed)
-    monkeypatch.setattr(cli, "_placed", lambda parser, words: None)
+    monkeypatch.setattr(cli, "_placed", lambda words, rest: None)
     assert [(_run_line(argv), *capsys.readouterr()) for argv in argvs] == placed
 
 
@@ -869,12 +887,12 @@ def placement_lines(draw):
 
 
 def _placement_agrees(words, argv):
-    """_placed of the command's parser, which must equal its parse_known_args when it places argv."""
-    cli.build_parser()
-    parser = cli._COMMAND_PARSERS[tuple(words)]
-    placed = cli._placed(parser, argv)
+    """_placed of the command's table entry, which must equal the parse_known_args of the command's parser in the
+    tree that build_parser makes of the same table when it places argv."""
+    placed = cli._placed(tuple(words), argv)
     if placed is not None:
-        args, rest = parser.parse_known_args(argv)
+        cli.build_parser()
+        args, rest = cli._COMMAND_PARSERS[tuple(words)].parse_known_args(argv)
         assert (vars(placed), rest) == (vars(args), [])
     return placed
 

@@ -60,12 +60,11 @@ def test_monomial_ideal_staircase_is_power_of_maximal_ideal():
 
 @given(partitions(max_size=10))
 def test_graded_dims_from_diagonals(lam):
+    # the degree-k monomials x^a y^(k-a) outside the diagram (row a, column k - a), counted one by one
     ideal = monomial_ideal(lam)
-    d = diagonals(lam)
-    for k in range(len(d) + 2):
-        dk = d[k] if k < len(d) else 0
-        assert ideal.graded_dim(k) == k + 1 - dk
-        assert ideal.graded_dim(k) >= 0
+    for k in range(len(diagonals(lam)) + 2):
+        outside = sum(not (a < len(lam.parts) and k - a < lam.parts[a]) for a in range(k + 1))
+        assert ideal.graded_dim(k) == outside
 
 
 @given(partitions(max_size=10))
