@@ -19,10 +19,12 @@ or sum is one big-int operation (Harvey, arXiv:0712.4046).  Packing is
 exact for any width; only reading the coefficients back needs them to fit
 their slots, so every width comes from a proven bound on them; a product
 of factors 1 - q^k keeps a running bound that each factor at most
-doubles.  _unpack is the one reader of packed slots, also of the
-character-table rows and Hall-pairing sums in symfun, which take their
-slot offsets from _bias.  Packed ints stay internal: every public
-function takes and returns Laurent polynomials.
+doubles.  _unpack reads packed ints back, the character-table rows and
+Hall-pairing sums in symfun too (their slot offsets come from _bias), but
+CharacterTable.value, called tens of thousands of times a table pass,
+decodes its one slot itself, and _add_block adds sub-rows as ints.
+Packed ints stay internal: every public function takes and returns
+Laurent polynomials.
 """
 
 from __future__ import annotations
@@ -67,32 +69,12 @@ class LaurentPolynomial:
         self._lo, self._coeffs = _trimmed(dense, lo)
 
     @classmethod
-    def zero(cls) -> "LaurentPolynomial":
-        return cls()
-
-    @classmethod
     def one(cls) -> "LaurentPolynomial":
         return cls({0: 1})
-
-    @classmethod
-    def monomial(cls, exponent: int, coeff: int = 1) -> "LaurentPolynomial":
-        return cls({exponent: coeff})
-
-    @property
-    def terms(self) -> dict:
-        """The exponent -> coefficient map of the nonzero terms, a new dict."""
-        return dict(self.sorted_terms())
 
     def sorted_terms(self) -> tuple:
         """Term pairs in ascending exponent order."""
         return tuple((e, c) for e, c in enumerate(self._coeffs, self._lo) if c)
-
-    def coefficient(self, exponent: int) -> int:
-        i = exponent - self._lo
-        return self._coeffs[i] if 0 <= i < len(self._coeffs) else 0
-
-    def support(self) -> tuple:
-        return tuple(e for e, c in enumerate(self._coeffs, self._lo) if c)
 
     def __bool__(self):
         return bool(self._coeffs)
@@ -164,11 +146,6 @@ class LaurentPolynomial:
         if not self._coeffs:
             raise ValueError("zero polynomial has no exponents")
         return self._lo
-
-    def max_exponent(self) -> int:
-        if not self._coeffs:
-            raise ValueError("zero polynomial has no exponents")
-        return self._lo + len(self._coeffs) - 1
 
     def is_palindromic(self) -> bool:
         coeffs = self._coeffs

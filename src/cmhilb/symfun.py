@@ -192,13 +192,6 @@ class CharacterTable:
             if value:
                 self._rows[self._index[mask]][span] = (value + bias).to_bytes(count * size, "little")
 
-    def column(self, mu: Partition) -> list:
-        """chi^lam(mu) for lam over .partitions, in order, as a new list."""
-        size = self.bits // 8
-        j = self._class_index[mu.parts] * size
-        raw = b"".join(row[j : j + size] for row in self._rows)
-        return _unpack(int.from_bytes(raw, "little") - self._bias, self.bits, len(self._rows))
-
     def row(self, lam: Partition) -> tuple:
         """chi^lam(mu) for mu over .partitions, in order."""
         raw = self._rows[self._class_index[lam.parts]]

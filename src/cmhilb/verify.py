@@ -96,53 +96,66 @@ def _partitions_upto(limits, cap):
         yield from enumerate_partitions(n)
 
 
+def _ring_failures(a, b, c, k):
+    """The ring laws that a, b and c break, and the laws of exact division by the int k, |k| >= 2."""
+    one = LaurentPolynomial.one()
+    laws = {
+        "Laurent addition not associative": (a + b) + c == a + (b + c),
+        "Laurent multiplication not associative": (a * b) * c == a * (b * c),
+        "Laurent multiplication not distributive": a * (b + c) == a * b + a * c,
+        "Laurent arithmetic not commutative": a * b == b * a and a + b == b + a,
+        "Laurent identities fail": a + LaurentPolynomial() == a and a * one == a,
+        f"exact division by {k} does not invert scaling": a.scaled(k).exact_div(k) == a,
+        f"exact division by {k} ignored a remainder":
+            _quotient(LaurentPolynomial.exact_div, a.scaled(k) + one, k) is None,
+    }
+    yield from (law for law, holds in laws.items() if not holds)
+
+
+def _quotient_failures(a, ks, j):
+    """one_minus_q_quotient by prod (1 - q^k) over the nonempty ks inverts the product on a, and refuses
+    the product plus q^j: the product vanishes at q = 1 and q^j does not."""
+    product = a * _binomial_product(ks)
+    if one_minus_q_quotient(product, ks) != a:
+        yield f"quotient by (1 - q^k) over {ks} does not invert the product"
+    if _quotient(one_minus_q_quotient, product + LaurentPolynomial({j: 1}), ks) is not None:
+        yield f"quotient by (1 - q^k) over {ks} ignored a remainder"
+
+
+def _product_failures(pairs, ks_lists):
+    """Each packed product x * y of pairs against _schoolbook_product, and
+    one_minus_q_product of each of ks_lists against _binomial_product."""
+    for i, (x, y) in enumerate(pairs):
+        if x * y != _schoolbook_product(x, y):
+            yield f"packed product is wrong on pair {i}"
+    for ks in ks_lists:
+        if one_minus_q_product(ks) != _binomial_product(ks):
+            yield f"product of (1 - q^k) over {ks} is wrong"
+
+
 def check_laurent_ring_axioms(limits):
     rng = random.Random(_SEED)
-    one = LaurentPolynomial.one()
-    zero = LaurentPolynomial.zero()
-    for trial in range(40):
+    for _ in range(40):
         a, b, c = (_random_laurent(rng) for _ in range(3))
-        if (a + b) + c != a + (b + c):
-            yield f"Laurent addition not associative on trial {trial}"
-        if (a * b) * c != a * (b * c):
-            yield f"Laurent multiplication not associative on trial {trial}"
-        if a * (b + c) != a * b + a * c:
-            yield f"Laurent multiplication not distributive on trial {trial}"
-        if a * b != b * a or a + b != b + a:
-            yield f"Laurent arithmetic not commutative on trial {trial}"
-        if a + zero != a or a * one != a:
-            yield f"Laurent identities fail on trial {trial}"
-        k = rng.randint(2, 9)
-        if a.scaled(k).exact_div(k) != a:
-            yield f"exact division by {k} does not invert scaling on trial {trial}"
-        if _quotient(LaurentPolynomial.exact_div, a.scaled(k) + one, k) is not None:
-            yield f"exact division by {k} ignored a remainder on trial {trial}"
+        yield from _ring_failures(a, b, c, rng.randint(2, 9))
     # quotients by prod (1 - q^k), half the trials with coefficients of 200 bits
     for trial in range(60):
         a = _random_laurent(rng, coeff=1 << 200 if trial % 2 else 9)
         ks = [rng.randint(1, 12) for _ in range(rng.randint(1, 8))]
-        if one_minus_q_quotient(a * _binomial_product(ks), ks) != a:
-            yield f"quotient by (1 - q^k) over {ks} does not invert the product on trial {trial}"
-        # the product vanishes at q = 1 and q^j does not, so it never divides a product + q^j
-        dividend = a * _binomial_product(ks) + one.shifted(rng.randint(-6, 6))
-        if _quotient(one_minus_q_quotient, dividend, ks) is not None:
-            yield f"quotient by (1 - q^k) over {ks} ignored a remainder on trial {trial}"
+        yield from _quotient_failures(a, ks, rng.randint(-6, 6))
     # a quotient far larger than its dividend: (1 - q^10)^10 / (1 - q)^10 = [10]_q^10
     geometric = LaurentPolynomial({i: 1 for i in range(10)}) ** 10
     if _quotient(one_minus_q_quotient, _binomial_product([10] * 10), [1] * 10) != geometric:
         yield "quotient by (1 - q)^10 misses one larger than its dividend"
-    # (1 - q)^70 widens past 64-bit slots; the product over 1..100 rereads its bound
-    for ks in ([1] * 14, [1] * 30, [1] * 70, [1, 2, 2, 3, 5, 8, 13], list(range(1, 101))):
-        if one_minus_q_product(ks) != _binomial_product(ks):
-            yield f"product of (1 - q^k) over {ks} is wrong"
     # packed products, among them equal coefficients whose bound is reached
-    for trial in range(20):
+    pairs = []
+    for _ in range(20):
         size = rng.choice([1, 9, 1 << 64, 1 << 200])
         a, b = (_random_laurent(rng, 40, size, rng.randint(16, 60)) for _ in range(2))
         flat = LaurentPolynomial({i: size for i in range(30)})
-        for x, y in ((a, b), (flat, flat)):
-            if x * y != _schoolbook_product(x, y):
-                yield f"packed product is wrong on trial {trial}"
+        pairs += [(a, b), (flat, flat)]
+    # (1 - q)^70 widens past 64-bit slots; the product over 1..100 rereads its bound
+    yield from _product_failures(pairs, ([1] * 14, [1] * 30, [1] * 70, [1, 2, 2, 3, 5, 8, 13], list(range(1, 101))))
 
 
 def check_partition_involutions(limits):
@@ -257,7 +270,7 @@ def check_isotypic_characters(limits):
     pieces weighted by dim lam add up to the fiber, of dimension n!."""
     for m in range(limits.max_m + 1):
         n = m * (m + 1) // 2
-        total = LaurentPolynomial.zero()
+        total = LaurentPolynomial()
         for lam in enumerate_partitions(n):
             chi, dim = isotypic_character(lam), dim_irrep(lam)
             try:

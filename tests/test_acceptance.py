@@ -118,7 +118,7 @@ def test_05_u_map_and_closure(capsys):
         running = Partition((4, 3, 3, 1, 1))
         assert diagonals(running) == (1, 2, 3, 4, 2)
         assert u_map(running) == Partition((5, 4, 2, 1))
-        _verify(capsys, "diagonal-u-map", "orbit-classification", "--max-n", "20")
+        _verify(capsys, "diagonal-u-map", "--max-n", "20")
     print(capsys.readouterr().out, end="")
 
 

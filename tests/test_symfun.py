@@ -110,7 +110,8 @@ def test_character_table_across_slot_widths(n):
     # the blocks read from the smaller tables are widened first
     table = character_table(n)
     assert table.bits > character_table(n - 1).bits
-    assert table.column(Partition((1,) * n)) == [dim_irrep(lam) for lam in table.partitions]
+    identity = Partition((1,) * n)
+    assert all(table.value(lam, identity) == dim_irrep(lam) for lam in table.partitions)
     widest = max(table.partitions, key=dim_irrep)
     for lam in [widest, *random.Random(n).sample(table.partitions, 2)]:
         assert table.row(lam) == tuple(mn_character(lam, mu) for mu in table.partitions)
@@ -237,14 +238,10 @@ def test_centralizer_order():
         assert sum(factorial(n) // centralizer_order(mu) for mu in classes) == factorial(n)
 
 
-def test_orthogonality_small():
-    assert CHECKS["character-orthogonality"](Limits(max_n=8)) == []
-
-
 # graded_multiplicity returns an unreduced pair (num, den); each expected
 # value a / b is checked as the cross-multiplied identity num * b == den * a.
 
-Q = LaurentPolynomial.monomial(1)
+Q = LaurentPolynomial({1: 1})
 
 
 def _one_minus_q(k):
@@ -260,8 +257,9 @@ def test_graded_multiplicity_trivial_constant_term():
     for n in range(1, 7):
         lam = Partition((n,))
         num, den = graded_multiplicity(lam, lam)
-        assert den.coefficient(0) == factorial(n)
-        assert num.coefficient(0) == den.coefficient(0)
+        constant = dict(den.sorted_terms())[0]
+        assert constant == factorial(n)
+        assert dict(num.sorted_terms())[0] == constant
 
 
 def test_graded_multiplicity_mixed_pair():
@@ -285,7 +283,7 @@ def test_graded_multiplicity_two_one():
     num, den = graded_multiplicity(Partition((2, 1)), Partition((2, 1)))
     assert num * _one_minus_q(1) ** 2 * _one_minus_q(3) == den * LaurentPolynomial({0: 1, 2: 1})
     # and through the character pipeline it lands on q + q^-1 exactly
-    shift = hook_polynomial(Partition((2, 1))) * LaurentPolynomial.monomial(-1)
+    shift = hook_polynomial(Partition((2, 1))) * LaurentPolynomial({-1: 1})
     assert shift * num == LaurentPolynomial({1: 1, -1: 1}) * den
 
 
@@ -303,7 +301,7 @@ def test_packed_numerator_matches_laurent_sum():
         for delta in (table.partitions[1], Partition((3, 2, 1)) if n == 6 else table.partitions[-2]):
             half = 1 << (symfun._Numerators(delta).bits - 1)
             for lam in table.partitions:
-                expected = LaurentPolynomial.zero()
+                expected = LaurentPolynomial()
                 for mu in table.partitions:
                     exps = {k: n // k for k in range(1, n + 1)}
                     for part in mu.parts:
@@ -315,7 +313,7 @@ def test_packed_numerator_matches_laurent_sum():
                     expected = expected + term.scaled(weight // centralizer_order(mu))
                 num = graded_multiplicity(lam, delta)[0]
                 assert num * common == hook_polynomial(delta) * expected
-                assert all(abs(c) < half for c in num.terms.values())
+                assert all(abs(c) < half for _, c in num.sorted_terms())
 
 
 def test_isotypic_rejects_inexact_numerator(monkeypatch, fresh_tables):
@@ -345,7 +343,7 @@ def test_pairing_class_vectors_are_polynomials():
             weights = symfun._class_weights(delta)
             nonzero = [mu for mu in table.partitions if table.value(delta, mu)]
             assert [mu for mu, _, _ in weights] == nonzero
-            length = hook_polynomial(delta).max_exponent() - n + 1
+            length = hook_polynomial(delta).sorted_terms()[-1][0] - n + 1
             for mu, weight, coeffs in weights:
                 assert weight * centralizer_order(mu) == table.value(delta, mu) * factorial(n)
                 quotient = LaurentPolynomial(dict(enumerate(coeffs)))
@@ -431,10 +429,6 @@ def test_isotypic_rejects_non_triangular():
 
 
 def test_isotypic_dimension_and_symmetry():
-    assert CHECKS["isotypic-characters"](Limits(max_m=3)) == []
-
-
-def test_fiber_decomposes_into_isotypic_pieces():
     assert CHECKS["isotypic-characters"](Limits(max_m=3)) == []
 
 
