@@ -191,18 +191,40 @@ def test_laurent_ring_axioms(a, b, c, k):
     assert list(_ring_failures(a, b, c, k)) == []
 
 
+@given(laurent_polys)
+def test_additive_identity(p):
+    # the ring laws with the zero and the one as the other two operands
+    zero, one = LaurentPolynomial(), LaurentPolynomial.one()
+    assert [*_ring_failures(p, zero, one, 2), *_ring_failures(p, one, zero, -2)] == []
+
+
 # operands from 0 to 40 terms over a span of 81 exponents, up to 2^200 in size
 wide_laurent_polys = st.integers(0, 40).flatmap(
     lambda size: st.dictionaries(st.integers(-40, 40), st.integers(-(2 ** 200), 2 ** 200), max_size=size)
 ).map(LaurentPolynomial)
 
 
-# up to 120 parts of at most 3 grow coefficients past 64 bits
-@given(laurent_polys, ks_lists.filter(bool), st.integers(-6, 6), wide_laurent_polys, wide_laurent_polys,
-       st.lists(st.integers(1, 30), max_size=12) | st.lists(st.integers(1, 3), max_size=120))
-def test_quotients_and_products_match_their_oracles(a, ks, j, x, y, product_ks):
+@given(wide_laurent_polys, wide_laurent_polys, wide_laurent_polys, ks_lists.filter(bool), st.integers(-6, 6),
+       st.integers(2, 9))
+def test_one_minus_q_quotient_and_exact_div_invert_multiplication(a, b, c, ks, j, k):
+    # the laws on coefficients up to 2^200, as in half the check's quotient trials
+    assert [*_ring_failures(a, b, c, k), *_quotient_failures(a, ks, j)] == []
+
+
+@given(laurent_polys, ks_lists.filter(bool), st.integers(-6, 6))
+def test_one_minus_q_quotient_rejects_remainder(a, ks, j):
     assert list(_quotient_failures(a, ks, j)) == []
-    assert list(_product_failures([(x, y)], [product_ks])) == []
+
+
+@given(wide_laurent_polys, wide_laurent_polys)
+def test_product_matches_schoolbook(x, y):
+    assert list(_product_failures([(x, y)], [])) == []
+
+
+# up to 120 parts of at most 3 grow coefficients past 64 bits
+@given(st.lists(st.integers(1, 30), max_size=12) | st.lists(st.integers(1, 3), max_size=120))
+def test_one_minus_q_product_matches_binomial_products(ks):
+    assert list(_product_failures([], [ks])) == []
 
 
 @pytest.mark.parametrize("call", [

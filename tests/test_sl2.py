@@ -10,6 +10,7 @@ from cmhilb import (
     NotACharacterError,
     Partition,
     decompose,
+    dim_irrep,
     enumerate_partitions,
     exponent_runs,
     exponent_string,
@@ -90,6 +91,16 @@ def test_exponent_runs_compress_exponents():
         assert tuple(w for w, c in runs for _ in range(c)) == exponents(lam)
         assert all(c > 0 for _, c in runs) and [w for w, _ in runs] == sorted({w for w, _ in runs})
     assert exponent_runs(Partition((3, 2, 1))) == ((0, 1), (1, 2), (2, 2), (4, 1))
+
+
+def test_exponent_duality_and_dimension():
+    # a transpose pair at m = 3 shares V(1) + V(2), of dimension 2 + 3 = dim (5,1);
+    # the self-transpose (3,2,1) has V(0) + 2 V(1) + 2 V(2) + V(4), of dimension 16
+    hook, hook_t = Partition((5, 1)), Partition((2, 1, 1, 1, 1))
+    assert exponent_runs(hook) == exponent_runs(hook_t) == ((1, 1), (2, 1))
+    assert dim_irrep(hook) == dim_irrep(hook_t) == 5
+    assert exponent_runs(Partition((3, 2, 1))) == ((0, 1), (1, 2), (2, 2), (4, 1))
+    assert dim_irrep(Partition((3, 2, 1))) == 16
 
 
 def test_tangent_character_examples():

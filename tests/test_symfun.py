@@ -238,6 +238,16 @@ def test_centralizer_order():
         assert sum(factorial(n) // centralizer_order(mu) for mu in classes) == factorial(n)
 
 
+def test_orthogonality_small():
+    # the S3 table against its class sizes 1, 3, 2: the rows are orthogonal, each of norm 3! = 6
+    table, sizes = character_table(3), {(1, 1, 1): 1, (2, 1): 3, (3,): 2}
+    for lam in table.partitions:
+        for nu in table.partitions:
+            total = sum(size * table.value(lam, Partition(mu)) * table.value(nu, Partition(mu))
+                        for mu, size in sizes.items())
+            assert total == (6 if lam == nu else 0)
+
+
 # graded_multiplicity returns an unreduced pair (num, den); each expected
 # value a / b is checked as the cross-multiplied identity num * b == den * a.
 
@@ -430,6 +440,17 @@ def test_isotypic_rejects_non_triangular():
 
 def test_isotypic_dimension_and_symmetry():
     assert CHECKS["isotypic-characters"](Limits(max_m=3)) == []
+
+
+def test_fiber_decomposes_into_isotypic_pieces():
+    # at m = 2 the pieces are 1, q^-1 + q and 1, of dimensions 1, 2 and 1
+    pieces = {(3,): LaurentPolynomial.one(), (2, 1): LaurentPolynomial({-1: 1, 1: 1}),
+              (1, 1, 1): LaurentPolynomial.one()}
+    total = LaurentPolynomial()
+    for parts, piece in pieces.items():
+        assert isotypic_character(Partition(parts)) == piece
+        total = total + piece.scaled(dim_irrep(Partition(parts)))
+    assert total == regular_fiber_character(2) == LaurentPolynomial({-1: 2, 0: 2, 1: 2})
 
 
 _HOOK, _HOOK_T = (5, 1), (2, 1, 1, 1, 1)  # a transpose pair at m = 3 with character V(1) + V(2)
