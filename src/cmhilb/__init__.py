@@ -30,7 +30,6 @@ from .symfun import (
     centralizer_order,
     character_table,
     fake_degree,
-    graded_multiplicity,
     isotypic_character,
     mn_character,
     q_factorial,

@@ -242,7 +242,7 @@ def _report_lines(rep):
 def _cmd_orbit(args) -> int:
     rep = args.orbit(args.partition)
     if args.format == "json":
-        print(_json_dump(rep.to_json_obj()))
+        print(_reply_json(rep))
     else:
         _print_kv(_report_lines(rep))
     return 0
@@ -318,34 +318,43 @@ def _cmd_hilb_ideal(args) -> int:
     return 0
 
 
-# one node of the closure JSON, its keys sorted: separator, boundary, closed, orbit id,
-# orbit model, partition, partner, space, stabilizer
-_CLOSURE_NODE = ('%s\n    {\n%s      "closed": %s,\n%s      "orbit_model": "%s",\n      "partition": %s,\n%s'
-                 '      "space": "%s",\n      "stabilizer": "%s"\n    }')
-_CLOSURE_BOUNDARY = '      "boundary": {\n        "model": "P1",\n        "partition": %s\n      },\n'
+def _report_writer(pad: str):
+    """A writer of one orbit report's fields as json.dumps(..., indent=2, sort_keys=True) writes them, the closing
+    brace after pad; the formats are made once per pad, and each report fills them in one pass."""
+    inner, deeper = pad + "  ", pad + "    "
+    report = (f'{{%s{inner}"closed": %s,%s{inner}"orbit_model": "%s",{inner}"partition": %s,%s'
+              f'{inner}"space": "%s",{inner}"stabilizer": "%s"{pad}}}')
+    boundary = f'{inner}"boundary": {{{deeper}"model": "P1",{deeper}"partition": %s{inner}}},'
+    orbit_id, partner = f'{inner}"orbit_id": "%s",', f'{inner}"partner": %s,'
+
+    def write(rep) -> str:
+        return report % (
+            "" if rep.boundary is None else boundary % _json_ints(rep.boundary.parts, deeper),
+            "true" if rep.closed else "false",
+            orbit_id % rep.orbit_id if rep.space == CALOGERO_MOSER else "",
+            rep.orbit_model, _json_ints(rep.partition.parts, inner),
+            "" if rep.partner is None else partner % _json_ints(rep.partner.parts, inner),
+            rep.space, rep.stabilizer,
+        )
+    return write
+
+
+# an orbit report as a reply, and as a node of the closure JSON
+_reply_json, _node_json = _report_writer("\n"), _report_writer("\n    ")
 
 
 def _closure_json(graph):
-    """Yields json.dumps({"edges": [[src, dst], ...], "n": n, "nodes": [report.to_json_obj(), ...], "space":
-    space}, indent=2, sort_keys=True) edge by edge and node by node, each node from _CLOSURE_NODE: at n = 45
-    the whole document took 286 MB, where the graph alone holds 59 MB."""
-    pad, deeper = "\n      ", "\n        "
+    """Yields json.dumps({"edges": [[src, dst], ...], "n": n, "nodes": [report, ...], "space": space}, indent=2,
+    sort_keys=True) edge by edge and node by node, each node by _node_json: at n = 45 the whole document took
+    286 MB, where the graph alone holds 59 MB."""
+    pad = "\n      "
     yield '{\n  "edges": ['
     for i, (src, dst) in enumerate(graph.edges):
         yield ('%s\n    [\n      %s,\n      %s\n    ]'
                % ("," if i else "", _json_ints(src.parts, pad), _json_ints(dst.parts, pad)))
     yield '%s],\n  "n": %d,\n  "nodes": [' % ("\n  " if graph.edges else "", graph.n)
     for i, node in enumerate(graph.nodes):
-        boundary, partner = node.boundary, node.partner
-        yield _CLOSURE_NODE % (
-            "," if i else "",
-            "" if boundary is None else _CLOSURE_BOUNDARY % _json_ints(boundary.parts, deeper),
-            "true" if node.closed else "false",
-            '      "orbit_id": "%s",\n' % node.orbit_id if node.space == CALOGERO_MOSER else "",
-            node.orbit_model, _json_ints(node.partition.parts, pad),
-            "" if partner is None else '      "partner": %s,\n' % _json_ints(partner.parts, pad),
-            node.space, node.stabilizer,
-        )
+        yield (",\n    " if i else "\n    ") + _node_json(node)
     yield '\n  ],\n  "space": "%s"\n}\n' % graph.space  # a graph has a node, () at n = 0
 
 

@@ -85,22 +85,6 @@ class OrbitReport(namedtuple("OrbitReport", "space partition stabilizer orbit_mo
             raise ValueError("partner is recorded exactly for Calogero-Moser orbits with stabilizer T")
         return self
 
-    def to_json_obj(self) -> dict:
-        out = {
-            "space": self.space,
-            "partition": self.partition.to_json(),
-            "stabilizer": self.stabilizer,
-            "orbit_model": self.orbit_model,
-            "closed": self.closed,
-        }
-        if self.boundary is not None:
-            out["boundary"] = {"partition": self.boundary.to_json(), "model": "P1"}
-        if self.partner is not None:
-            out["partner"] = self.partner.to_json()
-        if self.space == CALOGERO_MOSER:
-            out["orbit_id"] = self.orbit_id
-        return out
-
     @property
     def orbit_id(self) -> str:
         """The orbit's name: the lesser of its partition and the partner sharing it, if any."""

@@ -268,19 +268,6 @@ class _Numerators:
         return _unpack(self.packed.get(_beta_mask(lam.parts, self.n), 0), self.bits, self.length)
 
 
-def graded_multiplicity(lam: Partition, delta: Partition) -> tuple:
-    """Hall pairing of s_lam with the plethystic image of s_delta, as an
-    unreduced integer pair (numerator, denominator) of Laurent polynomials
-    whose quotient is the pairing; the denominator is n! H_delta(q).
-
-    This is the graded multiplicity of the irreducible labeled by lam in
-    the polynomial-ring module induced from the one labeled by delta.
-    """
-    if lam.size != delta.size:
-        raise ValueError(f"size mismatch: |{lam}| = {lam.size} but |{delta}| = {delta.size}")
-    return _from_dense(_Numerators(delta).dense(lam)), hook_polynomial(delta).scaled(factorial(lam.size))
-
-
 def fake_degree(lam: Partition) -> LaurentPolynomial:
     """Graded multiplicity of the lam-irreducible in the coinvariant ring:
     (q)_n * q^(n(lam)) / H_lam(q), an exact division by the factors

@@ -290,18 +290,21 @@ def check_isotypic_characters(limits):
             yield f"sum of dim * isotypic characters misses the fiber at m={m}"
 
 
+def _decompose_failures(runs):
+    """decompose of the character the runs add up to against the runs, and its dimension against sum c (w + 1)."""
+    char = sum((irreducible_character(w).scaled(c) for w, c in runs), LaurentPolynomial())
+    if decompose(char) != runs:
+        yield f"decompose does not invert the reconstruction of {runs}"
+    if char.coefficient_sum() != sum(c * (w + 1) for w, c in runs):
+        yield f"dimension disagrees with value at q=1 for {runs}"
+
+
 def check_sl2_decompose_roundtrip(limits):
-    """Random runs against decompose of the character they add up to, and
-    its dimension against sum c (w + 1) over the runs."""
+    """Random runs through _decompose_failures, and a non-character refused."""
     rng = random.Random(_SEED + 2)
-    for trial in range(60):
+    for _ in range(60):
         mult = {rng.randint(0, 8): rng.randint(1, 4) for _ in range(rng.randint(0, 5))}
-        runs = tuple(sorted(mult.items()))
-        char = sum((irreducible_character(w).scaled(c) for w, c in runs), LaurentPolynomial())
-        if decompose(char) != runs:
-            yield f"decompose does not invert reconstruction on trial {trial}"
-        if char.coefficient_sum() != sum(c * (w + 1) for w, c in runs):
-            yield f"dimension disagrees with value at q=1 on trial {trial}"
+        yield from _decompose_failures(tuple(sorted(mult.items())))
     try:
         decompose(LaurentPolynomial({1: 1, -1: 1, 0: -1}))
         yield "a non-character was decomposed without complaint"
@@ -389,7 +392,8 @@ def check_orbit_classification(limits):
 
 
 def check_monomial_ideal_dims(limits):
-    """Graded dimensions against the monomials x^a y^(k-a) counted outside the diagram, one degree past it."""
+    """Graded dimensions against the monomials x^a y^(k-a) counted outside the diagram, one degree past it, and
+    the generators outside the diagram, none dividing another."""
     for lam in _partitions_upto(limits, 30):
         ideal = monomial_ideal(lam)
         inside = set(cells(lam))
@@ -399,6 +403,8 @@ def check_monomial_ideal_dims(limits):
         for a, b in ideal.generators:
             if (a, b) in inside:
                 yield f"generator ({a},{b}) of {lam} lies inside the diagram"
+            if sum(c <= a and d <= b for c, d in ideal.generators) > 1:  # itself, and one it is a multiple of
+                yield f"generator ({a},{b}) of {lam} is not minimal"
 
 
 def _report_fields(obj):

@@ -335,11 +335,11 @@ def test_public_api_is_pinned():
         "MonomialIdeal", "NonPolynomialError", "NonTriangularSizeError", "NotACharacterError", "OrbitReport",
         "Partition", "all_hooks_odd", "cells", "centralizer_order", "character_table", "closure_graph", "cm_orbit",
         "decompose", "diagonals", "dim_irrep", "enumerate_partitions", "exactalg", "exponent_runs",
-        "exponent_string", "exponents", "fake_degree", "graded_multiplicity", "hilb_orbit", "hook_layer_character",
-        "hook_lengths", "hook_polynomial", "irreducible_character", "is_borel_stable", "is_staircase", "is_steep",
-        "isotypic_character", "layered_fiber_character", "mn_character", "monomial_ideal", "n_stat", "orbits",
-        "parse_partition", "partitions", "q_factorial", "regular_fiber_character", "sl2", "sl2_fixed_set",
-        "staircase", "symfun", "tangent_character", "transpose", "triangular_index", "u_map", "weights_all_odd",
+        "exponent_string", "exponents", "fake_degree", "hilb_orbit", "hook_layer_character", "hook_lengths",
+        "hook_polynomial", "irreducible_character", "is_borel_stable", "is_staircase", "is_steep", "isotypic_character",
+        "layered_fiber_character", "mn_character", "monomial_ideal", "n_stat", "orbits", "parse_partition",
+        "partitions", "q_factorial", "regular_fiber_character", "sl2", "sl2_fixed_set", "staircase", "symfun",
+        "tangent_character", "transpose", "triangular_index", "u_map", "weights_all_odd",
     ]
 
 
@@ -554,8 +554,9 @@ def test_cli_json_roundtrip_checks_the_bytes(monkeypatch):
     # indent=1 decodes to the same values, but is not the library's indent=2
     monkeypatch.setattr(cli, "_json_dump", lambda obj: json.dumps(obj, indent=1, sort_keys=True))
     failures = verify.CHECKS["cli-json-roundtrip"](verify.Limits())
-    # every command but `cm exponents` and the two `hilb closure` cases, which have writers of their own
-    assert len(failures) == len(verify._cli_json_cases()) - 3
+    # every command but `cm exponents`, the two orbit replies and the two `hilb closure` cases, which have
+    # writers of their own
+    assert len(failures) == len(verify._cli_json_cases()) - 5
     assert all(f.endswith("JSON differs from json.dumps(..., indent=2, sort_keys=True)") for f in failures)
 
 
@@ -588,14 +589,28 @@ def test_cli_json_roundtrip_reads_every_closure_node(monkeypatch, first, second,
     assert [f.split(" JSON decodes to")[0] for f in failures] == [f"command {c}" for c in commands]
 
 
+def _report_obj(rep):
+    """An orbit report's JSON object, from its fields; the orbit id is the lesser of the partition and its
+    transpose."""
+    obj = {"space": rep.space, "partition": list(rep.partition.parts), "stabilizer": rep.stabilizer,
+           "orbit_model": rep.orbit_model, "closed": rep.closed}
+    if rep.boundary is not None:
+        obj["boundary"] = {"partition": list(rep.boundary.parts), "model": "P1"}
+    if rep.partner is not None:
+        obj["partner"] = list(rep.partner.parts)
+    if rep.space == cmhilb.CALOGERO_MOSER:
+        obj["orbit_id"] = str(min(rep.partition, cmhilb.transpose(rep.partition), key=lambda lam: lam.parts))
+    return obj
+
+
 def _closure_oracle(graph, fmt):
     """`hilb closure` output of graph, built without the CLI's writers."""
     if fmt == "json":
         obj = {
             "space": graph.space,
             "n": graph.n,
-            "nodes": [node.to_json_obj() for node in graph.nodes],
-            "edges": [[src.to_json(), dst.to_json()] for src, dst in graph.edges],
+            "nodes": [_report_obj(node) for node in graph.nodes],
+            "edges": [[list(src.parts), list(dst.parts)] for src, dst in graph.edges],
         }
         return json.dumps(obj, indent=2, sort_keys=True) + "\n"
     edges = [f'  "{src}" -> "{dst}";\n' if fmt == "dot" else f"{src} -> {dst}\n" for src, dst in graph.edges]
@@ -612,7 +627,12 @@ def test_closure_output_matches_oracles(capsys, space, fmt):
     for n in range(1, 25):
         code, out, err = run_cli(capsys, "hilb", "closure", str(n), "--space", space, "--format", fmt)
         assert (code, err) == (0, "")
-        assert out == _closure_oracle(cmhilb.closure_graph(n, space), fmt), n
+        graph = cmhilb.closure_graph(n, space)
+        assert out == _closure_oracle(graph, fmt), n
+        if fmt == "json" and n <= 8:  # the same reports as one-shot replies
+            for node in graph.nodes:
+                words = ("hilb" if space == cmhilb.HILBERT else "cm", "orbit", str(node.partition), "--format", "json")
+                assert run_cli(capsys, *words)[1] == json.dumps(_report_obj(node), indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "dot"])

@@ -175,13 +175,6 @@ def test_division_by_units_and_shifted_dividends(p, k):
     assert one_minus_q_quotient((p * LaurentPolynomial({0: 1, 1: -1})).shifted(k), [1]) == p.shifted(k)
 
 
-@given(laurent_polys)
-def test_exact_div_by_integer(a):
-    # by a nonzero int, exact_div is a law of test_laurent_ring_axioms below
-    with pytest.raises(ZeroDivisionError):
-        a.exact_div(0)
-
-
 # The laurent-ring-axioms check states the kernel's properties once, as
 # generators over explicit operands: the check feeds them seeded operands,
 # and these tests feed them hypothesis draws.
@@ -221,8 +214,10 @@ def test_product_matches_schoolbook(x, y):
     assert list(_product_failures([(x, y)], [])) == []
 
 
-# up to 120 parts of at most 3 grow coefficients past 64 bits
-@given(st.lists(st.integers(1, 30), max_size=12) | st.lists(st.integers(1, 3), max_size=120))
+# up to 120 parts of at most 3 grow coefficients past 64 bits; 70 to 150 parts of at most 2 outgrow the slots
+# again after the bound is read back
+@given(st.lists(st.integers(1, 30), max_size=12) | st.lists(st.integers(1, 3), max_size=120)
+       | st.lists(st.integers(1, 2), min_size=70, max_size=150))
 def test_one_minus_q_product_matches_binomial_products(ks):
     assert list(_product_failures([], [ks])) == []
 

@@ -2,7 +2,6 @@ import json
 import sys
 
 import pytest
-from hypothesis import given
 
 import cmhilb.orbits as orbits_module
 import cmhilb.partitions as partitions_module
@@ -27,7 +26,6 @@ from cmhilb import (
 )
 from cmhilb.cli import main
 from cmhilb.verify import CHECKS, Limits
-from strategies import partitions
 
 
 def test_monomial_ideal_box():
@@ -58,25 +56,6 @@ def test_monomial_ideal_staircase_is_power_of_maximal_ideal():
             assert ideal.graded_dim(k) == k + 1
 
 
-@given(partitions(max_size=10))
-def test_graded_dims_from_diagonals(lam):
-    # the degree-k monomials x^a y^(k-a) outside the diagram (row a, column k - a), counted one by one
-    ideal = monomial_ideal(lam)
-    for k in range(len(diagonals(lam)) + 2):
-        outside = sum(not (a < len(lam.parts) and k - a < lam.parts[a]) for a in range(k + 1))
-        assert ideal.graded_dim(k) == outside
-
-
-@given(partitions(max_size=10))
-def test_generators_minimal_and_outside(lam):
-    ideal = monomial_ideal(lam)
-    gens = set(ideal.generators)
-    for a, b in gens:
-        assert not (a < len(lam.parts) and b < lam.parts[a])
-        dominated = [(c, d) for c, d in gens if (c, d) != (a, b) and c <= a and d <= b]
-        assert not dominated
-
-
 def test_borel_stability_examples():
     assert is_borel_stable(Partition((3, 1)))
     assert not is_borel_stable(Partition((2, 2)))
@@ -85,10 +64,20 @@ def test_borel_stability_examples():
 def test_monomial_ideal_dims_check_counts_the_monomials(monkeypatch):
     # monomial_ideal reads its dimensions as k + 1 - d_k; one more cell on the antidiagonal just past the
     # diagram makes it one short at k = len(d), and the check, which counts monomials, reports exactly that
-    monkeypatch.setattr(orbits_module, "diagonals", lambda lam: diagonals(lam) + (1,))
-    failures = list(CHECKS["monomial-ideal-dims"](Limits(max_n=6)))
-    assert failures == [f"graded dimension at {lam}, degree {len(diagonals(lam))} is off"
-                        for n in range(7) for lam in enumerate_partitions(n)]
+    lams = [lam for n in range(7) for lam in enumerate_partitions(n)]
+    with monkeypatch.context() as m:
+        m.setattr(orbits_module, "diagonals", lambda lam: diagonals(lam) + (1,))
+        failures = CHECKS["monomial-ideal-dims"](Limits(max_n=6))
+    assert failures == [f"graded dimension at {lam}, degree {len(diagonals(lam))} is off" for lam in lams]
+
+    # x y^b beside the first generator y^b, b the first part, lies outside the diagram, but is not minimal
+    def dominated(lam):
+        ideal = monomial_ideal(lam)
+        return ideal._replace(generators=ideal.generators + ((1, ideal.generators[0][1]),))
+
+    monkeypatch.setattr(verify, "monomial_ideal", dominated)
+    failures = CHECKS["monomial-ideal-dims"](Limits(max_n=6))
+    assert failures == [f"generator (1,{sum(lam.parts[:1])}) of {lam} is not minimal" for lam in lams]
 
 
 def test_borel_stability_is_steepness():
@@ -103,11 +92,17 @@ def test_orbit_check_catches_wrong_steepness(monkeypatch):
     def wrong(lam):  # reads every even-size steep non-staircase as non-steep
         return real(lam) and (lam.size % 2 == 1 or is_staircase(lam))
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("cmhilb") and getattr(module, "is_steep", None) is real:
-            monkeypatch.setattr(module, "is_steep", wrong)
-    assert hilb_orbit(Partition((3, 1))).stabilizer != "B"
-    assert CHECKS["orbit-classification"](Limits(max_n=12))
+    with monkeypatch.context() as m:
+        for name, module in list(sys.modules.items()):
+            if name.startswith("cmhilb") and getattr(module, "is_steep", None) is real:
+                m.setattr(module, "is_steep", wrong)
+        assert hilb_orbit(Partition((3, 1))).stabilizer != "B"
+        assert CHECKS["orbit-classification"](Limits(max_n=12))
+    # a hilb_orbit that breaks the B <-> B_minus conjugation at one partition: 2,1,1 reads B, as its transpose does
+    real_orbit, flipped = orbits_module.hilb_orbit, Partition((2, 1, 1))
+    monkeypatch.setattr(orbits_module, "hilb_orbit",
+                        lambda lam: real_orbit(lam)._replace(stabilizer="B") if lam == flipped else real_orbit(lam))
+    assert CHECKS["orbit-classification"](Limits(max_n=12)) == ["stabilizer at 2,1,1 is B, expected B_minus"]
 
 
 def test_orbit_check_catches_wrong_borel_stability(monkeypatch):
@@ -139,26 +134,6 @@ def test_hilb_orbit_steep_and_self_transpose():
     assert rep.stabilizer == "SL2" and rep.orbit_model == "point" and rep.closed
 
 
-def test_hilb_closed_iff_steep_side():
-    # closed exactly when the partition or its transpose is Borel-stable, that
-    # is when the stabilizer holds a Borel; otherwise the boundary is
-    # Borel-stable with the same diagonals
-    for n in range(13):
-        for lam in enumerate_partitions(n):
-            rep = hilb_orbit(lam)
-            assert rep.closed == (is_borel_stable(lam) or is_borel_stable(transpose(lam)))
-            if not rep.closed:
-                assert is_borel_stable(rep.boundary) and diagonals(rep.boundary) == diagonals(lam)
-
-
-_W0 = {"SL2": "SL2", "B": "B_minus", "B_minus": "B", "T": "T", "N_T": "N_T"}
-
-
-@given(partitions(max_size=12))
-def test_hilb_transpose_conjugates_stabilizer(lam):
-    assert hilb_orbit(transpose(lam)).stabilizer == _W0[hilb_orbit(lam).stabilizer]
-
-
 def test_cm_orbit_examples():
     rep = cm_orbit(Partition((3, 2, 1)))
     assert rep.stabilizer == "SL2" and rep.orbit_model == "point" and rep.closed
@@ -167,10 +142,6 @@ def test_cm_orbit_examples():
     rep = cm_orbit(Partition((3, 1)))
     assert rep.stabilizer == "T" and rep.orbit_model == "SL2_mod_T"
     assert rep.partner == Partition((2, 1, 1))
-
-
-def test_cm_orbits_always_closed():
-    assert all(cm_orbit(lam).closed for n in range(13) for lam in enumerate_partitions(n))
 
 
 def test_orbit_check_catches_a_wrong_cm_partner_or_stabilizer(monkeypatch):
@@ -192,10 +163,12 @@ def test_orbit_check_catches_a_wrong_cm_partner_or_stabilizer(monkeypatch):
             assert message in CHECKS["orbit-classification"](Limits(max_n=6))
 
 
-def test_cm_partner_orbits_share_identifier():
-    a = cm_orbit(Partition((3, 1))).to_json_obj()
-    b = cm_orbit(Partition((2, 1, 1))).to_json_obj()
-    assert a["orbit_id"] == b["orbit_id"] == cm_orbit(Partition((2, 1, 1))).orbit_id == "2,1,1"
+def test_cm_partner_orbits_share_identifier(capsys):
+    ids = []
+    for lam in ("3,1", "2,1,1"):
+        assert main(["cm", "orbit", lam, "--format", "json"]) == 0
+        ids.append(json.loads(capsys.readouterr().out)["orbit_id"])
+    assert ids == [cm_orbit(Partition((2, 1, 1))).orbit_id] * 2 == ["2,1,1"] * 2
 
 
 def test_closure_graph_four():
@@ -249,7 +222,9 @@ def test_closure_graph_serializations(capsys):
     assert main(["hilb", "closure", "4", "--format", "json"]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["edges"] == [[[2, 2], [3, 1]]]
-    assert obj["nodes"] == [node.to_json_obj() for node in closure_graph(4, HILBERT).nodes]
+    assert [verify._report_fields(node) for node in obj["nodes"]] == [
+        verify._expected_fields(node) for node in closure_graph(4, HILBERT).nodes
+    ]
     assert main(["hilb", "closure", "4", "--format", "dot"]) == 0
     dot = capsys.readouterr().out
     assert dot.startswith("digraph closure {")

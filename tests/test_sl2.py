@@ -58,9 +58,8 @@ def test_decompose_examples():
 
 @given(sl2_runs)
 def test_decompose_inverts_reconstruction(runs):
-    char = sum((irreducible_character(w).scaled(c) for w, c in runs), LaurentPolynomial())
-    assert decompose(char) == runs
-    assert char.coefficient_sum() == sum(c * (w + 1) for w, c in runs)
+    # the law of sl2-decompose-roundtrip, which feeds the same generator seeded runs
+    assert list(verify._decompose_failures(runs)) == []
 
 
 @given(partitions(max_size=10))
