@@ -16,7 +16,7 @@ import sys
 from itertools import chain, islice
 from types import SimpleNamespace
 
-from .exactalg import NonPolynomialError
+from .exactalg import LaurentPolynomial, NonPolynomialError
 from .orbits import (
     CALOGERO_MOSER,
     closure_graph,
@@ -82,49 +82,27 @@ class UsageError(Exception):
     """A refused command line: by an argument's validator, or by a handler after placement."""
 
 
-def _escape(text: str) -> str:
-    """The JSON string literal of text in ASCII, as the json package writes it.  The escaper is bound on the
-    first call, so that only JSON output loads it, and then called directly."""
-    global _escape
-    try:
-        from _json import encode_basestring_ascii as _escape  # the C escaper, without the json package
-    except ImportError:  # an interpreter without the C accelerator
-        from json.encoder import encode_basestring_ascii as _escape
-    return _escape(text)
-
-
 def _json_dump(obj, pad="\n") -> str:
-    """json.dumps(obj, indent=2, sort_keys=True), each container one join of its
-    brackets, separators and values (with an indent the library's encoder is
-    pure Python).  A float, tuple, set or non-str key raises TypeError."""
-    kind = type(obj)
-    if kind is str:
-        return _escape(obj)
+    """json.dumps(obj, indent=2, sort_keys=True) of a reply value, chosen by its type: an int, a bool, a list or
+    tuple, a dict with str keys that need no escape, a Partition (its parts) or a LaurentPolynomial (its
+    [[exponent, "coefficient"], ...] terms, one format per term).  Any other type raises TypeError."""
+    kind, inner = type(obj), pad + "  "
     if kind is int:
         return str(obj)
-    if obj is None or kind is bool:
-        return "null" if obj is None else "true" if obj else "false"
-    if kind is list and (types := set(map(type, obj))) <= {int}:
-        return _json_ints(obj, pad)
-    if kind is list and types == {list} and set(map(len, obj)) == {2}:
-        exponents, coefficients = zip(*obj)
-        if set(map(type, exponents)) == {int} and set(map(type, coefficients)) == {str}:  # to_json() terms
-            term = f"{pad}  [{pad}    %d,{pad}    %s{pad}  ]"  # one format per term
-            return f"[{','.join([term % t for t in zip(exponents, map(_escape, coefficients))])}{pad}]"
-    inner, chunks = pad + "  ", []
-    if kind is list:
-        for x in obj:
-            chunks += (",", inner, _json_dump(x, inner))
-    elif kind is dict:
-        for key in sorted(obj):  # the encoder refuses a key that is no str
-            chunks += (",", inner, _escape(key), ": ", _json_dump(obj[key], inner))
-    else:
-        raise TypeError(f"cannot write {kind.__name__} {obj!r:.40} as JSON")
-    if not chunks:
-        return "{}"
-    chunks[0] = "[" if kind is list else "{"
-    chunks += (pad, "]" if kind is list else "}")
-    return "".join(chunks)
+    if kind is bool:
+        return "true" if obj else "false"
+    if kind is Partition:
+        return _json_ints(obj.parts, pad)
+    if kind is LaurentPolynomial:
+        term = f'{inner}[{inner}  %d,{inner}  "%d"{inner}]'
+        return f"[{','.join([term % t for t in obj.sorted_terms()])}{pad}]" if obj else "[]"
+    if kind is list or kind is tuple:
+        body = ",".join([inner + _json_dump(x, inner) for x in obj])
+        return f"[{body}{pad}]" if obj else "[]"
+    if kind is dict:
+        body = ",".join([f'{inner}"{key}": {_json_dump(obj[key], inner)}' for key in sorted(obj)])
+        return f"{{{body}{pad}}}" if obj else "{}"
+    raise TypeError(f"cannot write {kind.__name__} {obj!r:.40} as JSON")
 
 
 def _json_ints(values, pad: str) -> str:
@@ -136,11 +114,6 @@ def _json_ints(values, pad: str) -> str:
 def _print_kv(pairs):
     width = max(len(k) for k, _ in pairs)
     sys.stdout.write("".join([f"{key:<{width}}  {value}\n" for key, value in pairs]))
-
-
-def _joined(values) -> str:
-    """Comma form of a list of integers, as partitions print."""
-    return ",".join(str(v) for v in values)
 
 
 def _partition_arg(text: str) -> Partition:
@@ -171,41 +144,36 @@ def _size_arg(text: str, cap: int | None = None, triangular: bool = False) -> in
     return value
 
 
+def _text(value) -> str:
+    """A reply value as a key-value report prints it: a polynomial by its text form, a tuple of ints in comma form."""
+    if type(value) is LaurentPolynomial:
+        return value.to_text()
+    if type(value) is tuple:
+        return ",".join(map(str, value))
+    return str(value)
+
+
 def _cmd_part_info(args) -> int:
     lam = args.partition
-    hook_poly = hook_polynomial(lam)
-    data = {
-        "size": lam.size,
-        "transpose": transpose(lam).to_json(),
-        "is_steep": is_steep(lam),
-        "is_staircase": is_staircase(lam),
-        "all_hooks_odd": all_hooks_odd(lam),
-        "hooks": list(hook_lengths(lam)),
-        "n_stat": n_stat(lam),
-        "dim_irrep": dim_irrep(lam),
-        "diagonals": list(diagonals(lam)),
-        "u_map": u_map(lam).to_json(),
-        "is_borel_stable": is_borel_stable(lam),
-    }
-    if args.format == "json":  # the values that only JSON prints are made here alone
-        data.update(partition=lam.to_json(), length=len(lam), hook_polynomial=hook_poly.to_json())
-        print(_json_dump(data))
+    rows = [  # (text label, JSON key, value)
+        ("partition", "partition", lam),
+        ("size", "size", lam.size),
+        ("transpose", "transpose", transpose(lam)),
+        ("steep", "is_steep", is_steep(lam)),
+        ("staircase", "is_staircase", is_staircase(lam)),
+        ("all hooks odd", "all_hooks_odd", all_hooks_odd(lam)),
+        ("hooks", "hooks", hook_lengths(lam)),
+        ("hook polynomial", "hook_polynomial", hook_polynomial(lam)),
+        ("n statistic", "n_stat", n_stat(lam)),
+        ("irreducible dim", "dim_irrep", dim_irrep(lam)),
+        ("diagonals", "diagonals", diagonals(lam)),
+        ("u_map", "u_map", u_map(lam)),
+        ("Borel stable", "is_borel_stable", is_borel_stable(lam)),
+    ]
+    if args.format == "json":
+        print(_json_dump({"length": len(lam), **{key: value for _, key, value in rows}}))
     else:
-        _print_kv([
-            ("partition", str(lam)),
-            ("size", data["size"]),
-            ("transpose", _joined(data["transpose"])),
-            ("steep", data["is_steep"]),
-            ("staircase", data["is_staircase"]),
-            ("all hooks odd", data["all_hooks_odd"]),
-            ("hooks", _joined(data["hooks"])),
-            ("hook polynomial", hook_poly.to_text()),
-            ("n statistic", data["n_stat"]),
-            ("irreducible dim", data["dim_irrep"]),
-            ("diagonals", _joined(data["diagonals"])),
-            ("u_map", _joined(data["u_map"])),
-            ("Borel stable", data["is_borel_stable"]),
-        ])
+        _print_kv([(label, _text(value)) for label, _, value in rows])
     return 0
 
 
@@ -213,11 +181,7 @@ def _cmd_cm_tangent(args) -> int:
     lam = args.partition
     chi = tangent_character(lam)
     if args.format == "json":
-        print(_json_dump({
-            "partition": lam.to_json(),
-            "character": chi.to_json(),
-            "weights_all_odd": weights_all_odd(chi),
-        }))
+        print(_json_dump({"partition": lam, "character": chi, "weights_all_odd": weights_all_odd(chi)}))
     else:
         print(chi.to_text())
         print(f"all weights odd: {weights_all_odd(chi)}")
@@ -281,11 +245,7 @@ def _cmd_cm_exponents(args) -> int:
 def _cmd_cm_char_l(args) -> int:
     chi = regular_fiber_character(args.m)
     if args.format == "json":
-        print(_json_dump({
-            "m": args.m,
-            "character": chi.to_json(),
-            "dimension": chi.coefficient_sum(),
-        }))
+        print(_json_dump({"m": args.m, "character": chi, "dimension": chi.coefficient_sum()}))
     else:
         print(chi.to_text())
         print(f"dimension: {chi.coefficient_sum()}")
@@ -295,7 +255,7 @@ def _cmd_cm_char_l(args) -> int:
 def _cmd_cm_fixed(args) -> int:
     fixed = sorted(sl2_fixed_set(args.n), key=lambda p: p.parts)
     if args.format == "json":
-        print(_json_dump({"n": args.n, "fixed": [lam.to_json() for lam in fixed]}))
+        print(_json_dump({"n": args.n, "fixed": fixed}))
     else:
         if fixed:
             for lam in fixed:
@@ -308,12 +268,12 @@ def _cmd_cm_fixed(args) -> int:
 def _cmd_hilb_ideal(args) -> int:
     ideal = monomial_ideal(args.partition)
     if args.format == "json":
-        print(_json_dump(ideal.to_json_obj()))
+        print(_json_dump(ideal._asdict()))
     else:
         _print_kv([
             ("partition", str(ideal.shape)),
             ("generators", ", ".join(ideal.generator_strings())),
-            ("graded dims", ",".join(str(d) for d in ideal.graded_dims)),
+            ("graded dims", _text(ideal.graded_dims)),
         ])
     return 0
 

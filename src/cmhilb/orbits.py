@@ -53,13 +53,6 @@ class MonomialIdeal(namedtuple("MonomialIdeal", "shape generators graded_dims"))
 
         return tuple(mono(a, b) for a, b in self.generators)
 
-    def to_json_obj(self) -> dict:
-        return {
-            "shape": self.shape.to_json(),
-            "generators": [list(g) for g in self.generators],
-            "graded_dims": list(self.graded_dims),
-        }
-
 
 class OrbitReport(namedtuple("OrbitReport", "space partition stabilizer orbit_model closed boundary partner",
                              defaults=(None, None))):

@@ -66,9 +66,6 @@ class Partition:
     def __str__(self):
         return ",".join(map(str, self.parts))
 
-    def to_json(self) -> list:
-        return list(self.parts)
-
 
 _new_partition, _set_parts = object.__new__, Partition.parts.__set__
 

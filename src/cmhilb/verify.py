@@ -262,14 +262,29 @@ def check_fake_degree(limits):
         coinvariants = [sum(coinvariants[max(0, j - n) : j + 1]) for j in range(len(coinvariants) + n)]
 
 
+def _hook_characters(delta):
+    """The isotypic characters of the hooks (n - k, 1^k), k = 0 .. n - 1, of the fiber at delta, n = |delta|, by
+    their closed form e_k[B_delta - 1] at t = 1/q: the z^k coefficient of prod (1 + z q^(c - r)) over the cells
+    (r, c) of delta other than (0, 0).  It reads only the cells: no Hall pairing, character or Schur expansion."""
+    zero, coefficients = LaurentPolynomial(), [LaurentPolynomial.one()]
+    for r, c in list(cells(delta))[1:]:
+        coefficients = [a + b.shifted(c - r) for a, b in zip(coefficients + [zero], [zero] + coefficients)]
+    return coefficients
+
+
 def check_isotypic_characters(limits):
     """The isotypic pieces of the staircase fiber, and the fiber, in one pass
     per m: each piece is an SL2 character (exponent_runs refuses one that is
     not palindromic or has a negative multiplicity) of dimension
-    sum c (w + 1) = dim lam over its runs, equal to its transpose's, and the
-    pieces weighted by dim lam add up to the fiber, of dimension n!."""
+    sum c (w + 1) = dim lam over its runs, equal to its transpose's, each
+    hook piece equals its closed form, and the pieces weighted by dim lam
+    add up to the fiber, of dimension n!."""
     for m in range(limits.max_m + 1):
         n = m * (m + 1) // 2
+        for k, expected in enumerate(_hook_characters(staircase(m)) if m else ()):
+            hook = Partition((n - k,) + (1,) * k)
+            if isotypic_character(hook) != expected:
+                yield f"isotypic character of {hook} differs from its hook closed form"
         total = LaurentPolynomial()
         for lam in enumerate_partitions(n):
             chi, dim = isotypic_character(lam), dim_irrep(lam)

@@ -13,12 +13,12 @@ from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import cmhilb
 from cmhilb import LaurentPolynomial, NonPolynomialError, cli, orbits, verify
 from cmhilb.cli import main
-from strategies import partitions
+from strategies import laurent_polys, partitions
 
 
 def run_cli(capsys, *argv):
@@ -109,7 +109,7 @@ def test_exponents_table_json(capsys):
 def test_exponents_json_matches_the_library_encoder(capsys, n):
     rows = [(lam, cmhilb.exponent_runs(lam)) for lam in cmhilb.enumerate_partitions(n)]
     obj = {"n": n, "rows": [
-        {"partition": lam.to_json(), "exponents": [list(run) for run in runs]} for lam, runs in rows
+        {"partition": list(lam.parts), "exponents": [list(run) for run in runs]} for lam, runs in rows
     ]}
     if n:
         assert main(["cm", "exponents", str(n), "--format", "json"]) == 0
@@ -118,38 +118,57 @@ def test_exponents_json_matches_the_library_encoder(capsys, n):
     assert capsys.readouterr().out == json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-# values a command may emit: dicts with str keys, lists, str, int, bool, None
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.integers(-(2**200), 2**200) | st.text(),
-    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(), inner, max_size=5),
+def _plain(obj):
+    """A reply value with each partition as its list of parts and each polynomial as its to_json() terms."""
+    if isinstance(obj, cmhilb.Partition):
+        return list(obj.parts)
+    if isinstance(obj, LaurentPolynomial):
+        return obj.to_json()
+    if isinstance(obj, (list, tuple)):
+        return [_plain(x) for x in obj]
+    if isinstance(obj, dict):
+        return {key: _plain(value) for key, value in obj.items()}
+    return obj
+
+
+# the values a reply holds: ints, bools, lists, tuples, dicts with plain str keys, partitions and polynomials
+reply_values = st.recursive(
+    st.booleans() | st.integers() | st.integers(-(2**200), 2**200) | partitions() | laurent_polys
+    | st.dictionaries(st.integers(-40, 40), st.integers(-(2**100), 2**100), max_size=4).map(LaurentPolynomial),
+    lambda inner: st.lists(inner, max_size=5) | st.tuples(inner, inner)
+    | st.dictionaries(st.text("abcxyz_", max_size=8), inner, max_size=5),
     max_leaves=30,
 )
+
+P, L = cmhilb.Partition, LaurentPolynomial
 
 
 @pytest.mark.parametrize("obj", [
     {}, [], {"a": {}, "b": [], "c": [[], {}, [[]]]}, [{}, [], {"x": []}],
-    True, False, None, {"t": True, "f": False, "n": None}, [True, False, None, 0, 1], [1, True],
+    True, False, (1, 2), {"t": True, "f": False}, [True, False, 0, 1], [1, True],
     -7, [-1, 0, -(2**63), 2**64, -(2**200)], {"wide": 2**200, "neg": -(2**64)},
-    ['"quoted"', "back\\slash", "ctl\x00\x01\x1f\n\t\r\x7f", "non-ASCII é ü 你 \U0001F600", ""],
-    {'"\\\n\u00e9\U0001F600': "key", "": "empty key", "b": 1, "a": [2, "s"]},
-    # a polynomial's to_json() term list [[int, str], ...], written one format per term, and near misses of it
-    [[0, "1"]], {"character": [[-3, "-2"], [0, "5"], [7, "-123456789012345678901234567890"]]},
-    [[1, 'a"\\b\u00e9']], [[[1, 'a"\\b\u00e9']], [[2, "1"]]], [[1, "2"], [3]], [[True, "1"], [2, "3"]], [[1, 2]],
+    # partitions, the empty one too, and an ideal's fields with their tuples of tuples
+    [P(), P((1,)), P((4, 3, 3, 1, 1))], {"shape": P((2, 1)), "generators": ((0, 2), (1, 1), (2, 0)), "dims": (0, 3)},
+    # polynomials: one term, wide coefficients, the zero polynomial, nested in lists; then `cm fixed` replies
+    L.one(), {"character": L({-3: -2, 0: 5, 7: -123456789012345678901234567890})}, [L(), L.one(), L()],
+    [[L({1: 2})], [L({2: 1, 5: -1})]], {"fixed": [], "n": 20}, {"fixed": [P((6, 5, 4, 3, 2, 1))], "n": 21},
+    ((1, 2), [3], (), (P(),)),
 ])
 def test_json_dump_matches_the_library_encoder_on_edge_cases(obj):
-    assert cli._json_dump(obj) == json.dumps(obj, indent=2, sort_keys=True)
+    assert cli._json_dump(obj) == json.dumps(_plain(obj), indent=2, sort_keys=True)
 
 
-@given(json_values)
+@given(reply_values)
 def test_json_dump_matches_the_library_encoder(obj):
-    assert cli._json_dump(obj) == json.dumps(obj, indent=2, sort_keys=True)
+    assert cli._json_dump(obj) == json.dumps(_plain(obj), indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize("obj", [
-    1.5, [1, 2.0], (1, 2), {"a": (1,)}, {1, 2}, frozenset(), {1: "a"}, {"a": 1, 2: "b"}, {None: 1},
-    {True: 1}, b"bytes", [object()],
+    1.5, [1, 2.0], ["text"], {"a": None}, {1, 2}, frozenset(), {"a": "b"}, [None], {"p": [P(), 1j]},
+    {"a": (1, 2.5)}, b"bytes", [object()],
 ])
 def test_json_dump_refuses_what_no_command_emits(obj):
+    # no reply holds a float, str, None, set, bytes or other object: the writer has no escaper for text
     with pytest.raises(TypeError):
         cli._json_dump(obj)
 
@@ -187,18 +206,6 @@ def test_char_l_json(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["dimension"] == 720
-
-
-def test_char_l_cap_is_usage_error(monkeypatch, capsys):
-    # m is refused where it is parsed, before the handler runs; below the
-    # cap no flag is needed
-    assert main(["cm", "char-L", "5"]) == 0
-    assert capsys.readouterr().out.endswith(f"dimension: {factorial(15)}\n")
-    monkeypatch.setattr(cli, "regular_fiber_character", lambda m: pytest.fail(f"m={m} reached the handler"))
-    with pytest.raises(SystemExit) as err:
-        main(["cm", "char-L", str(cli.STAIRCASE_CAP + 1)])
-    assert err.value.code == 2
-    assert capsys.readouterr().out == ""
 
 
 def test_tangent(capsys):
@@ -376,8 +383,8 @@ def test_refusal_after_parsing_names_the_subcommand(capsys, line):
 
 def test_import_loads_only_what_commands_run(capsys):
     # every command pays for this import: the check suite, csv, dataclasses (with inspect, ast, dis), argparse
-    # (with gettext) and json wait until a command needs them.  A placed line, in JSON too, loads none of the
-    # last three; a declined line loads argparse and gets its usage and error bytes
+    # (with gettext), json and its C module _json wait until a command needs them.  A placed line, in JSON too,
+    # loads none of the last four; a declined line loads argparse and gets its usage and error bytes
     script = """if True:
         import contextlib, io, sys
         bare = set(sys.modules)
@@ -396,7 +403,7 @@ def test_import_loads_only_what_commands_run(capsys):
     env = dict(os.environ, PYTHONPATH=str(Path(cmhilb.__file__).parents[1]))
     run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
     imported, text, as_json, listed, declined = map(ast.literal_eval, run.stdout.splitlines())
-    lazy = {"argparse", "gettext", "json"}
+    lazy = {"argparse", "gettext", "json", "_json"}
     assert "cmhilb.cli" in imported[3]
     assert not {"dataclasses", "inspect", "csv", "cmhilb.verify"} & set(imported[3])
     assert not lazy & set(imported[3])
@@ -551,8 +558,10 @@ def test_cli_json_roundtrip_catches_wrong_payload(monkeypatch, name, wrong, comm
 
 
 def test_cli_json_roundtrip_checks_the_bytes(monkeypatch):
-    # indent=1 decodes to the same values, but is not the library's indent=2
-    monkeypatch.setattr(cli, "_json_dump", lambda obj: json.dumps(obj, indent=1, sort_keys=True))
+    # the real writer's bytes re-indented to indent=1 decode to the same values, but are not the library's indent=2
+    real = cli._json_dump
+    monkeypatch.setattr(cli, "_json_dump",
+                        lambda obj, pad="\n": json.dumps(json.loads(real(obj, pad)), indent=1, sort_keys=True))
     failures = verify.CHECKS["cli-json-roundtrip"](verify.Limits())
     # every command but `cm exponents`, the two orbit replies and the two `hilb closure` cases, which have
     # writers of their own
@@ -695,26 +704,38 @@ def verify_argvs(draw):
 
 
 @given(st.one_of(cli_argvs(), verify_argvs()))
+@example(["cm", "tangent", "", "--format", "json"])
+@example(["cm", "fixed", "7", "--format", "json"])
 def test_main_returns_or_exits_with_usage_code(argv):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    # and a JSON reply is byte for byte the library encoder's writing of what it decodes to, on drawn lines
+    # that reach the empty partition and sizes with no staircase, which no fixed case covers; the two
+    # examples pin those, the zero character and an empty list of fixed points, on every run
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         try:
             code = main(argv)
         except SystemExit as exc:
             assert exc.code == 2
-        else:
-            assert code in (0, 1)
+            return
+    assert code in (0, 1)
+    if code == 0 and argv[-2:] == ["--format", "json"]:
+        assert out.getvalue() == json.dumps(json.loads(out.getvalue()), indent=2, sort_keys=True) + "\n"
 
 
-def test_char_l_staircase_cap_is_usage_error(capsys):
+def test_char_l_staircase_cap_is_usage_error(monkeypatch, capsys):
+    # m is refused where it is parsed, before the handler runs, with a message that names the cap; m = 5 and
+    # m = 20, the cap, are admitted with no flag
+    for m, n in ((5, 15), (cli.STAIRCASE_CAP, 210)):
+        assert main(["cm", "char-L", str(m)]) == 0
+        assert capsys.readouterr().out.endswith(f"dimension: {factorial(n)}\n")
     over = str(cli.STAIRCASE_CAP + 1)
+    monkeypatch.setattr(cli, "regular_fiber_character", lambda m: pytest.fail(f"m={m} reached the handler"))
     with pytest.raises(SystemExit) as err:
         main(["cm", "char-L", over])
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"argument m: {over} exceeds the cap {cli.STAIRCASE_CAP}" in captured.err
-    assert main(["cm", "char-L", str(cli.STAIRCASE_CAP)]) == 0
-    assert capsys.readouterr().out.endswith(f"dimension: {factorial(210)}\n")
 
 
 @pytest.mark.parametrize("error", [MemoryError, RecursionError])

@@ -1,11 +1,14 @@
 """Golden outputs: the SHA-256 of stdout of the commands whose bytes depend
 on how a Laurent polynomial is stored, rendered and serialised, or on how a
 reply is written: the key-value reports, the JSON term lists and the ideal,
-orbit and partition data of the one-shot commands.  The digests were taken
+orbit and partition data of the one-shot commands, with the edge replies of
+the empty partition, its zero tangent character and `cm fixed` at a size with
+no staircase and at one with it.  The digests were taken
 before each change of storage or of a reply writer, so any such change must
 leave every byte of these outputs as it was."""
 
 import hashlib
+import shlex
 
 import pytest
 
@@ -41,10 +44,18 @@ GOLDEN = {
     "cm orbit 9,7,7,5,4,4,3,2,2,1,1 --format json": "8b941d2f693934ec85f5bc77748d01cbfb8622a86c4bd50baa266b14a69d518c",
     "part info 12,10,9,8,7,5,4,3,1,1 --format json": "9169df11f7bfc7c284d64aac002ff7beacd15a04c998dcff48f45c3c7860bfe2",
     "verify fiber-layer-factorization --max-m 12": "70f48996b658c923603748ece4ac34b0b14bf9c4952f22e3e3418dde30f3ec66",
+    'part info "" --format text': "c2118a15be4f7ca1df345cbb54bdfb533cd57b56fa4f6c40cd68815790b2d5c3",
+    'part info "" --format json': "dc1ecb06f827a97e4330fee7ce09e07ada4f9a57cfe7328f9a576feb5efddc7c",
+    'cm tangent "" --format text': "37ea3ad78da70946273fd9599d92c4996dcc2f1eb344202293346e9718f03f73",
+    'cm tangent "" --format json': "6dc730b152a1bc0ab27b5afda130d30268c71cb48d86f1bb425ce1986571a69e",
+    "cm fixed 20 --format text": "0d7fa1070c8244c45713f52789bcaaa9dd48055b793d654d3f7ceb4d5199ef79",
+    "cm fixed 20 --format json": "1b9f6bc4520925662727c79194a03c2f79278d0c678a14e63b084ed96bad6644",
+    "cm fixed 21 --format text": "a3fb239e4edbaac7dafd64e7f8b41f5b65d279cdba057d9084726fa7b5677509",
+    "cm fixed 21 --format json": "6f87d2a8f84a7afa11e07cf2a811ee8ed8841ad9673a0fd2e410bd2de3a02a11",
 }
 
 
 @pytest.mark.parametrize("command", GOLDEN)
 def test_stdout_matches_its_golden_digest(capsys, command):
-    assert main(command.split()) == 0
+    assert main(shlex.split(command)) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == GOLDEN[command]

@@ -458,6 +458,8 @@ def test_fiber_decomposes_into_isotypic_pieces():
 
 
 _HOOK, _HOOK_T = (5, 1), (2, 1, 1, 1, 1)  # a transpose pair at m = 3 with character V(1) + V(2)
+_PAIR, _PAIR_T = (3, 3), (2, 2, 2)  # a transpose pair of no hooks at m = 3, also of dimension 5
+_real_characters = symfun._isotypic_characters
 
 
 @pytest.mark.parametrize("changed, wrong, message", [
@@ -468,12 +470,17 @@ _HOOK, _HOOK_T = (5, 1), (2, 1, 1, 1, 1)  # a transpose pair at m = 3 with chara
      "isotypic character of 5,1 has the wrong dimension"),
     ({}, lambda m: LaurentPolynomial({0: 1}), "fiber dimension at m=3 is not 6!"),
     ({}, lambda m: LaurentPolynomial({0: -1, 1: 1}), "sum of dim * isotypic characters misses the fiber at m=3"),
-], ids=["not-palindromic", "not-transpose-invariant", "wrong-dimension", "fiber-extra-term", "fiber-moved-term"])
+    ({_HOOK: lambda chi: _real_characters(3)[_PAIR], _PAIR: lambda chi: _real_characters(3)[_HOOK],
+      _HOOK_T: lambda chi: _real_characters(3)[_PAIR_T], _PAIR_T: lambda chi: _real_characters(3)[_HOOK_T]}, None,
+     "isotypic character of 5,1 differs from its hook closed form"),
+], ids=["not-palindromic", "not-transpose-invariant", "wrong-dimension", "fiber-extra-term", "fiber-moved-term",
+        "hooks-swapped"])
 def test_isotypic_check_catches_a_wrong_character(monkeypatch, changed, wrong, message):
     # each piece the one-pass check reads, changed at m = 2 or 3: a character
     # that is no SL2 character, V(4) in place of V(1) + V(2) (still a character
     # of dimension 5), a transpose pair at twice its dimension, and the fiber
-    # with one term added or one moved to the next weight
+    # with one term added or one moved to the next weight; then two transpose pairs of dimension 5, hooks and
+    # no hooks, with their characters swapped, which keeps every property but the hooks' closed form
     real_chars, real_fiber = symfun._isotypic_characters, verify.regular_fiber_character
 
     def chars(m):
