@@ -208,6 +208,18 @@ def test_char_l_json(capsys):
     assert data["dimension"] == 720
 
 
+def test_char_l_cap_is_usage_error(monkeypatch, capsys):
+    # m is refused where it is parsed, before the handler runs; below the
+    # cap no flag is needed
+    assert main(["cm", "char-L", "5"]) == 0
+    assert capsys.readouterr().out.endswith(f"dimension: {factorial(15)}\n")
+    monkeypatch.setattr(cli, "regular_fiber_character", lambda m: pytest.fail(f"m={m} reached the handler"))
+    with pytest.raises(SystemExit) as err:
+        main(["cm", "char-L", str(cli.STAIRCASE_CAP + 1)])
+    assert err.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_tangent(capsys):
     code, out, _ = run_cli(capsys, "cm", "tangent", "2,1", "--format", "json")
     assert code == 0
@@ -722,20 +734,16 @@ def test_main_returns_or_exits_with_usage_code(argv):
         assert out.getvalue() == json.dumps(json.loads(out.getvalue()), indent=2, sort_keys=True) + "\n"
 
 
-def test_char_l_staircase_cap_is_usage_error(monkeypatch, capsys):
-    # m is refused where it is parsed, before the handler runs, with a message that names the cap; m = 5 and
-    # m = 20, the cap, are admitted with no flag
-    for m, n in ((5, 15), (cli.STAIRCASE_CAP, 210)):
-        assert main(["cm", "char-L", str(m)]) == 0
-        assert capsys.readouterr().out.endswith(f"dimension: {factorial(n)}\n")
+def test_char_l_staircase_cap_is_usage_error(capsys):
     over = str(cli.STAIRCASE_CAP + 1)
-    monkeypatch.setattr(cli, "regular_fiber_character", lambda m: pytest.fail(f"m={m} reached the handler"))
     with pytest.raises(SystemExit) as err:
         main(["cm", "char-L", over])
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"argument m: {over} exceeds the cap {cli.STAIRCASE_CAP}" in captured.err
+    assert main(["cm", "char-L", str(cli.STAIRCASE_CAP)]) == 0
+    assert capsys.readouterr().out.endswith(f"dimension: {factorial(210)}\n")
 
 
 @pytest.mark.parametrize("error", [MemoryError, RecursionError])
