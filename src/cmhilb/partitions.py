@@ -12,11 +12,11 @@ from itertools import accumulate
 from math import factorial, isqrt
 from operator import add
 
-from .exactalg import LaurentPolynomial, one_minus_q_product
+from .exactalg import LaurentPolynomial, _int, one_minus_q_product
 
 
 class CapExceededError(ValueError):
-    """A size refused before any work: over PARTITION_BUDGET partitions, or over a CLI cap."""
+    """A size refused before any work: over LISTABLE_SIZE_CAP, or over a CLI cap."""
 
 
 class Partition:
@@ -216,40 +216,18 @@ def _partition_tuples(n: int):
         parts += [k] * whole + ([rest] if rest else [])
 
 
-_PARTITION_COUNTS = [1]
-
-
-def partition_count(n: int) -> int:
-    """p(n) by Euler's pentagonal recurrence
-    p(n) = sum over k >= 1 of (-1)^(k+1) (p(n - k(3k-1)/2) + p(n - k(3k+1)/2)),
-    memoised per n for the life of the process."""
-    counts = _PARTITION_COUNTS
-    for m in range(len(counts), n + 1):
-        total, k = 0, 1
-        while k * (3 * k - 1) // 2 <= m:
-            term = counts[m - k * (3 * k - 1) // 2]
-            if k * (3 * k + 1) // 2 <= m:
-                term += counts[m - k * (3 * k + 1) // 2]
-            total += term if k % 2 else -term
-            k += 1
-        counts.append(total)
-    return counts[n]
-
-
-# Most partitions `enumerate_partitions` lists for one n: p(45) = 89,134 is
-# the last count within it.
-PARTITION_BUDGET = 10**5
+# The largest n whose partitions may be listed: p(45) = 89,134 <= 10^5 <
+# p(46) = 105,558, and p grows with n, so every smaller size is listable too.
+LISTABLE_SIZE_CAP = 45
 
 
 def require_listable(n: int) -> None:
-    """Refuse, with CapExceededError, a size n whose partitions may not be
-    listed: p(n) exceeds PARTITION_BUDGET."""
-    if n < 0:
+    """Refuse a size n whose partitions may not be listed: TypeError unless
+    n is exactly an int, CapExceededError above LISTABLE_SIZE_CAP."""
+    if _int(n) < 0:
         raise ValueError("cannot partition a negative integer")
-    # p grows with n, so counting up from 0 stops at the first size past the
-    # budget, and a huge n is refused as cheaply as a small one
-    if any(partition_count(m) > PARTITION_BUDGET for m in range(n + 1)):
-        raise CapExceededError(f"n={n} exceeds the cap: more than {PARTITION_BUDGET} partitions, too many to list")
+    if n > LISTABLE_SIZE_CAP:
+        raise CapExceededError(f"n={n} exceeds the cap: more than 100000 partitions, too many to list")
 
 
 def enumerate_partitions(n: int) -> list:

@@ -7,7 +7,6 @@ factorization of the full fiber.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import chain, repeat
 
 from .exactalg import LaurentPolynomial, _from_dense
@@ -26,7 +25,6 @@ class NotACharacterError(ValueError):
     """Not a nonnegative integer combination of irreducible characters."""
 
 
-@lru_cache(maxsize=None)
 def irreducible_character(m: int) -> LaurentPolynomial:
     """q^m + q^(m-2) + ... + q^(-m), the weight character of the
     irreducible of highest weight m."""

@@ -275,7 +275,6 @@ def fake_degree(lam: Partition) -> LaurentPolynomial:
     return one_minus_q_quotient(q_factorial(lam.size), hook_lengths(lam)).shifted(n_stat(lam))
 
 
-@lru_cache(maxsize=None)
 def regular_fiber_character(m: int) -> LaurentPolynomial:
     """Graded character of the rank-n! fiber at the staircase fixed point:
     q^(-n(delta)) * H_delta(q) / (1-q)^n * dim(delta), delta the staircase."""

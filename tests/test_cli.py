@@ -362,6 +362,26 @@ def test_public_api_is_pinned():
     ]
 
 
+def test_memo_set_is_pinned():
+    # a memo belongs where calls repeat, so adding or dropping one is deliberate
+    from cmhilb import exactalg, partitions, sl2, symfun
+
+    def members(module):
+        for value in vars(module).values():
+            yield value
+            if isinstance(value, type):
+                yield from vars(value).values()
+
+    memos = {
+        f"{value.__module__}.{value.__qualname__}"
+        for module in (exactalg, partitions, symfun, sl2, orbits, cli, verify)
+        for value in members(module)
+        if callable(value) and hasattr(value, "cache_info") and value.__module__.startswith("cmhilb.")
+    }
+    assert sorted(memos) == ["cmhilb.cli.build_parser", "cmhilb.symfun._isotypic_characters",
+                             "cmhilb.symfun.character_table"]
+
+
 def test_verify_unknown_check_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["verify", "does-not-exist"])

@@ -8,10 +8,14 @@ import pytest
 from hypothesis import given, settings
 
 from cmhilb import (
+    CALOGERO_MOSER,
+    HILBERT,
     CapExceededError,
     LaurentPolynomial,
     Partition,
     all_hooks_odd,
+    character_table,
+    closure_graph,
     diagonals,
     dim_irrep,
     enumerate_partitions,
@@ -21,6 +25,7 @@ from cmhilb import (
     is_steep,
     n_stat,
     parse_partition,
+    sl2_fixed_set,
     staircase,
     transpose,
     triangular_index,
@@ -29,7 +34,7 @@ from cmhilb import (
 )
 import cmhilb.partitions as partitions_module
 from cmhilb import symfun
-from cmhilb.partitions import PARTITION_BUDGET, partition_count
+from cmhilb.partitions import LISTABLE_SIZE_CAP, _partition_tuples
 from cmhilb.verify import CHECKS, Limits
 
 
@@ -152,11 +157,7 @@ def test_fiber_check_catches_a_wrong_staircase_n_stat(monkeypatch):
     # is not, so n(delta) off by one on a staircase must fail the check
     real = symfun.n_stat
     monkeypatch.setattr(symfun, "n_stat", lambda lam: real(lam) + (is_staircase(lam) and lam.size >= 3))
-    symfun.regular_fiber_character.cache_clear()
-    try:
-        failures = CHECKS["fiber-layer-factorization"](Limits(max_m=4))
-    finally:
-        symfun.regular_fiber_character.cache_clear()
+    failures = CHECKS["fiber-layer-factorization"](Limits(max_m=4))
     assert "layered factorization misses the fiber character at m=2" in failures
 
 
@@ -277,13 +278,47 @@ def test_enumerate_reverse_lex_order():
 
 
 def test_partition_count_and_budget():
-    assert [partition_count(n) for n in range(8)] == [1, 1, 2, 3, 5, 7, 11, 15]
-    for n in range(25):
-        assert partition_count(n) == len(enumerate_partitions(n))
+    # p(n) for n = 0..24, OEIS A000041
+    counts = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176, 231, 297, 385, 490, 627, 792, 1002,
+              1255, 1575]
+    assert [len(enumerate_partitions(n)) for n in range(25)] == counts
     assert len(enumerate_partitions(31)) == 6842
-    assert partition_count(45) <= PARTITION_BUDGET < partition_count(46)
+    # the cap is the largest n with at most 10^5 partitions
+    assert LISTABLE_SIZE_CAP == 45
+    p45, p46 = (sum(1 for _ in _partition_tuples(n)) for n in (45, 46))
+    assert (p45, p46) == (89134, 105558) and p45 <= 10**5 < p46
     with pytest.raises(CapExceededError):
         enumerate_partitions(46)
+
+
+@pytest.mark.parametrize("scan", [
+    enumerate_partitions,
+    sl2_fixed_set,
+    lambda n: closure_graph(n, HILBERT),
+    lambda n: closure_graph(n, CALOGERO_MOSER),
+    character_table,
+], ids=["enumerate_partitions", "sl2_fixed_set", "closure_graph-hilbert", "closure_graph-calogero-moser",
+        "character_table"])
+def test_every_scan_refuses_a_size_past_the_cap(scan):
+    # no library scan has a cap of its own: each refuses before it lists anything
+    with pytest.raises(CapExceededError, match=f"n={LISTABLE_SIZE_CAP + 1} exceeds the cap"):
+        scan(LISTABLE_SIZE_CAP + 1)
+
+
+def test_sl2_fixed_set_admits_the_cap():
+    assert sl2_fixed_set(LISTABLE_SIZE_CAP) == {staircase(9)}
+
+
+@pytest.mark.parametrize("n", [True, 1.0, 2.5], ids=repr)
+@pytest.mark.parametrize("scan", [
+    enumerate_partitions,
+    sl2_fixed_set,
+    lambda n: closure_graph(n, HILBERT),
+], ids=["enumerate_partitions", "sl2_fixed_set", "closure_graph"])
+def test_a_size_that_is_not_exactly_an_int_is_refused(scan, n):
+    # bool subclasses int, but True is no size, as it is no part
+    with pytest.raises(TypeError, match="expected an int"):
+        scan(n)
 
 
 _PACKAGE_FILES = os.path.join(os.path.dirname(partitions_module.__file__), "*")
