@@ -69,11 +69,6 @@ STAIRCASE_CAP = 20
 EXPONENT_STAIRCASE_CAP = 8
 EXPONENT_SIZE_CAP = EXPONENT_STAIRCASE_CAP * (EXPONENT_STAIRCASE_CAP + 1) // 2
 
-# Checks that take a larger --max-m: the layered fiber identity lists no
-# partitions, only multiplies polynomials, and stops where `cm char-L` does
-# (about 1 s at m = 20).
-_VERIFY_MAX_M = {"fiber-layer-factorization": STAIRCASE_CAP}
-
 # Each command's argparse parser by its command words ("cm", "tangent"), filled by build_parser.
 _COMMAND_PARSERS: dict = {}
 
@@ -204,7 +199,7 @@ def _report_lines(rep):
 
 
 def _cmd_orbit(args) -> int:
-    rep = args.orbit(args.partition)
+    rep = (cm_orbit if args.words[0] == "cm" else hilb_orbit)(args.partition)
     if args.format == "json":
         print(_reply_json(rep))
     else:
@@ -354,12 +349,13 @@ def _cmd_verify(args) -> int:
         raise UsageError(
             f"unknown check {unknown[0]!r}; run `cmhilb verify --list` for names"
         )
-    selected = verify.CHECKS if "all" in args.checks else args.checks
-    cap = min(_VERIFY_MAX_M.get(name, EXPONENT_STAIRCASE_CAP) for name in selected)
+    selected = list(verify.CHECKS) if "all" in args.checks else args.checks
+    # the layered fiber identity lists no partitions, only multiplies polynomials, and stops where `cm char-L`
+    # does (about 1 s at m = 20); every other check stops where exponent tables do
+    cap = STAIRCASE_CAP if set(selected) == {"fiber-layer-factorization"} else EXPONENT_STAIRCASE_CAP
     if args.max_m > cap:
         raise CapExceededError(f"--max-m {args.max_m} exceeds the cap {cap} of the checks selected")
-    limits = verify.Limits(max_n=args.max_n, max_m=args.max_m)
-    ok = verify.run_checks(args.checks, limits, out=print)
+    ok = verify.run_checks(selected, verify.Limits(max_n=args.max_n, max_m=args.max_m))
     return 0 if ok else 1
 
 
@@ -370,30 +366,27 @@ def _format(*choices):
 
 _PARTITION, _SIZE = [("partition", _partition_arg, None)], [("n", _size_arg, None)]
 
-# Each command once, by its words: help, handler, positionals as (dest, validator, help), options by flag as
-# (dest, choices, default, help) and extra defaults.  _placed places a well-formed line by it without argparse,
-# and build_parser builds the full tree from it.  verify's arguments take several words or none, so it has
-# None here: build_parser adds them, and every verify line goes through the full tree.
+# Each command once, by its words: help, handler, positionals as (dest, validator, help) and options by flag as
+# (dest, choices, default, help).  _placed places a well-formed line by it without argparse, and build_parser
+# builds the full tree from it.  verify's arguments take several words or none, so it has None here:
+# build_parser adds them, and every verify line goes through the full tree.
 COMMANDS = {
     ("part", "info"): ("hooks, diagonals, rectification and statistics", _cmd_part_info,
-                       [("partition", _partition_arg, 'comma form, e.g. "4,3,3,1,1"')], _format(), {}),
-    ("cm", "tangent"): ("tangent-space character at a fixed point", _cmd_cm_tangent, _PARTITION, _format(), {}),
-    ("cm", "orbit"): ("orbit and stabilizer of a fixed point", _cmd_orbit, _PARTITION, _format(),
-                      {"orbit": cm_orbit}),
+                       [("partition", _partition_arg, 'comma form, e.g. "4,3,3,1,1"')], _format()),
+    ("cm", "tangent"): ("tangent-space character at a fixed point", _cmd_cm_tangent, _PARTITION, _format()),
+    ("cm", "orbit"): ("orbit and stabilizer of a fixed point", _cmd_orbit, _PARTITION, _format()),
     ("cm", "exponents"): ("exponent table for all partitions of n", _cmd_cm_exponents,
                           [("n", functools.partial(_size_arg, cap=EXPONENT_SIZE_CAP, triangular=True), None)],
-                          _format("text", "json", "csv"), {}),
+                          _format("text", "json", "csv")),
     ("cm", "char-L"): ("graded character of the staircase fiber", _cmd_cm_char_l,
-                       [("m", functools.partial(_size_arg, cap=STAIRCASE_CAP), None)], _format(), {}),
-    ("cm", "fixed"): ("partitions of n fixed by the full group action", _cmd_cm_fixed, _SIZE, _format(), {}),
-    ("hilb", "orbit"): ("orbit, stabilizer and boundary of a fixed point", _cmd_orbit, _PARTITION, _format(),
-                        {"orbit": hilb_orbit}),
-    ("hilb", "ideal"): ("monomial ideal generators and graded dimensions", _cmd_hilb_ideal, _PARTITION,
-                        _format(), {}),
+                       [("m", functools.partial(_size_arg, cap=STAIRCASE_CAP), None)], _format()),
+    ("cm", "fixed"): ("partitions of n fixed by the full group action", _cmd_cm_fixed, _SIZE, _format()),
+    ("hilb", "orbit"): ("orbit, stabilizer and boundary of a fixed point", _cmd_orbit, _PARTITION, _format()),
+    ("hilb", "ideal"): ("monomial ideal generators and graded dimensions", _cmd_hilb_ideal, _PARTITION, _format()),
     ("hilb", "closure"): ("orbit-closure graph over all partitions of n", _cmd_hilb_closure, _SIZE,
                           {"--space": ("space", ("hilbert", "calogero-moser"), "hilbert", None),
-                           **_format("text", "json", "dot")}, {}),
-    ("verify",): ("run named invariant checks", _cmd_verify, None, {}, {}),
+                           **_format("text", "json", "dot")}),
+    ("verify",): ("run named invariant checks", _cmd_verify, None, {}),
 }
 _GROUP_HELP = {"part": "partition combinatorics", "cm": "Calogero-Moser space",
                "hilb": "Hilbert scheme of points in the plane"}
@@ -403,8 +396,8 @@ _GROUP_HELP = {"part": "partition combinatorics", "cm": "Calogero-Moser space",
 def build_parser():
     """The argparse tree of COMMANDS, built on the first call and then reused for the life of the process.  Only
     lines that _placed declines (help, refusals, verify) and refusals after placement need it, so argparse loads
-    here.  Each command parser's defaults are its handler (`func`), its `words` and its extra defaults, bound
-    when the tree is built: tests patch what a handler calls instead, such as `verify.run_checks`."""
+    here.  Each command parser's defaults are its handler (`func`) and its `words`, bound when the tree is
+    built: tests patch what a handler calls instead, such as `verify.run_checks`."""
     import argparse
 
     def typed(check):
@@ -421,12 +414,12 @@ def build_parser():
         "torus-fixed points on Hilbert schemes and Calogero-Moser spaces.",
     )
     groups = {(): parser.add_subparsers(dest="group", required=True)}
-    for words, (help, func, positionals, options, extra) in COMMANDS.items():
+    for words, (help, func, positionals, options) in COMMANDS.items():
         if words[:-1] not in groups:
             group = groups[()].add_parser(words[0], help=_GROUP_HELP[words[0]])
             groups[words[:-1]] = group.add_subparsers(dest="command", required=True)
         p = _COMMAND_PARSERS[words] = groups[words[:-1]].add_parser(words[-1], help=help)
-        p.set_defaults(func=func, words=words, **extra)
+        p.set_defaults(func=func, words=words)
         for dest, check, text in positionals or ():
             p.add_argument(dest, type=typed(check), help=text)
         for flag, (_, choices, default, text) in options.items():
@@ -444,10 +437,10 @@ def _placed(words, rest):
     """The namespace that the command parser of `words` gives for the rest of the line, or None for a line that
     the table cannot place exactly as argparse would: help, `--opt=value`, `--`, any other word that starts with
     `-` where a value belongs, a positional missing or over, or a value that its validator or choices refuse."""
-    _, func, positionals, options, extra = COMMANDS[words]
+    _, func, positionals, options = COMMANDS[words]
     if positionals is None:
         return None
-    values, rest, placed = {"func": func, "words": words, **extra}, iter(rest), 0
+    values, rest, placed = {"func": func, "words": words}, iter(rest), 0
     for dest, _, default, _ in options.values():
         values[dest] = default
     for word in rest:

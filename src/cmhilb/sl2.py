@@ -115,13 +115,12 @@ def sl2_fixed_set(n: int) -> set:
 def hook_layer_character(m: int) -> LaurentPolynomial:
     """Character contributed by one principal-hook layer of the staircase:
     (V(m-1) + V(m-2)) times the square of prod over i = 1..m-2 of
-    (V(i) + V(i-1)), with V(-1) = 0."""
+    (V(i) + V(i-1)), with V(-1) = 0.  Each factor V(i) + V(i-1) is the
+    span q^(-i) + ... + q^i, all ones, and V(0) + V(-1) is 1."""
     if m < 1:
         raise ValueError("layer index must be at least 1")
-    lead = irreducible_character(m - 1)
-    if m >= 2:
-        lead = lead + irreducible_character(m - 2)
-    half = _balanced_product([irreducible_character(i) + irreducible_character(i - 1) for i in range(1, m - 1)])
+    lead = _from_dense([1] * (2 * m - 1), 1 - m)
+    half = _balanced_product([_from_dense([1] * (2 * i + 1), -i) for i in range(1, m - 1)])
     return lead * (half * half)
 
 

@@ -251,21 +251,16 @@ def _schur_expansion(terms: list) -> dict:
     return out
 
 
-class _Numerators:
-    """The Hall-pairing numerators N_lam against delta for every lam of its
-    size, from one Schur expansion: .packed maps each beta mask to N_lam
-    packed at .bits over .length slots."""
-
-    def __init__(self, delta: Partition):
-        weights = _class_weights(delta)
-        self.n, self.length = delta.size, len(weights[0][2])
-        bound = sum((isqrt(centralizer_order(mu)) + 1) * abs(w) * max(map(abs, W)) for mu, w, W in weights)
-        self.bits = _slot_bits(bound)
-        self.packed = _schur_expansion([(mu.parts, w * _pack(W, self.bits)) for mu, w, W in weights])
-
-    def dense(self, lam: Partition) -> list:
-        """The coefficients of N_lam, lowest first."""
-        return _unpack(self.packed.get(_beta_mask(lam.parts, self.n), 0), self.bits, self.length)
+def _numerators(delta: Partition) -> tuple:
+    """(packed, bits, length): the Hall-pairing numerators N_lam against
+    delta for every lam of its size, from one Schur expansion; packed maps
+    each beta mask to N_lam packed at bits over length slots, which
+    _unpack(packed.get(mask, 0), bits, length) reads lowest first."""
+    weights = _class_weights(delta)
+    bound = sum((isqrt(centralizer_order(mu)) + 1) * abs(w) * max(map(abs, W)) for mu, w, W in weights)
+    bits = _slot_bits(bound)
+    packed = _schur_expansion([(mu.parts, w * _pack(W, bits)) for mu, w, W in weights])
+    return packed, bits, len(weights[0][2])
 
 
 def fake_degree(lam: Partition) -> LaurentPolynomial:
@@ -291,12 +286,13 @@ def _isotypic_characters(m: int) -> dict:
     m(m+1)/2, in partition order, from one expansion; equal numerators,
     as those of a transpose pair are, share one character object."""
     delta = staircase(m)
-    numerators, nfact, shift = _Numerators(delta), factorial(delta.size), -n_stat(delta)
+    numerators, bits, length = _numerators(delta)
+    nfact, shift = factorial(delta.size), -n_stat(delta)
     chars, shared = {}, {}
     for lam in enumerate_partitions(delta.size):
-        packed = numerators.packed.get(_beta_mask(lam.parts, delta.size), 0)
+        packed = numerators.get(_beta_mask(lam.parts, delta.size), 0)
         if packed not in shared:
-            shared[packed] = _from_dense(numerators.dense(lam), shift).exact_div(nfact)
+            shared[packed] = _from_dense(_unpack(packed, bits, length), shift).exact_div(nfact)
         chars[lam.parts] = shared[packed]
     return chars
 

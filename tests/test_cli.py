@@ -799,12 +799,12 @@ def test_exponent_staircase_cap_admits_m_7(monkeypatch, capsys):
     assert main(["cm", "exponents", "28"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 3718
     seen = []
-    monkeypatch.setattr(verify, "run_checks", lambda names, limits, out: seen.append((names, limits)) or True)
+    monkeypatch.setattr(verify, "run_checks", lambda names, limits: seen.append((names, limits)) or True)
     assert main(["verify", "--max-m", "7"]) == 0
     at_cap = str(cli.STAIRCASE_CAP)
     assert main(["verify", "fiber-layer-factorization", "--max-m", at_cap]) == 0
     assert seen == [
-        (("all",), verify.Limits(max_n=20, max_m=7)),
+        (list(verify.CHECKS), verify.Limits(max_n=20, max_m=7)),
         (["fiber-layer-factorization"], verify.Limits(max_n=20, max_m=cli.STAIRCASE_CAP)),
     ]
 
@@ -815,9 +815,9 @@ def test_exponent_staircase_cap_admits_m_8(monkeypatch, capsys):
     assert main(["cm", "exponents", "36"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 17977
     seen = []
-    monkeypatch.setattr(verify, "run_checks", lambda names, limits, out: seen.append((names, limits)) or True)
+    monkeypatch.setattr(verify, "run_checks", lambda names, limits: seen.append((names, limits)) or True)
     assert main(["verify", "--max-m", "8"]) == 0
-    assert seen == [(("all",), verify.Limits(max_n=20, max_m=8))]
+    assert seen == [(list(verify.CHECKS), verify.Limits(max_n=20, max_m=8))]
 
 
 def test_parser_is_built_once_and_keeps_no_state(capsys):

@@ -238,12 +238,12 @@ def _with_invalid(n):
 ], ids=["transpose-identity", "transpose-increasing", "enumeration-increasing", "diagonals-reversed",
         "diagonals-extra-cell", "u_map-identity", "u_map-increasing", "u_map-zero-part", "transpose-no-involution",
         "u_map-not-idempotent"])
-def test_partition_checks_catch_a_wrong_rule(monkeypatch, check, name, wrong, message):
+def test_partition_checks_catch_a_wrong_rule(monkeypatch, capsys, check, name, wrong, message):
     import cmhilb.verify as verify_module
 
     monkeypatch.setattr(verify_module, name, wrong)
-    lines = []
-    assert not verify_module.run_checks([check], Limits(max_n=6), out=lines.append)
+    assert not verify_module.run_checks([check], Limits(max_n=6))
+    lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith(f"FAIL {check}: ") and message in lines[0]
 
 

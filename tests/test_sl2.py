@@ -5,6 +5,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 import cmhilb.partitions as partitions_module
+import cmhilb.sl2 as sl2
 from cmhilb import (
     LaurentPolynomial,
     NotACharacterError,
@@ -186,3 +187,14 @@ def test_layered_fiber_character():
 
 def test_layered_matches_regular_fiber():
     assert CHECKS["fiber-layer-factorization"](Limits(max_m=4)) == []
+
+
+def test_fiber_layer_check_catches_a_short_layer_span(monkeypatch):
+    # the span q^-2 + ... + q^2 one term short: it leads the m = 3 layer and is a factor of the m = 4 one,
+    # so the layered product misses the fiber character from m = 3 on
+    real = sl2._from_dense
+    monkeypatch.setattr(sl2, "_from_dense", lambda coeffs, lo: real(coeffs[:-1] if len(coeffs) == 5 else coeffs, lo))
+    assert hook_layer_character(2) == LaurentPolynomial({1: 1, 0: 1, -1: 1})
+    assert CHECKS["fiber-layer-factorization"](Limits(max_m=4)) == [
+        f"layered factorization misses the fiber character at m={m}" for m in (3, 4)
+    ]
