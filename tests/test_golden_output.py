@@ -1,11 +1,12 @@
 """Golden outputs: the SHA-256 of stdout of the commands whose bytes depend
 on how a Laurent polynomial is stored, rendered and serialised, or on how a
 reply is written: the key-value reports, the JSON term lists and the ideal,
-orbit and partition data of the one-shot commands, with the edge replies of
-the empty partition, its zero tangent character and `cm fixed` at a size with
-no staircase and at one with it.  The digests were taken
-before each change of storage or of a reply writer, so any such change must
-leave every byte of these outputs as it was."""
+orbit and partition data of the one-shot commands, an orbit reply of each
+stabilizer in each space, with the edge replies of the empty partition, its
+zero tangent character and `cm fixed` at a size with no staircase and at one
+with it.  The digests were taken before each change of storage or of a reply
+writer, so any such change must leave every byte of these outputs as it
+was."""
 
 import hashlib
 import shlex
@@ -42,6 +43,24 @@ GOLDEN = {
     "hilb orbit 9,7,7,5,4,4,3,2,2,1,1 --format json": "56014bab32028c1780f0a6f5266e2d7f841adb801f3266929f246de684b2502b",
     "cm orbit 9,7,7,5,4,4,3,2,2,1,1 --format text": "96137eccff3abe2db14f35be2efbe5a1f1be735c82d9fa6f582c7650e7e71735",
     "cm orbit 9,7,7,5,4,4,3,2,2,1,1 --format json": "8b941d2f693934ec85f5bc77748d01cbfb8622a86c4bd50baa266b14a69d518c",
+    "hilb orbit 3,2,1 --format text": "bc1c78dba21970919a4111fe3e75212cc5e7c441c58fc187c8eefa1723852c90",
+    "hilb orbit 3,2,1 --format json": "8ce8aa922f518153abbbeb07d3efd55e77d6146ec0cb79c3311889bb9bdf3f52",
+    "hilb orbit 3,1 --format text": "abf55be41caf9def6f7d51fd1b6542af56aec622c1e249629485dcea2b493814",
+    "hilb orbit 3,1 --format json": "206019881f5546b53a840746b34a704bd9346013b153a9c76bbf316523b67cf7",
+    "hilb orbit 2,1,1 --format text": "2b2675c17c68f2b18a99361798368b60bc4cab7cd0428ff5acbf4212aeba5228",
+    "hilb orbit 2,1,1 --format json": "ada7c445d2b567374a0c3026dd831499b12bf37449d8645f6622806df491ef1f",
+    "hilb orbit 2,2 --format text": "5d8df25ff2cdb52bc59dfbab9236cb4aa8ac8250cb3fb697f1923725c534e75e",
+    "hilb orbit 2,2 --format json": "a0658c62548eda98cae990d7bec864db7c10eea882fc17b36b27b14201356b91",
+    'hilb orbit "" --format text': "b448a97aad44607cee46bbbfb99b8755d4b39233da0befb3d8b22b031d6dd961",
+    'hilb orbit "" --format json': "0b845aceaf43fadcc680c3d3fd6b5a60551704d7d5cd7dadea0063176399fb1b",
+    "cm orbit 3,2,1 --format text": "25f8fc6b775c7ecaa11ab8c8658494f0307bd53842bc41eb3fcf02cab3545f14",
+    "cm orbit 3,2,1 --format json": "3e5343ddb4df33353223c384107288344b06d0cab620dd32398700a1e62d32fe",
+    "cm orbit 2,2 --format text": "0e4fe1984f2170bd61409e7d33d65af13e4358e554acbeb69dcd5af6e05fd15f",
+    "cm orbit 2,2 --format json": "4087be55eacc5a7c19434faa40a471420ea56f80b299a44f45ddad1799f97262",
+    "cm orbit 3,1 --format text": "d5336cafdca66fd8a549701f3ee6ba95491e0884120d2368b097669e72374a9a",
+    "cm orbit 3,1 --format json": "ade07ec50c133c8ba949fc9baedf2dcbccda70da346d74be3a4237f8c9cb5c88",
+    'cm orbit "" --format text': "e07175870ab993859a03116484c704de53577cf22087a45e68c289fb61900b46",
+    'cm orbit "" --format json': "9f4e0d63ab1248fcb8cde345696fedfe38bbf2face45374cd1ce309668af5e1f",
     "part info 12,10,9,8,7,5,4,3,1,1 --format json": "9169df11f7bfc7c284d64aac002ff7beacd15a04c998dcff48f45c3c7860bfe2",
     "verify fiber-layer-factorization --max-m 12": "70f48996b658c923603748ece4ac34b0b14bf9c4952f22e3e3418dde30f3ec66",
     'part info "" --format text': "c2118a15be4f7ca1df345cbb54bdfb533cd57b56fa4f6c40cd68815790b2d5c3",
