@@ -183,27 +183,13 @@ def _cmd_cm_tangent(args) -> int:
     return 0
 
 
-def _report_lines(rep):
-    lines = [
-        ("space", rep.space),
-        ("partition", str(rep.partition)),
-        ("stabilizer", rep.stabilizer),
-        ("orbit model", rep.orbit_model),
-        ("closed", rep.closed),
-    ]
-    if rep.boundary is not None:
-        lines.append(("boundary", f"{rep.boundary} (model P1)"))
-    if rep.partner is not None:
-        lines.append(("partner", str(rep.partner)))
-    return lines
-
-
 def _cmd_orbit(args) -> int:
     rep = (cm_orbit if args.words[0] == "cm" else hilb_orbit)(args.partition)
     if args.format == "json":
         print(_reply_json(rep))
     else:
-        _print_kv(_report_lines(rep))
+        _print_kv([(key.replace("_", " "), f"{value} (model P1)" if key == "boundary" else value)
+                   for key, value in zip(rep._fields, rep) if value is not None])
     return 0
 
 

@@ -224,6 +224,8 @@ def one_minus_q_product(ks) -> LaurentPolynomial:
     and never pass the latter.
     """
     ks, top, v, done = sorted(ks), 1, 1, 0
+    if ks and ks[0] < 1:
+        raise ValueError(f"1 - q^k needs k >= 1, got k = {ks[0]}")
     bits = min(64, _slot_bits(1 << len(ks)))
     while done < len(ks):
         if 2 * top >> (bits - 1):
@@ -242,10 +244,8 @@ def _refreshed(v: int, bits: int, length: int, factors: int) -> tuple:
     coeffs = _unpack(v, bits, length)
     top = max(max(coeffs), -min(coeffs))
     if 2 * top >> (bits - 1):
-        wide = _slot_bits(top << factors)
-        # each slot, biased by 2^(bits-1) and zero-extended, keeps that bias
-        raw = _spread((v + _bias(bits, length)).to_bytes(bits // 8 * length, "little"), bits // 8, wide // 8)
-        v, bits = int.from_bytes(raw, "little") - (_bias(wide, length) >> (wide - bits)), wide
+        bits = _slot_bits(top << factors)
+        v = _pack(coeffs, bits)
     return v, bits, top
 
 
@@ -258,10 +258,13 @@ def one_minus_q_quotient(p: LaurentPolynomial, ks) -> LaurentPolynomial:
     when its top k coefficients are zero, and they are dropped.  Integer
     sums need no coefficient bound.  Larger k first shortens the list soonest.
     """
+    ks = sorted(ks, reverse=True)
+    if ks and ks[-1] < 1:
+        raise ValueError(f"1 - q^k needs k >= 1, got k = {ks[-1]}")
     if not p:
         return LaurentPolynomial()
     coeffs = list(p._coeffs)
-    for k in sorted(ks, reverse=True):
+    for k in ks:
         for r in range(k):
             coeffs[r::k] = accumulate(coeffs[r::k])
         if any(coeffs[-k:]):

@@ -54,29 +54,33 @@ class MonomialIdeal(namedtuple("MonomialIdeal", "shape generators graded_dims"))
         return tuple(mono(a, b) for a, b in self.generators)
 
 
-class OrbitReport(namedtuple("OrbitReport", "space partition stabilizer orbit_model closed boundary partner",
-                             defaults=(None, None))):
-    """Classification of the orbit through one torus-fixed point; boundary
-    and partner are partitions or None."""
+class OrbitReport(namedtuple("OrbitReport", "space partition stabilizer orbit_model closed boundary partner")):
+    """Classification of the orbit through the fixed point of `partition` in
+    `space`, every field derived from those two; boundary and partner are
+    partitions or None."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.space not in (HILBERT, CALOGERO_MOSER):
-            raise ValueError(f"unknown space {self.space!r}")
-        if self.stabilizer not in ORBIT_MODEL:
-            raise ValueError(f"unknown stabilizer {self.stabilizer!r}")
-        if self.orbit_model != ORBIT_MODEL[self.stabilizer]:
-            raise ValueError(f"stabilizer {self.stabilizer} has orbit model {ORBIT_MODEL[self.stabilizer]}")
-        if self.closed != (self.space == CALOGERO_MOSER or self.stabilizer in CONTAINS_BOREL):
-            raise ValueError("an orbit is closed exactly when it lies in the Calogero-Moser space or its "
-                             "stabilizer contains a Borel subgroup")
-        if (self.boundary is not None) != (self.space == HILBERT and not self.closed):
-            raise ValueError("boundary is recorded exactly for non-closed Hilbert orbits")
-        if (self.partner is not None) != (self.space == CALOGERO_MOSER and self.stabilizer == "T"):
-            raise ValueError("partner is recorded exactly for Calogero-Moser orbits with stabilizer T")
-        return self
+    def __new__(cls, space: str, partition: Partition):
+        if space not in (HILBERT, CALOGERO_MOSER):
+            raise ValueError(f"unknown space {space!r}")
+        lamt = transpose(partition)
+        if is_staircase(partition):
+            stabilizer = "SL2"
+        elif space == HILBERT and is_steep(partition):
+            stabilizer = "B"
+        elif space == HILBERT and is_steep(lamt):
+            stabilizer = "B_minus"
+        else:
+            stabilizer = "N_T" if partition == lamt else "T"
+        # a Hilbert orbit that is not closed has the P1 orbit of its u_map in its boundary
+        closed = space == CALOGERO_MOSER or stabilizer in CONTAINS_BOREL
+        boundary = None if closed else u_map(partition)
+        partner = lamt if space == CALOGERO_MOSER and stabilizer == "T" else None
+        return super().__new__(cls, space, partition, stabilizer, ORBIT_MODEL[stabilizer], closed, boundary, partner)
+
+    def __getnewargs__(self):
+        return self.space, self.partition
 
     @property
     def orbit_id(self) -> str:
@@ -124,26 +128,13 @@ def is_borel_stable(lam: Partition) -> bool:
 
 def hilb_orbit(lam: Partition) -> OrbitReport:
     """Stabilizer and closure data for the orbit in the Hilbert scheme."""
-    lamt = transpose(lam)
-    if is_staircase(lam):
-        stabilizer = "SL2"
-    elif is_steep(lam):
-        stabilizer = "B"
-    elif is_steep(lamt):
-        stabilizer = "B_minus"
-    else:
-        stabilizer = "N_T" if lam == lamt else "T"
-    closed = stabilizer in CONTAINS_BOREL
-    return OrbitReport(HILBERT, lam, stabilizer, ORBIT_MODEL[stabilizer], closed, None if closed else u_map(lam))
+    return OrbitReport(HILBERT, lam)
 
 
 def cm_orbit(lam: Partition) -> OrbitReport:
     """Stabilizer data for the orbit in the Calogero-Moser space; these
     orbits are always closed."""
-    lamt = transpose(lam)
-    stabilizer = "SL2" if is_staircase(lam) else "N_T" if lam == lamt else "T"
-    partner = lamt if stabilizer == "T" else None
-    return OrbitReport(CALOGERO_MOSER, lam, stabilizer, ORBIT_MODEL[stabilizer], True, partner=partner)
+    return OrbitReport(CALOGERO_MOSER, lam)
 
 
 # the directed closure graph over all partitions of n in one space; the CLI writes it

@@ -41,6 +41,9 @@ class Partition:
 
     __delattr__ = __setattr__
 
+    def __reduce__(self):  # a pickle or copy builds the partition anew, checked again
+        return Partition, (self.parts,)
+
     def __eq__(self, other):
         return self.parts == other.parts if other.__class__ is self.__class__ else NotImplemented
 

@@ -385,7 +385,7 @@ def check_orbit_classification(limits):
     pairs of the orbits whose stabilizer contains no Borel.  Calogero-Moser:
     every orbit is closed, so a point stable under one derivation only shares
     its orbit with its partner, the transpose, and keeps T.  OrbitReport
-    enforces the rest."""
+    derives the rest."""
     for n in range(min(limits.max_n, 30) + 1):
         graph = closure_graph(n, HILBERT)
         edges = []

@@ -160,6 +160,15 @@ def test_one_minus_q_quotient_rejects_a_series():
         one_minus_q_quotient(LaurentPolynomial({0: 1, 2: -1}), [3])
 
 
+@pytest.mark.parametrize("ks", [[-1], [-2, 1], [0]])
+def test_one_minus_q_kernel_refuses_k_below_1(ks):
+    # 1 - q^0 is zero, and 5 / (1 - q^-1) = -5q - 5q^2 - ... is no Laurent polynomial
+    for call in (lambda: one_minus_q_product(ks), lambda: one_minus_q_quotient(LaurentPolynomial({0: 5}), ks),
+                 lambda: one_minus_q_quotient(LaurentPolynomial({0: 1, 1: -1}), ks)):
+        with pytest.raises(ValueError, match=f"k = {min(ks)}$"):
+            call()
+
+
 def test_exact_div_rejects_a_fractional_quotient():
     five = LaurentPolynomial({0: 5})
     with pytest.raises(NonPolynomialError):

@@ -25,6 +25,7 @@ from cmhilb import (
     verify,
 )
 from cmhilb.cli import main
+from cmhilb.orbits import CONTAINS_BOREL, ORBIT_MODEL
 from cmhilb.verify import CHECKS, Limits
 
 
@@ -232,30 +233,24 @@ def test_closure_graph_serializations(capsys):
 
 
 def test_orbit_report_validation():
-    with pytest.raises(ValueError):
-        OrbitReport(HILBERT, Partition((2, 2)), "SL2", "P1", True)
-    with pytest.raises(ValueError):
-        OrbitReport(CALOGERO_MOSER, Partition((2, 2)), "N_T", "SL2_mod_NT", True,
-                    boundary=Partition((3, 1)))
-    with pytest.raises(ValueError):
-        OrbitReport("affine", Partition((2, 2)), "T", "SL2_mod_T", True)
-    # the JSON orbit id reads the transpose off the partner
-    with pytest.raises(ValueError):
-        OrbitReport(CALOGERO_MOSER, Partition((3, 1)), "T", "SL2_mod_T", True)
-    with pytest.raises(ValueError):
-        OrbitReport(CALOGERO_MOSER, Partition((2, 2)), "N_T", "SL2_mod_NT", True, partner=Partition((2, 2)))
-    # each stabilizer has one orbit model, a Hilbert orbit is closed exactly
-    # when its stabilizer contains a Borel, and every Calogero-Moser orbit is
-    for args, boundary in [
-        ((HILBERT, (3, 1), "B", "SL2_mod_T", True), None),
-        ((CALOGERO_MOSER, (2, 2), "N_T", "SL2_mod_NT", False), None),
-        ((HILBERT, (2, 2), "N_T", "SL2_mod_NT", True), None),
-        ((HILBERT, (2, 1), "SL2", "point", False), (3,)),
-        ((HILBERT, (3, 2, 2), "T", "P1", False), (4, 2, 1)),
-    ]:
-        space, parts, *rest = args
-        with pytest.raises(ValueError):
-            OrbitReport(space, Partition(parts), *rest, boundary=boundary and Partition(boundary))
+    with pytest.raises(ValueError, match="unknown space 'affine'"):
+        OrbitReport("affine", Partition((2, 2)))
+    # every field follows from the space and the partition: each stabilizer has
+    # one orbit model, a Hilbert orbit is closed exactly when its stabilizer
+    # contains a Borel and every Calogero-Moser orbit is, only a non-closed
+    # Hilbert orbit records its boundary, and only a Calogero-Moser orbit with
+    # stabilizer T records its partner
+    for lam in (mu for n in range(11) for mu in enumerate_partitions(n)):
+        for space in (HILBERT, CALOGERO_MOSER):
+            rep = OrbitReport(space, lam)
+            assert (rep.space, rep.partition) == (space, lam)
+            assert rep.orbit_model == ORBIT_MODEL[rep.stabilizer]
+            assert rep.closed == (space == CALOGERO_MOSER or rep.stabilizer in CONTAINS_BOREL)
+            hilbert_open = space == HILBERT and not rep.closed
+            assert rep.boundary == (u_map(lam) if hilbert_open else None)
+            cm_t = space == CALOGERO_MOSER and rep.stabilizer == "T"
+            assert rep.partner == (transpose(lam) if cm_t else None)
+            assert space == HILBERT or rep.stabilizer not in ("B", "B_minus")
 
 
 def test_unknown_space_rejected():

@@ -1,5 +1,7 @@
+import copy
 import gc
 import os
+import pickle
 import tracemalloc
 from functools import lru_cache
 
@@ -16,13 +18,16 @@ from cmhilb import (
     all_hooks_odd,
     character_table,
     closure_graph,
+    cm_orbit,
     diagonals,
     dim_irrep,
     enumerate_partitions,
+    hilb_orbit,
     hook_lengths,
     hook_polynomial,
     is_staircase,
     is_steep,
+    monomial_ideal,
     n_stat,
     parse_partition,
     sl2_fixed_set,
@@ -60,6 +65,20 @@ def test_partition_is_an_immutable_record():
     assert len({lam, Partition((2, 1)), Partition((1, 1))}) == 2
     assert repr(lam) == "Partition(parts=(2, 1))"
     assert repr(Partition()) == "Partition(parts=())"
+
+
+def test_records_survive_pickle_and_copy():
+    # a loaded partition is built by Partition(parts), so its parts are checked again
+    assert Partition((2, 1)).__reduce__() == (Partition, ((2, 1),))
+    lam = Partition((3, 2, 2))
+    values = [lam, Partition(), hilb_orbit(lam), cm_orbit(lam), hilb_orbit(Partition((3, 1))),
+              monomial_ideal(lam), closure_graph(5, HILBERT), closure_graph(5, CALOGERO_MOSER)]
+    table = character_table(6)
+    for round_trip in (lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy):
+        for value, loaded in zip(values, map(round_trip, values)):
+            assert loaded == value and type(loaded) is type(value)
+        loaded = round_trip(table)
+        assert [loaded.row(mu) for mu in table.partitions] == [table.row(mu) for mu in table.partitions]
 
 
 def test_parse():
