@@ -3,8 +3,9 @@ on how a Laurent polynomial is stored, rendered and serialised, or on how a
 reply is written: the key-value reports, the JSON term lists and the ideal,
 orbit and partition data of the one-shot commands, an orbit reply of each
 stabilizer in each space, with the edge replies of the empty partition, its
-zero tangent character and `cm fixed` at a size with no staircase and at one
-with it.  The digests were taken before each change of storage or of a reply
+zero tangent character, `cm fixed` at a size with no staircase and at one
+with it, and the closure scan at n = 20 in both spaces and all three
+formats.  The digests were taken before each change of storage or of a reply
 writer, so any such change must leave every byte of these outputs as it
 was."""
 
@@ -71,6 +72,12 @@ GOLDEN = {
     "cm fixed 20 --format json": "1b9f6bc4520925662727c79194a03c2f79278d0c678a14e63b084ed96bad6644",
     "cm fixed 21 --format text": "a3fb239e4edbaac7dafd64e7f8b41f5b65d279cdba057d9084726fa7b5677509",
     "cm fixed 21 --format json": "6f87d2a8f84a7afa11e07cf2a811ee8ed8841ad9673a0fd2e410bd2de3a02a11",
+    "hilb closure 20 --space hilbert --format text": "3960d9f5ccaad6af9beab52f2dd01276bd57f3ea3f9f9ebd4685e2cc1617fcfd",
+    "hilb closure 20 --space hilbert --format json": "7f02b215fbf7bed98b49e55dff4c81476dca9d92794d3922698ae4977d620f5b",
+    "hilb closure 20 --space hilbert --format dot": "de3b06706cbe87b127d77318f5f64beac12a0ea9d616d013f316804a5f6073ec",
+    "hilb closure 20 --space calogero-moser --format text": "146baf21ef8e060f3c0c8b66f657a17625f6dface507198a6ff16464fd8c371e",
+    "hilb closure 20 --space calogero-moser --format json": "072682a9b24f80cf25ab6bcfa018f06fa1282f87d73f60472c4ba956dd943450",
+    "hilb closure 20 --space calogero-moser --format dot": "4eadead0a1924dd79eeefd1b07c8e657602adeecd78a6c7b8042eb8b95d150aa",
 }
 
 
