@@ -1,6 +1,10 @@
 """Orbit and stabilizer classification for torus-fixed points, monomial
 ideal data, and closure graphs.
 
+A closure scan shares work across its reports: one transpose per pair of
+mutually transposed partitions, each report's partner being the other's
+own partition, and one u_map boundary per sorted antidiagonal profile.
+
 Monomial convention: the cell in row a, column b of the diagram is the
 monomial x^a y^b, so the quotient by the ideal of a partition has the
 diagram monomials as a basis.
@@ -13,10 +17,11 @@ from operator import sub
 
 from .partitions import (
     Partition,
+    _partition_tuples,
+    _unchecked,
     diagonals,
-    enumerate_partitions,
-    is_staircase,
     is_steep,
+    require_listable,
     transpose,
     u_map,
 )
@@ -64,20 +69,7 @@ class OrbitReport(namedtuple("OrbitReport", "space partition stabilizer orbit_mo
     def __new__(cls, space: str, partition: Partition):
         if space not in (HILBERT, CALOGERO_MOSER):
             raise ValueError(f"unknown space {space!r}")
-        lamt = transpose(partition)
-        if is_staircase(partition):
-            stabilizer = "SL2"
-        elif space == HILBERT and is_steep(partition):
-            stabilizer = "B"
-        elif space == HILBERT and is_steep(lamt):
-            stabilizer = "B_minus"
-        else:
-            stabilizer = "N_T" if partition == lamt else "T"
-        # a Hilbert orbit that is not closed has the P1 orbit of its u_map in its boundary
-        closed = space == CALOGERO_MOSER or stabilizer in CONTAINS_BOREL
-        boundary = None if closed else u_map(partition)
-        partner = lamt if space == CALOGERO_MOSER and stabilizer == "T" else None
-        return super().__new__(cls, space, partition, stabilizer, ORBIT_MODEL[stabilizer], closed, boundary, partner)
+        return _report(space, partition, transpose(partition), u_map(partition) if space == HILBERT else None)
 
     def __getnewargs__(self):
         return self.space, self.partition
@@ -87,6 +79,25 @@ class OrbitReport(namedtuple("OrbitReport", "space partition stabilizer orbit_mo
         """The orbit's name: the lesser of its partition and the partner sharing it, if any."""
         lam, other = self.partition, self.partner
         return str(lam if other is None or lam.parts < other.parts else other)
+
+
+def _report(space: str, lam: Partition, lamt: Partition, boundary) -> OrbitReport:
+    """The report on lam in space, given its transpose lamt and its u_map
+    boundary (read only for a Hilbert orbit); the staircase is the one steep
+    partition that is its own transpose."""
+    if lam.parts == lamt.parts:
+        stabilizer = "SL2" if is_steep(lam) else "N_T"
+    elif space == HILBERT and is_steep(lam):
+        stabilizer = "B"
+    elif space == HILBERT and is_steep(lamt):
+        stabilizer = "B_minus"
+    else:
+        stabilizer = "T"
+    # a Hilbert orbit that is not closed has the P1 orbit of its u_map in its boundary
+    closed = space == CALOGERO_MOSER or stabilizer in CONTAINS_BOREL
+    partner = lamt if space == CALOGERO_MOSER and stabilizer == "T" else None
+    return tuple.__new__(OrbitReport, (space, lam, stabilizer, ORBIT_MODEL[stabilizer], closed,
+                                       None if closed else boundary, partner))
 
 
 def monomial_ideal(lam: Partition) -> MonomialIdeal:
@@ -148,7 +159,21 @@ def closure_graph(n: int, space: str) -> ClosureGraph:
     """
     if space not in (HILBERT, CALOGERO_MOSER):
         raise ValueError(f"unknown space {space!r}")
-    orbit = hilb_orbit if space == HILBERT else cm_orbit
-    nodes = tuple(orbit(lam) for lam in enumerate_partitions(n))
+    require_listable(n)
+    # mates: the parts of a transpose still to come -> (that transpose, its transpose, their boundary)
+    mates, boundaries, nodes = {}, {}, []
+    for parts in _partition_tuples(n):
+        mate = mates.pop(parts, None)
+        if mate is None:
+            lam = _unchecked(parts)
+            lamt, boundary = transpose(lam), None
+            if space == HILBERT:  # u_map reads only the sorted antidiagonal profile
+                profile = tuple(sorted(diagonals(lam)))
+                boundary = boundaries.get(profile) or boundaries.setdefault(profile, u_map(lam))
+            if lamt.parts != parts:
+                mates[lamt.parts] = lamt, lam, boundary
+        else:
+            lam, lamt, boundary = mate
+        nodes.append(_report(space, lam, lamt, boundary))
     edges = tuple((node.partition, node.boundary) for node in nodes if not node.closed)
-    return ClosureGraph(space=space, n=n, nodes=nodes, edges=edges)
+    return ClosureGraph(space=space, n=n, nodes=tuple(nodes), edges=edges)

@@ -385,12 +385,17 @@ def check_orbit_classification(limits):
     pairs of the orbits whose stabilizer contains no Borel.  Calogero-Moser:
     every orbit is closed, so a point stable under one derivation only shares
     its orbit with its partner, the transpose, and keeps T.  OrbitReport
-    derives the rest."""
+    derives the rest.  The scans share transposes and boundaries, so each of
+    their nodes must be the report built on its partition alone, and the
+    Calogero-Moser scan has no edges."""
     for n in range(min(limits.max_n, 30) + 1):
-        graph = closure_graph(n, HILBERT)
-        edges = []
-        for rep in graph.nodes:
-            lam, boundary, cm = rep.partition, rep.boundary, cm_orbit(rep.partition)
+        graph, cm_graph, edges = closure_graph(n, HILBERT), closure_graph(n, CALOGERO_MOSER), []
+        if cm_graph.edges:
+            yield f"the Calogero-Moser closure graph at n={n} has edges"
+        for lam, rep, cm_node in zip(enumerate_partitions(n), graph.nodes, cm_graph.nodes, strict=True):
+            boundary, cm = rep.boundary, cm_orbit(lam)
+            if rep != hilb_orbit(lam) or cm_node != cm:
+                yield f"closure node at {lam} is not the orbit report built on {lam} alone"
             expected = _derivation_stabilizer(lam)
             if rep.stabilizer != expected:
                 yield f"stabilizer at {lam} is {rep.stabilizer}, expected {expected}"

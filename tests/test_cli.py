@@ -679,15 +679,15 @@ def test_closure_output_matches_oracles(capsys, space, fmt):
 @pytest.mark.parametrize("fmt", ["text", "json", "dot"])
 def test_closure_fault_prints_nothing(capsys, monkeypatch, fmt):
     # the graph is built whole before the first byte, so a fault in its 10th orbit leaves stdout empty
-    real, calls = orbits.hilb_orbit, []
+    real, calls = orbits._report, []
 
-    def failing(lam):
+    def failing(space, lam, lamt, boundary):
         calls.append(lam)
         if len(calls) == 10:
             raise MemoryError
-        return real(lam)
+        return real(space, lam, lamt, boundary)
 
-    monkeypatch.setattr(orbits, "hilb_orbit", failing)
+    monkeypatch.setattr(orbits, "_report", failing)
     code, out, err = run_cli(capsys, "hilb", "closure", "8", "--format", fmt)
     assert (code, out) == (1, "")
     assert len(calls) == 10

@@ -99,10 +99,14 @@ def test_orbit_check_catches_wrong_steepness(monkeypatch):
                 m.setattr(module, "is_steep", wrong)
         assert hilb_orbit(Partition((3, 1))).stabilizer != "B"
         assert CHECKS["orbit-classification"](Limits(max_n=12))
-    # a hilb_orbit that breaks the B <-> B_minus conjugation at one partition: 2,1,1 reads B, as its transpose does
-    real_orbit, flipped = orbits_module.hilb_orbit, Partition((2, 1, 1))
-    monkeypatch.setattr(orbits_module, "hilb_orbit",
-                        lambda lam: real_orbit(lam)._replace(stabilizer="B") if lam == flipped else real_orbit(lam))
+    # a Hilbert report that breaks the B <-> B_minus conjugation at one partition: 2,1,1 reads B, as its transpose does
+    real_report, flipped = orbits_module._report, Partition((2, 1, 1))
+
+    def flip(space, lam, *rest):
+        rep = real_report(space, lam, *rest)
+        return rep._replace(stabilizer="B") if space == HILBERT and lam == flipped else rep
+
+    monkeypatch.setattr(orbits_module, "_report", flip)
     assert CHECKS["orbit-classification"](Limits(max_n=12)) == ["stabilizer at 2,1,1 is B, expected B_minus"]
 
 
@@ -182,14 +186,15 @@ def test_closure_graph_four():
 def test_closure_graph_edges_target_steep_non_staircase(monkeypatch):
     # the orbit check rebuilds the edges from the boundaries it checks, so a
     # transposed boundary, or an edge out of a closed orbit, fails it
-    real_orbit, real_graph = orbits_module.hilb_orbit, orbits_module.closure_graph
+    real_report, real_graph = orbits_module._report, orbits_module.closure_graph
 
-    def transposed_boundary(lam):
-        rep = real_orbit(lam)
+    def transposed_boundary(*args):
+        rep = real_report(*args)
         return rep if rep.closed else rep._replace(boundary=transpose(rep.boundary))
 
-    def staircase_boundary(lam):
-        rep, m = real_orbit(lam), triangular_index(lam.size)
+    def staircase_boundary(*args):
+        rep = real_report(*args)
+        m = triangular_index(rep.partition.size)
         return rep if rep.closed or m is None else rep._replace(boundary=staircase(m))
 
     def edges_out_of_b_minus(n, space):
@@ -199,15 +204,52 @@ def test_closure_graph_edges_target_steep_non_staircase(monkeypatch):
 
     check = CHECKS["orbit-classification"]
     with monkeypatch.context() as m:
-        m.setattr(orbits_module, "hilb_orbit", transposed_boundary)
+        m.setattr(orbits_module, "_report", transposed_boundary)
         assert "boundary at 2,2 is not steep with the same antidiagonal profile" in check(Limits(max_n=12))
     with monkeypatch.context() as m:
         m.setattr(verify, "closure_graph", edges_out_of_b_minus)
         assert check(Limits(max_n=12))[0].startswith("closure edges at n=2 are not the boundaries")
     # a staircase boundary cannot share the diagonals of an orbit that is not closed
     with monkeypatch.context() as m:
-        m.setattr(orbits_module, "hilb_orbit", staircase_boundary)
+        m.setattr(orbits_module, "_report", staircase_boundary)
         assert check(Limits(max_n=12))[0] == "boundary at 4,1,1 is not steep with the same antidiagonal profile"
+
+
+def test_closure_scans_share_boundaries_and_partners():
+    # one boundary object per sorted antidiagonal profile, and each T node's
+    # partner is its mate node's own partition
+    edges = closure_graph(20, HILBERT).edges
+    assert len(edges) == 499 and len({id(boundary) for _, boundary in edges}) == 59
+    nodes = closure_graph(20, CALOGERO_MOSER).nodes
+    own = {node.partition.parts: node.partition for node in nodes}
+    mates = [node for node in nodes if node.stabilizer == "T"]
+    assert len(mates) == 620 and all(node.partner is own[node.partner.parts] for node in mates)
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("boundary", "closure node at 3,2,2 is not the orbit report built on 3,2,2 alone"),
+    ("partner", "closure node at 3,1 is not the orbit report built on 3,1 alone"),
+    ("profile", "closure node at 3,1,1 is not the orbit report built on 3,1,1 alone"),
+])
+def test_orbit_check_catches_a_wrongly_shared_boundary_or_partner(monkeypatch, fault, message):
+    # each scan node is checked against the report built on its partition alone,
+    # which takes its own transpose and u_map
+    real_graph, real_diagonals = orbits_module.closure_graph, orbits_module.diagonals
+
+    def shared_wrongly(n, space):
+        graph = real_graph(n, space)
+        nodes = {str(node.partition): node for node in graph.nodes}
+        if fault == "boundary" and (n, space) == (7, HILBERT):  # 3,2,2 gets the boundary of 5,1,1
+            nodes["3,2,2"] = nodes["3,2,2"]._replace(boundary=nodes["5,1,1"].boundary)
+        if fault == "partner" and (n, space) == (4, CALOGERO_MOSER):  # 3,1 gets the partition of 2,2
+            nodes["3,1"] = nodes["3,1"]._replace(partner=nodes["2,2"].partition)
+        return graph._replace(nodes=tuple(nodes.values()))
+
+    if fault == "profile":  # the scan keys boundaries by the first two antidiagonals alone
+        monkeypatch.setattr(orbits_module, "diagonals", lambda lam: real_diagonals(lam)[:2])
+    else:
+        monkeypatch.setattr(verify, "closure_graph", shared_wrongly)
+    assert CHECKS["orbit-classification"](Limits(max_n=12))[0] == message
 
 
 def test_cm_closure_graph_edgeless():
