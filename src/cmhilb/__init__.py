@@ -32,7 +32,6 @@ from .symfun import (
     fake_degree,
     isotypic_character,
     mn_character,
-    q_factorial,
     regular_fiber_character,
 )
 from .sl2 import (

@@ -220,13 +220,12 @@ def one_minus_q_product(ks) -> LaurentPolynomial:
     factor at most doubles a running bound top on the coefficients; when
     2*top outgrows the slots, _refreshed reads top back exactly, and
     repacks at most once, only if 2*top still does not fit.  Slots start at
-    the narrower of 64 bits and _slot_bits(2^r), the l1 bound of r factors,
-    and never pass the latter.
+    64 bits, which _unpack reads by one cast, and never pass the wider of 64
+    and _slot_bits(2^r), the l1 bound of r factors.
     """
-    ks, top, v, done = sorted(ks), 1, 1, 0
+    ks, top, v, done, bits = sorted(ks), 1, 1, 0, 64
     if ks and ks[0] < 1:
         raise ValueError(f"1 - q^k needs k >= 1, got k = {ks[0]}")
-    bits = min(64, _slot_bits(1 << len(ks)))
     while done < len(ks):
         if 2 * top >> (bits - 1):
             v, bits, top = _refreshed(v, bits, sum(ks[:done]) + 1, len(ks) - done)

@@ -199,18 +199,22 @@ def triangular_index(n: int) -> int | None:
 def _partition_tuples(n: int):
     """The partitions of n as tuples, one at a time, in reverse lexicographic order:
     each step lowers the last part above 1 by one and refills the cells after it
-    greedily with parts of that size (the idea of Zoghbi-Stojmenovic's ZS1)."""
-    parts = [n] if n else []
+    greedily with parts of that size (the idea of Zoghbi-Stojmenovic's ZS1).  The
+    parts above 1 are kept in a list, and the trailing 1s as their count."""
+    parts, ones = [n] * (n > 1), int(n == 1)
     while True:
-        yield tuple(parts)
-        ones = 0
-        while parts and parts[-1] == 1:
-            ones += parts.pop()
+        yield tuple(parts) + (1,) * ones
         if not parts:
             return
         k = parts.pop() - 1
-        whole, rest = divmod(k + 1 + ones, k)
-        parts += [k] * whole + ([rest] if rest else [])
+        if k == 1:
+            ones += 2
+        else:
+            whole, ones = divmod(k + 1 + ones, k)
+            parts += [k] * whole
+            if ones > 1:
+                parts.append(ones)
+                ones = 0
 
 
 # The largest n whose partitions may be listed: p(45) = 89,134 <= 10^5 <

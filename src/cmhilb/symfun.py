@@ -210,11 +210,6 @@ def character_table(n: int) -> CharacterTable:
     return CharacterTable(n)
 
 
-def q_factorial(n: int) -> LaurentPolynomial:
-    """(q)_n = prod over i = 1..n of (1 - q^i)."""
-    return one_minus_q_product(range(1, n + 1))
-
-
 def _class_weights(delta: Partition) -> list:
     """(mu, w_mu, W_mu) for every class mu with chi^delta(mu) != 0, in
     reverse lexicographic order: w_mu = chi^delta(mu) n!/z_mu, and W_mu the
@@ -265,16 +260,17 @@ def _numerators(delta: Partition) -> tuple:
 
 def fake_degree(lam: Partition) -> LaurentPolynomial:
     """Graded multiplicity of the lam-irreducible in the coinvariant ring:
-    (q)_n * q^(n(lam)) / H_lam(q), an exact division by the factors
-    1 - q^h of H_lam (Macdonald I.3 Ex. 2)."""
-    return one_minus_q_quotient(q_factorial(lam.size), hook_lengths(lam)).shifted(n_stat(lam))
+    (q)_n * q^(n(lam)) / H_lam(q), (q)_n the product of 1 - q^i over
+    i = 1..n, an exact division by the factors 1 - q^h of H_lam (Macdonald
+    I.3 Ex. 2)."""
+    q_factorial = one_minus_q_product(range(1, lam.size + 1))
+    return one_minus_q_quotient(q_factorial, hook_lengths(lam)).shifted(n_stat(lam))
 
 
 def regular_fiber_character(m: int) -> LaurentPolynomial:
     """Graded character of the rank-n! fiber at the staircase fixed point:
-    q^(-n(delta)) * H_delta(q) / (1-q)^n * dim(delta), delta the staircase."""
-    if m < 0:
-        raise ValueError("staircase index must be nonnegative")
+    q^(-n(delta)) * H_delta(q) / (1-q)^n * dim(delta), delta the staircase;
+    staircase(m) refuses m < 0."""
     delta = staircase(m)
     quotient = one_minus_q_quotient(hook_polynomial(delta), [1] * delta.size)
     return quotient.scaled(dim_irrep(delta)).shifted(-n_stat(delta))

@@ -18,7 +18,7 @@ from .exactalg import (
     LaurentPolynomial, NonPolynomialError, _pack, _slot_bits, _unpack, one_minus_q_product, one_minus_q_quotient,
 )
 from .orbits import (
-    CALOGERO_MOSER, CONTAINS_BOREL, HILBERT, closure_graph, cm_orbit, hilb_orbit, is_borel_stable,
+    CALOGERO_MOSER, CONTAINS_BOREL, HILBERT, OrbitReport, closure_graph, cm_orbit, hilb_orbit, is_borel_stable,
     monomial_ideal,
 )
 from .partitions import (
@@ -32,6 +32,7 @@ from .partitions import (
     hook_polynomial,
     is_staircase,
     is_steep,
+    n_stat,
     staircase,
     transpose,
     triangular_index,
@@ -428,80 +429,78 @@ def check_monomial_ideal_dims(limits):
                 yield f"generator ({a},{b}) of {lam} is not minimal"
 
 
-def _report_fields(obj):
-    """An orbit report's JSON, from `cm orbit`, `hilb orbit` or a closure node,
-    as the report's fields, the boundary's model and the orbit id."""
-    boundary, partner = obj.get("boundary"), obj.get("partner")
-    return (obj["space"], Partition(obj["partition"]), obj["stabilizer"], obj["orbit_model"], obj["closed"],
-            boundary and Partition(boundary["partition"]), partner and Partition(partner),
-            boundary and boundary["model"], obj.get("orbit_id"))
+def _report_json(rep):
+    """The JSON object of an orbit report, from its fields; the orbit id, on Calogero-Moser orbits only, by its own
+    route: the lesser of the partition and its transpose."""
+    obj = {"space": rep.space, "partition": list(rep.partition.parts), "stabilizer": rep.stabilizer,
+           "orbit_model": rep.orbit_model, "closed": rep.closed}
+    if rep.boundary is not None:
+        obj["boundary"] = {"partition": list(rep.boundary.parts), "model": "P1"}
+    if rep.partner is not None:
+        obj["partner"] = list(rep.partner.parts)
+    if rep.space == CALOGERO_MOSER:
+        obj["orbit_id"] = str(min(rep.partition, transpose(rep.partition), key=lambda lam: lam.parts))
+    return obj
 
 
-def _expected_fields(rep):
-    """_report_fields of rep's JSON, the orbit id by its own route: the lesser of
-    the partition and its transpose, on Calogero-Moser orbits only."""
-    ident = str(min(rep.partition, transpose(rep.partition), key=lambda p: p.parts))
-    return (*rep, rep.boundary and "P1", ident if rep.space == CALOGERO_MOSER else None)
+def _closure_json(n, space):
+    """The JSON object of `hilb closure n --space space`, with one OrbitReport(space, lam) per partition, not
+    through closure_graph's scan."""
+    reports = [OrbitReport(space, lam) for lam in enumerate_partitions(n)]
+    edges = [[list(rep.partition.parts), list(rep.boundary.parts)] for rep in reports if not rep.closed]
+    return {"space": space, "n": n, "nodes": list(map(_report_json, reports)), "edges": edges}
+
+
+def _exponents_json(n):
+    """The JSON object of `cm exponents n`."""
+    return {"n": n, "rows": [{"partition": list(lam.parts), "exponents": list(map(list, exponent_runs(lam)))}
+                             for lam in enumerate_partitions(n)]}
 
 
 def _cli_json_cases():
-    """(argv, decode, expected): decode turns the JSON that argv prints back
-    into library values, which must equal the expected library values."""
+    """(argv, expected): the JSON object that argv prints, built from library values."""
     lam, hooked = Partition((4, 3, 3, 1, 1)), Partition((2, 1))
-    ideal = monomial_ideal(hooked)
-    laurent = LaurentPolynomial.from_json
-    closure = lambda o: ([_report_fields(node) for node in o["nodes"]],
-                         [(Partition(src), Partition(dst)) for src, dst in o["edges"]])
-    # 10 is the least size whose Hilbert orbits have all five stabilizers (6 has no N_T)
-    hilb10 = [hilb_orbit(mu) for mu in enumerate_partitions(10)]
+    chi, ideal = tangent_character(hooked), monomial_ideal(hooked)
+    info = {"partition": list(lam.parts), "length": len(lam), "size": lam.size, "transpose": list(transpose(lam).parts),
+            "is_steep": is_steep(lam), "is_staircase": is_staircase(lam), "all_hooks_odd": all_hooks_odd(lam),
+            "hooks": list(hook_lengths(lam)), "hook_polynomial": hook_polynomial(lam).to_json(), "n_stat": n_stat(lam),
+            "dim_irrep": dim_irrep(lam), "diagonals": list(diagonals(lam)), "u_map": list(u_map(lam).parts),
+            "is_borel_stable": is_borel_stable(lam)}
     return [
-        (["part", "info", "4,3,3,1,1"],
-         lambda o: (laurent(o["hook_polynomial"]), Partition(o["u_map"]), tuple(o["diagonals"])),
-         (hook_polynomial(lam), u_map(lam), diagonals(lam))),
-        (["cm", "orbit", "3,1"], _report_fields, _expected_fields(cm_orbit(Partition((3, 1))))),
-        (["cm", "exponents", "6"],
-         lambda o: [(Partition(r["partition"]), tuple(map(tuple, r["exponents"]))) for r in o["rows"]],
-         [(mu, exponent_runs(mu)) for mu in enumerate_partitions(6)]),
-        (["cm", "char-L", "2"],
-         lambda o: (laurent(o["character"]), o["dimension"]),
-         (regular_fiber_character(2), factorial(3))),
-        (["cm", "tangent", "2,1"], lambda o: laurent(o["character"]), tangent_character(hooked)),
-        (["cm", "fixed", "6"], lambda o: {Partition(p) for p in o["fixed"]}, sl2_fixed_set(6)),
-        (["hilb", "orbit", "2,2"], _report_fields, _expected_fields(hilb_orbit(Partition((2, 2))))),
+        (["part", "info", "4,3,3,1,1"], info),
+        (["cm", "orbit", "3,1"], _report_json(cm_orbit(Partition((3, 1))))),
+        (["cm", "exponents", "6"], _exponents_json(6)),
+        (["cm", "char-L", "2"], {"m": 2, "character": regular_fiber_character(2).to_json(), "dimension": factorial(3)}),
+        (["cm", "tangent", "2,1"],
+         {"partition": [2, 1], "character": chi.to_json(), "weights_all_odd": weights_all_odd(chi)}),
+        (["cm", "fixed", "6"], {"n": 6, "fixed": sorted(list(mu.parts) for mu in sl2_fixed_set(6))}),
+        (["hilb", "orbit", "2,2"], _report_json(hilb_orbit(Partition((2, 2))))),
         (["hilb", "ideal", "2,1"],
-         lambda o: (tuple(map(tuple, o["generators"])), tuple(o["graded_dims"])),
-         (ideal.generators, ideal.graded_dims)),
-        (["hilb", "closure", "10"], closure,
-         ([_expected_fields(rep) for rep in hilb10],
-          [(rep.partition, rep.boundary) for rep in hilb10 if not rep.closed])),
-        (["hilb", "closure", "10", "--space", CALOGERO_MOSER], closure,
-         ([_expected_fields(cm_orbit(mu)) for mu in enumerate_partitions(10)], [])),
+         {"shape": [2, 1], "generators": list(map(list, ideal.generators)), "graded_dims": list(ideal.graded_dims)}),
+        # 10 is the least size whose Hilbert orbits have all five stabilizers (6 has no N_T)
+        (["hilb", "closure", "10"], _closure_json(10, HILBERT)),
+        (["hilb", "closure", "10", "--space", CALOGERO_MOSER], _closure_json(10, CALOGERO_MOSER)),
     ]
 
 
 def check_cli_json_roundtrip(limits):
-    """Each command's JSON decoded back to library values, and written byte
-    for byte as the library encoder writes what it decodes to."""
+    """Each command's JSON, byte for byte, against json.dumps(expected, indent=2, sort_keys=True), expected the
+    object built from library values; a reply that decodes to expected differs only in its bytes."""
     from .cli import main
 
-    for argv, decode, expected in _cli_json_cases():
+    for argv, expected in _cli_json_cases():
         command = " ".join(argv)
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             code = main([*argv, "--format", "json"])
         if code != 0:
             yield f"command {command} exited with {code}"
-            continue
-        try:
-            obj = json.loads(buf.getvalue())
-            got = decode(obj)
-        except (ValueError, KeyError, TypeError):
-            yield f"command {command} did not emit the expected JSON fields"
-            continue
-        if buf.getvalue() != json.dumps(obj, indent=2, sort_keys=True) + "\n":
-            yield f"command {command} JSON differs from json.dumps(..., indent=2, sort_keys=True)"
-        if got != expected:
-            yield f"command {command} JSON decodes to {got}, expected {expected}"
+        elif buf.getvalue() != json.dumps(expected, indent=2, sort_keys=True) + "\n":
+            got = json.loads(buf.getvalue())
+            if got == expected:
+                yield f"command {command} JSON differs from json.dumps(..., indent=2, sort_keys=True)"
+            else:
+                yield f"command {command} JSON decodes to {got}, expected {expected}"
 
 
 CHECKS = {

@@ -107,15 +107,11 @@ def test_exponents_table_json(capsys):
 
 @pytest.mark.parametrize("n", [0, 1, 6, 10])
 def test_exponents_json_matches_the_library_encoder(capsys, n):
-    rows = [(lam, cmhilb.exponent_runs(lam)) for lam in cmhilb.enumerate_partitions(n)]
-    obj = {"n": n, "rows": [
-        {"partition": list(lam.parts), "exponents": [list(run) for run in runs]} for lam, runs in rows
-    ]}
     if n:
         assert main(["cm", "exponents", str(n), "--format", "json"]) == 0
     else:  # size 0 is refused as an argument; its empty partition prints as []
-        cli._write_exponents_json(0, rows)
-    assert capsys.readouterr().out == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        cli._write_exponents_json(0, [(cmhilb.Partition(), cmhilb.exponent_runs(cmhilb.Partition()))])
+    assert capsys.readouterr().out == json.dumps(verify._exponents_json(n), indent=2, sort_keys=True) + "\n"
 
 
 def _plain(obj):
@@ -357,7 +353,7 @@ def test_public_api_is_pinned():
         "exponent_string", "exponents", "fake_degree", "hilb_orbit", "hook_layer_character", "hook_lengths",
         "hook_polynomial", "irreducible_character", "is_borel_stable", "is_staircase", "is_steep", "isotypic_character",
         "layered_fiber_character", "mn_character", "monomial_ideal", "n_stat", "orbits", "parse_partition",
-        "partitions", "q_factorial", "regular_fiber_character", "sl2", "sl2_fixed_set", "staircase", "symfun",
+        "partitions", "regular_fiber_character", "sl2", "sl2_fixed_set", "staircase", "symfun",
         "tangent_character", "transpose", "triangular_index", "u_map", "weights_all_odd",
     ]
 
@@ -581,7 +577,10 @@ def test_output_is_deterministic(capsys):
 @pytest.mark.parametrize("name, wrong, command", [
     ("regular_fiber_character", lambda m: LaurentPolynomial.one(), "cm char-L 2"),
     ("exponent_runs", lambda lam: ((0, 1),), "cm exponents 6"),
-], ids=["char-L", "exponents"])
+    # keys that no other key of their reply restates: only a comparison of the whole reply sees them
+    ("weights_all_odd", lambda chi: not cmhilb.weights_all_odd(chi), "cm tangent 2,1"),
+    ("n_stat", lambda lam: cmhilb.n_stat(lam) + 1, "part info 4,3,3,1,1"),
+], ids=["char-L", "exponents", "weights_all_odd", "n_stat"])
 def test_cli_json_roundtrip_catches_wrong_payload(monkeypatch, name, wrong, command):
     monkeypatch.setattr(cli, name, wrong)
     failures = verify.CHECKS["cli-json-roundtrip"](verify.Limits())
@@ -630,30 +629,10 @@ def test_cli_json_roundtrip_reads_every_closure_node(monkeypatch, first, second,
     assert [f.split(" JSON decodes to")[0] for f in failures] == [f"command {c}" for c in commands]
 
 
-def _report_obj(rep):
-    """An orbit report's JSON object, from its fields; the orbit id is the lesser of the partition and its
-    transpose."""
-    obj = {"space": rep.space, "partition": list(rep.partition.parts), "stabilizer": rep.stabilizer,
-           "orbit_model": rep.orbit_model, "closed": rep.closed}
-    if rep.boundary is not None:
-        obj["boundary"] = {"partition": list(rep.boundary.parts), "model": "P1"}
-    if rep.partner is not None:
-        obj["partner"] = list(rep.partner.parts)
-    if rep.space == cmhilb.CALOGERO_MOSER:
-        obj["orbit_id"] = str(min(rep.partition, cmhilb.transpose(rep.partition), key=lambda lam: lam.parts))
-    return obj
-
-
 def _closure_oracle(graph, fmt):
     """`hilb closure` output of graph, built without the CLI's writers."""
-    if fmt == "json":
-        obj = {
-            "space": graph.space,
-            "n": graph.n,
-            "nodes": [_report_obj(node) for node in graph.nodes],
-            "edges": [[list(src.parts), list(dst.parts)] for src, dst in graph.edges],
-        }
-        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    if fmt == "json":  # the check's object, whose nodes are reports built one by one, not by the scan
+        return json.dumps(verify._closure_json(graph.n, graph.space), indent=2, sort_keys=True) + "\n"
     edges = [f'  "{src}" -> "{dst}";\n' if fmt == "dot" else f"{src} -> {dst}\n" for src, dst in graph.edges]
     if fmt == "text":
         return "".join(edges) if edges else "(no edges)\n"
@@ -673,7 +652,8 @@ def test_closure_output_matches_oracles(capsys, space, fmt):
         if fmt == "json" and n <= 8:  # the same reports as one-shot replies
             for node in graph.nodes:
                 words = ("hilb" if space == cmhilb.HILBERT else "cm", "orbit", str(node.partition), "--format", "json")
-                assert run_cli(capsys, *words)[1] == json.dumps(_report_obj(node), indent=2, sort_keys=True) + "\n"
+                expected = json.dumps(verify._report_json(node), indent=2, sort_keys=True) + "\n"
+                assert run_cli(capsys, *words)[1] == expected
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "dot"])

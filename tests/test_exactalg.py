@@ -231,6 +231,20 @@ def test_one_minus_q_product_matches_binomial_products(ks):
     assert list(_product_failures([], [ks])) == []
 
 
+@pytest.mark.parametrize("count", [15, 22, 54])
+def test_one_minus_q_product_reads_64_bit_slots(monkeypatch, count):
+    # the l1 bound 2^count fits 3 to 7 bytes, which _unpack reads one slot at a time; 8 it reads by one cast
+    widths = []
+
+    def recording(value, bits, length):
+        widths.append(bits)
+        return _unpack(value, bits, length)
+
+    monkeypatch.setattr(exactalg, "_unpack", recording)
+    assert one_minus_q_product(range(1, count + 1)) == _binomial_product(range(1, count + 1))
+    assert widths == [64]
+
+
 @pytest.mark.parametrize("call", [
     lambda p: p * True, lambda p: p.scaled(True), lambda p: p.exact_div(True), lambda p: p ** True,
     lambda p: p.shifted(True), lambda p: p.exact_div(LaurentPolynomial.one()),

@@ -16,8 +16,8 @@ from cmhilb import (
     hook_polynomial,
     isotypic_character,
     mn_character,
-    q_factorial,
     regular_fiber_character,
+    staircase,
 )
 from cmhilb.exactalg import _unpack
 from cmhilb.verify import CHECKS, Limits, run_checks
@@ -416,10 +416,20 @@ def test_fake_degree_examples():
 
 
 def test_q_factorial():
-    assert q_factorial(0) == LaurentPolynomial.one()
-    assert q_factorial(2) == LaurentPolynomial({0: 1, 1: -1}) * LaurentPolynomial(
+    # (q)_n, the product of 1 - q^i over i = 1..n that fake_degree divides, is the hook polynomial of (n)
+    assert hook_polynomial(Partition(())) == LaurentPolynomial.one()
+    assert hook_polynomial(Partition((2,))) == LaurentPolynomial({0: 1, 1: -1}) * LaurentPolynomial(
         {0: 1, 2: -1}
     )
+    for n in range(1, 8):
+        assert fake_degree(Partition((n,))) == LaurentPolynomial.one()
+
+
+@pytest.mark.parametrize("call", [lambda: regular_fiber_character(-1), lambda: staircase(-1)],
+                         ids=["regular_fiber_character", "staircase"])
+def test_negative_staircase_index_is_refused(call):
+    with pytest.raises(ValueError, match="staircase index must be nonnegative"):
+        call()
 
 
 def test_regular_fiber_character_small():
@@ -504,6 +514,7 @@ def test_isotypic_check_catches_a_wrong_character(monkeypatch, changed, wrong, m
 def test_fake_degree_check_sums_to_the_coinvariant_series(monkeypatch):
     # the quotient without its q^(n(lam)) shift keeps nonnegative coefficients,
     # exponents and dimension, so only the sum over lam against prod [i]_q sees it
+    q_factorial = lambda n: symfun.one_minus_q_product(range(1, n + 1))
     unshifted = lambda lam: symfun.one_minus_q_quotient(q_factorial(lam.size), symfun.hook_lengths(lam))
     monkeypatch.setattr(verify, "fake_degree", unshifted)
     bad = CHECKS["fake-degree"](Limits())
