@@ -21,8 +21,9 @@ their slots, so every width comes from a proven bound on them; a product
 of factors 1 - q^k keeps a running bound that each factor at most
 doubles.  _unpack reads packed ints back, the character-table rows and
 Hall-pairing sums in symfun too (their slot offsets come from _bias), but
-CharacterTable.value, called tens of thousands of times a table pass,
-decodes its one slot itself, and _add_block adds sub-rows as ints.
+CharacterTable.value decodes its one slot itself, _add_block adds sub-rows
+as ints, and a table holds one row per transpose pair, whose build negates
+the slots where the sign character is -1 by one mask on a biased int.
 Packed ints stay internal: every public function takes and returns
 Laurent polynomials.
 """

@@ -9,9 +9,9 @@ classes of largest part k a row is the signed sum of the size n - k rows
 from which a k-strip addition reaches it.  A strip addition pads by k and
 moves a set bit b up to a clear bit b + k; a removal moves b down to a
 clear b - k and drops k padding entries; each reads its height from the
-bits in between.  A row is one byte string of fixed-width slots, so a
-smaller row is added over a block of classes as one big int; the smaller
-tables stay cached.  `mn_character` keeps its memo for one call only.
+bits in between.  One row per transpose pair is held, the other read
+through the sign character; a row is one byte string of fixed-width
+slots, so a smaller row is added over a block of classes as one big int.
 
 Graded multiplicities are Hall-pairing sums over conjugacy classes:
 under the substitution that sends each power sum p_k to p_k / (1 - q^k),
@@ -147,9 +147,11 @@ class CharacterTable:
     from smaller tables, one largest part at a time.
 
     Rows and columns both run over .partitions, so both are found by parts
-    in one index; the build addresses rows by beta mask.  Each row is one
-    bytearray in the byte layout of exactalg._pack: chi^lam(mu) +
-    2^(bits-1) for each mu, bits/8 little-endian bytes, where
+    in one index; the build addresses rows by beta mask.  Only lam's row is
+    held when lam comes no later than lam', and chi^lam'(mu) is read as
+    eps(mu) chi^lam(mu), eps(mu) = (-1)^(n - len(mu)) (Macdonald I.7).  A
+    held row is one bytearray in the byte layout of exactalg._pack:
+    chi^lam(mu) + 2^(bits-1) for each mu, bits/8 little-endian bytes, where
     |chi^lam(mu)| <= f^lam <= sqrt(n!) bounds every value.
     """
 
@@ -158,20 +160,29 @@ class CharacterTable:
         self.partitions = tuple(enumerate_partitions(n))
         self.bits = _slot_bits(isqrt(factorial(n)))
         self._bias = _bias(self.bits, len(self.partitions))
-        self._masks = [_beta_mask(lam.parts, n) for lam in self.partitions]
-        self._index = {mask: i for i, mask in enumerate(self._masks)}
         self._class_index = {mu.parts: j for j, mu in enumerate(self.partitions)}
+        self._odd = [(n - len(mu.parts)) & 1 for mu in self.partitions]  # eps(mu) = -1
+        masks = [_beta_mask(lam.parts, n) for lam in self.partitions]
+        index, window = {mask: j for j, mask in enumerate(masks)}, (1 << 2 * n) - 1
+        # lam' is the complement of lam's beta set in 0..2n-1, reflected
+        conjugates = [index[int(f"{mask ^ window:0{2 * n}b}"[::-1], 2)] for mask in masks]
+        row_of = {j: i for i, j in enumerate(j for j, c in enumerate(conjugates) if j <= c)}  # held classes
+        self._held = [(row_of[min(j, c)], c < j) for j, c in enumerate(conjugates)]  # (row, read through eps)
+        self._masks = [(masks[j], masks[conjugates[j]]) for j in row_of]  # of lam and lam', for each held row
         # every slot starts at 0; the one character of S_0 is 1
         blank = (self._bias + (n == 0)).to_bytes(self.bits // 8 * len(self.partitions), "little")
-        self._rows = [bytearray(blank) for _ in self.partitions]
+        self._rows = [bytearray(blank) for _ in self._masks]
         for k in range(n, 0, -1):
             self._add_block(k)
 
     def _add_block(self, k: int):
-        """Fills every row over the classes (k, rho), rho with no part above
-        k: the rho are the size n - k table's classes from (k, ..., k, r) on,
-        so each sub-row's suffix is one int, widened first if its slots are
-        narrower, added to or subtracted from each row a k-strip reaches."""
+        """Fills every held row over the classes (k, rho), rho with no part
+        above k: the rho are the size n - k table's classes from (k, ..., k, r)
+        on, so each held sub-row's suffix is one int, widened first if its
+        slots are narrower, and summed at each lam a k-strip reaches.  As the
+        strip from sub' to lam' has height k - 1 - height, a held lam adds
+        (-1)^(k-1) eps of the sum at lam' over the sub not self-conjugate, whose
+        <= n/k terms give |slot| <= sqrt(n/k z_rho) <= sqrt(n!) by orthogonality."""
         sub = character_table(self.n - k)
         q, r = divmod(self.n - k, k)
         first = (k,) * q + (r,) * (r > 0)
@@ -179,28 +190,35 @@ class CharacterTable:
         narrow, size, count = sub.bits // 8, self.bits // 8, len(sub.partitions) - start
         bias = _bias(self.bits, count)
         sub_bias = bias >> (self.bits - sub.bits)  # 2^(sub.bits-1) in each of the count slots
-        sums = {}
-        for mask, row in zip(sub._masks, sub._rows):
+        odd = int.from_bytes(b"".join(bytes([255 * o]) * size for o in sub._odd[start:]), "little")
+        sums, own = {}, {}  # over the sub that are not self-conjugate, and over those that are
+        for (mask, conjugate), row in zip(sub._masks, sub._rows):
             raw = row[start * narrow :]
             if size > narrow:
                 raw = _spread(raw, narrow, size)
             value = int.from_bytes(raw, "little") - sub_bias
             if value:
-                _add_strips(sums, mask, k, value)
+                _add_strips(own if mask == conjugate else sums, mask, k, value)
         span = slice(offset * size, (offset + count) * size)
-        for mask, value in sums.items():
+        for row, (mask, conjugate) in zip(self._rows, self._masks):
+            mirrored = sums.get(conjugate, 0)
+            if mirrored:  # eps negates the slots in odd
+                mirrored -= ((mirrored + bias) & odd) - (bias & odd) << 1
+            value = sums.get(mask, 0) + own.get(mask, 0) + (mirrored if k & 1 else -mirrored)
             if value:
-                self._rows[self._index[mask]][span] = (value + bias).to_bytes(count * size, "little")
+                row[span] = (value + bias).to_bytes(count * size, "little")
 
     def row(self, lam: Partition) -> tuple:
         """chi^lam(mu) for mu over .partitions, in order."""
-        raw = self._rows[self._class_index[lam.parts]]
-        return tuple(_unpack(int.from_bytes(raw, "little") - self._bias, self.bits, len(self._rows)))
+        i, mirrored = self._held[self._class_index[lam.parts]]
+        values = _unpack(int.from_bytes(self._rows[i], "little") - self._bias, self.bits, len(self.partitions))
+        return tuple(-x if o else x for x, o in zip(values, self._odd)) if mirrored else tuple(values)
 
     def value(self, lam: Partition, mu: Partition) -> int:
-        size = self.bits // 8
-        j = self._class_index[mu.parts] * size
-        return int.from_bytes(self._rows[self._class_index[lam.parts]][j : j + size], "little") - (1 << (self.bits - 1))
+        size, j = self.bits // 8, self._class_index[mu.parts]
+        i, mirrored = self._held[self._class_index[lam.parts]]
+        x = int.from_bytes(self._rows[i][j * size : (j + 1) * size], "little") - (1 << (self.bits - 1))
+        return -x if mirrored and self._odd[j] else x
 
 
 @lru_cache(maxsize=None)

@@ -483,6 +483,17 @@ def _cli_json_cases():
     ]
 
 
+def _first_difference(got, expected, path=""):
+    """Where unequal JSON values first differ, as "got at path, expected expected": keys sorted, a list index
+    taken as a key, each value cut to 60 characters; the path stops at a change of type, length or key set."""
+    if isinstance(got, list) and isinstance(expected, list) and len(got) == len(expected):
+        got, expected = dict(enumerate(got)), dict(enumerate(expected))
+    if isinstance(got, dict) and isinstance(expected, dict) and sorted(got) == sorted(expected):
+        return next(_first_difference(got[k], expected[k], f"{path}.{k}") for k in sorted(got) if got[k] != expected[k])
+    got, expected = (text if len(text) <= 60 else text[:57] + "..." for text in map(json.dumps, (got, expected)))
+    return f"{got} at {path or '.'}, expected {expected}"
+
+
 def check_cli_json_roundtrip(limits):
     """Each command's JSON, byte for byte, against json.dumps(expected, indent=2, sort_keys=True), expected the
     object built from library values; a reply that decodes to expected differs only in its bytes."""
@@ -500,7 +511,7 @@ def check_cli_json_roundtrip(limits):
             if got == expected:
                 yield f"command {command} JSON differs from json.dumps(..., indent=2, sort_keys=True)"
             else:
-                yield f"command {command} JSON decodes to {got}, expected {expected}"
+                yield f"command {command} JSON decodes to {_first_difference(got, expected)}"
 
 
 CHECKS = {

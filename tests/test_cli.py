@@ -629,6 +629,34 @@ def test_cli_json_roundtrip_reads_every_closure_node(monkeypatch, first, second,
     assert [f.split(" JSON decodes to")[0] for f in failures] == [f"command {c}" for c in commands]
 
 
+def test_cli_json_roundtrip_names_the_first_differing_key(monkeypatch, capsys):
+    # two fields swapped in every hilb closure 10 node: the FAIL line names the first differing key path
+    # and both values there, not the two whole replies (13,321 characters on one line)
+    closure_json = cli._closure_json
+
+    def swapped(graph):
+        obj = json.loads("".join(closure_json(graph)))
+        for node in obj["nodes"]:
+            node["stabilizer"], node["orbit_model"] = node["orbit_model"], node["stabilizer"]
+        return [json.dumps(obj, indent=2, sort_keys=True) + "\n"]
+
+    monkeypatch.setattr(cli, "_closure_json", swapped)
+    assert not verify.run_checks(["cli-json-roundtrip"], verify.Limits())
+    line = capsys.readouterr().out.splitlines()[0]
+    node = verify._closure_json(10, orbits.HILBERT)["nodes"][0]
+    assert line == (f"FAIL cli-json-roundtrip: command hilb closure 10 JSON decodes to {json.dumps(node['stabilizer'])}"
+                    f" at .nodes.0.orbit_model, expected {json.dumps(node['orbit_model'])} (+1 more)")
+    assert len(line) <= 200
+
+
+def test_first_difference_clips_what_it_shows():
+    long, longer = list(range(100)), list(range(101))
+    assert verify._first_difference({"a": [1, {"b": long}]}, {"a": [1, {"b": longer}]}) == (
+        f"{json.dumps(long)[:57]}... at .a.1.b, expected {json.dumps(longer)[:57]}...")
+    assert verify._first_difference({"a": 1}, {"b": 1}) == '{"a": 1} at ., expected {"b": 1}'
+    assert verify._first_difference([1, [2, "3"]], [1, [2, 3]]) == '"3" at .1.1, expected 3'
+
+
 def _closure_oracle(graph, fmt):
     """`hilb closure` output of graph, built without the CLI's writers."""
     if fmt == "json":  # the check's object, whose nodes are reports built one by one, not by the scan

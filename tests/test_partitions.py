@@ -73,12 +73,15 @@ def test_records_survive_pickle_and_copy():
     lam = Partition((3, 2, 2))
     values = [lam, Partition(), hilb_orbit(lam), cm_orbit(lam), hilb_orbit(Partition((3, 1))),
               monomial_ideal(lam), closure_graph(5, HILBERT), closure_graph(5, CALOGERO_MOSER)]
-    table = character_table(6)
+    table = character_table(6)  # 11 partitions: 6 rows held, 5 read through eps from their transposes'
+    assert (len(table.partitions), len(table._rows)) == (11, 6)
     for round_trip in (lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy):
         for value, loaded in zip(values, map(round_trip, values)):
             assert loaded == value and type(loaded) is type(value)
         loaded = round_trip(table)
         assert [loaded.row(mu) for mu in table.partitions] == [table.row(mu) for mu in table.partitions]
+        assert [[loaded.value(lam, mu) for mu in table.partitions] for lam in table.partitions] == [
+            list(table.row(lam)) for lam in table.partitions]
 
 
 def test_parse():

@@ -18,6 +18,7 @@ from cmhilb import (
     mn_character,
     regular_fiber_character,
     staircase,
+    transpose,
 )
 from cmhilb.exactalg import _unpack
 from cmhilb.verify import CHECKS, Limits, run_checks
@@ -107,14 +108,47 @@ def test_character_table_matches_strip_removal():
 @pytest.mark.parametrize("n", [13, 17, 21])
 def test_character_table_across_slot_widths(n):
     # the slot width steps up at these sizes (16 -> 24 -> 32 -> 40 bits), so
-    # the blocks read from the smaller tables are widened first
+    # the blocks read from the smaller tables are widened first; a row read
+    # through eps from its transpose's and a self-conjugate row are compared too
     table = character_table(n)
     assert table.bits > character_table(n - 1).bits
     identity = Partition((1,) * n)
     assert all(table.value(lam, identity) == dim_irrep(lam) for lam in table.partitions)
     widest = max(table.partitions, key=dim_irrep)
-    for lam in [widest, *random.Random(n).sample(table.partitions, 2)]:
-        assert table.row(lam) == tuple(mn_character(lam, mu) for mu in table.partitions)
+    order = {lam: i for i, lam in enumerate(table.partitions)}
+    mirrored = [lam for lam in table.partitions if order[transpose(lam)] < order[lam]]
+    self_conjugate = [lam for lam in table.partitions if transpose(lam) == lam]
+    rng = random.Random(n)
+    lams = [widest, *rng.sample(table.partitions, 2), rng.choice(mirrored), rng.choice(self_conjugate)]
+    for lam in lams:
+        expected = tuple(mn_character(lam, mu) for mu in table.partitions)
+        assert table.row(lam) == expected
+        assert tuple(table.value(lam, mu) for mu in table.partitions) == expected
+    held, read = table._held[order[transpose(lams[3])]], table._held[order[lams[3]]]
+    assert read == (held[0], True) and held[1] is False
+    assert table._held[order[lams[4]]][1] is False
+
+
+# A000700: self-conjugate partitions of n = 0..21
+SELF_CONJUGATE_COUNTS = (1, 1, 0, 1, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 4, 5, 5, 5, 6, 7, 8)
+
+
+def _self_conjugate_count(n):
+    """Partitions of n into distinct odd parts, the hook lengths on the
+    diagonal of a self-conjugate partition, counted with no transpose."""
+    counts = [1] + [0] * n
+    for part in range(1, n + 1, 2):
+        for total in range(n, part - 1, -1):
+            counts[total] += counts[total - part]
+    return counts[n]
+
+
+def test_character_table_holds_one_row_per_transpose_pair():
+    assert tuple(map(_self_conjugate_count, range(22))) == SELF_CONJUGATE_COUNTS
+    for n in range(22):
+        table = character_table(n)
+        assert 2 * len(table._rows) == len(table.partitions) + _self_conjugate_count(n)
+        assert len(table._masks) == len(table._rows)
 
 
 @pytest.fixture
@@ -142,6 +176,29 @@ def test_wrong_strip_addition_sign_is_caught(monkeypatch, fresh_tables):
     monkeypatch.setattr(symfun, "_add_strips", _unsigned_strips(symfun._add_strips))
     assert _table_values(character_table(4)) != brute_character_table(4)
     assert CHECKS["character-orthogonality"](Limits(max_n=4))
+
+
+def _read_eps_as_sign_of_length(table):
+    """The fault: eps(mu) taken as (-1)^len(mu), not (-1)^(n - len(mu)); the two differ at odd n."""
+    table._odd = [len(mu.parts) & 1 for mu in table.partitions]
+
+
+@pytest.mark.parametrize("stage", ["read", "build"])
+def test_wrong_transpose_sign_is_caught(fresh_tables, stage):
+    # a row that is not held is read as eps times its transpose's, and the
+    # build mirrors each sub-row's sum through the sub-table's eps; a wrong
+    # eps at either stage must break the Kostka comparison and the
+    # orthogonality check
+    built = 5 if stage == "read" else 3  # the tables whose reads go wrong before the next ones are built
+    character_table(built)
+    for n in range(built + 1):
+        _read_eps_as_sign_of_length(character_table(n))
+    if stage == "build":  # sizes 4 and 5 are built on the wrong signs, then the small tables read right again
+        character_table(5)
+        for n in range(built + 1):
+            character_table(n)._odd = [(n - len(mu.parts)) & 1 for mu in character_table(n).partitions]
+    assert _table_values(character_table(5)) != brute_character_table(5)
+    assert CHECKS["character-orthogonality"](Limits(max_n=5))
 
 
 def test_too_narrow_slots_are_caught(monkeypatch, capsys, fresh_tables):
