@@ -4,8 +4,9 @@ reply is written: the key-value reports, the JSON term lists and the ideal,
 orbit and partition data of the one-shot commands, an orbit reply of each
 stabilizer in each space, with the edge replies of the empty partition, its
 zero tangent character, `cm fixed` at a size with no staircase and at one
-with it, and the closure scan at n = 20 in both spaces and all three
-formats.  The digests were taken before each change of storage or of a reply
+with it, the closure scan at n = 20 in both spaces and all three formats,
+and two partitions at the cell cap, whose parts are written the widest:
+`part info 200` and `hilb orbit 101,99`.  The digests were taken before each change of storage or of a reply
 writer, so any such change must leave every byte of these outputs as it
 was."""
 
@@ -78,6 +79,10 @@ GOLDEN = {
     "hilb closure 20 --space calogero-moser --format text": "146baf21ef8e060f3c0c8b66f657a17625f6dface507198a6ff16464fd8c371e",
     "hilb closure 20 --space calogero-moser --format json": "072682a9b24f80cf25ab6bcfa018f06fa1282f87d73f60472c4ba956dd943450",
     "hilb closure 20 --space calogero-moser --format dot": "4eadead0a1924dd79eeefd1b07c8e657602adeecd78a6c7b8042eb8b95d150aa",
+    "part info 200 --format text": "a18bfe407ea1b272a7f72f467c00929ed78d0bf1242ba250dfb80be31c7da23a",
+    "part info 200 --format json": "8a1a02989ee95fbb5a7a6262341466dd260bd4bc3a003b476c60bb3f89b2d4a5",
+    "hilb orbit 101,99 --format text": "874dbc9707db4909f12c1b8bd9f451ac0a073943796331062f8cc1e237fd1d68",
+    "hilb orbit 101,99 --format json": "9472066ef7faa58bdf59a161057e2a06f3dcccd3fdab55ed2b5f99a0eecdd468",
 }
 
 
