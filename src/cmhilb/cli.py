@@ -28,6 +28,7 @@ from .orbits import (
 from .partitions import (
     CapExceededError,
     Partition,
+    _numerals,
     all_hooks_odd,
     diagonals,
     dim_irrep,
@@ -100,10 +101,10 @@ def _json_dump(obj, pad="\n") -> str:
     raise TypeError(f"cannot write {kind.__name__} {obj!r:.40} as JSON")
 
 
-def _json_ints(values, pad: str) -> str:
-    """_json_dump of a list or tuple of ints, its closing bracket after pad."""
+def _json_ints(parts: tuple, pad: str) -> str:
+    """_json_dump of the parts of a partition, its closing bracket after pad."""
     inner = pad + "  "
-    return f"[{inner}{(',' + inner).join(map(str, values))}{pad}]" if values else "[]"
+    return f"[{inner}{(',' + inner).join(_numerals(parts))}{pad}]" if parts else "[]"
 
 
 def _print_kv(pairs):

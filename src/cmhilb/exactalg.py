@@ -19,7 +19,9 @@ or sum is one big-int operation (Harvey, arXiv:0712.4046).  Packing is
 exact for any width; only reading the coefficients back needs them to fit
 their slots, so every width comes from a proven bound on them; a product
 of factors 1 - q^k keeps a running bound that each factor at most
-doubles.  _unpack reads packed ints back, the character-table rows and
+doubles, and when it outgrows the slots certifies a smaller one by a bit
+test on the packed int, reading the coefficients back only when that
+test fails.  _unpack reads packed ints back, the character-table rows and
 Hall-pairing sums in symfun too (their slot offsets come from _bias), but
 CharacterTable.value decodes its one slot itself, _add_block adds sub-rows
 as ints, and a table holds one row per transpose pair, whose build negates
@@ -218,24 +220,45 @@ def one_minus_q_product(ks) -> LaurentPolynomial:
 
     The product is one packed int, and each factor is one shift-subtract
     v -= v * 2^(k*bits), smallest k first so that the int grows late.  Each
-    factor at most doubles a running bound top on the coefficients; when
-    2*top outgrows the slots, _refreshed reads top back exactly, and
-    repacks at most once, only if 2*top still does not fit.  Slots start at
-    64 bits, which _unpack reads by one cast, and never pass the wider of 64
-    and _slot_bits(2^r), the l1 bound of r factors.
+    factor at most doubles a running bound top on the coefficients.  When
+    2*top outgrows the slots, _digits_within first tests on the packed int
+    whether every coefficient is below 2^(t-1), t = bits - 1 - (factors
+    left): then top = 2^(t-1) leaves room for every factor left.  Only when
+    that test fails does _refreshed read top back exactly, and repack at
+    most once, only if 2*top still does not fit.  Slots start at 64 bits,
+    which _unpack reads by one cast, and never pass the wider of 64 and
+    _slot_bits(2^r), the l1 bound of r factors.
     """
     ks, top, v, done, bits = sorted(ks), 1, 1, 0, 64
     if ks and ks[0] < 1:
         raise ValueError(f"1 - q^k needs k >= 1, got k = {ks[0]}")
     while done < len(ks):
         if 2 * top >> (bits - 1):
-            v, bits, top = _refreshed(v, bits, sum(ks[:done]) + 1, len(ks) - done)
+            length, left = sum(ks[:done]) + 1, len(ks) - done
+            t = bits - 1 - left
+            if t > 0 and _digits_within(v, bits, length, t):
+                top = 1 << (t - 1)
+            else:
+                v, bits, top = _refreshed(v, bits, length, left)
         # the factors 2*top has room for, each doubling top (one at least: the loop ends)
         chunk = ks[done : done + max(1, bits - 1 - top.bit_length())]
         for k in chunk:
             v -= v << (k * bits)
         done, top = done + len(chunk), top << len(chunk)
     return _from_dense(_unpack(v, bits, sum(ks) + 1))
+
+
+def _digits_within(v: int, bits: int, length: int, t: int) -> bool:
+    """Whether each of the length digits of v, which fit their bits-bit
+    slots, lies in [-2^(t-1), 2^(t-1)), for 0 < t < bits, read without
+    unpacking.  Exactly then v plus 2^(t-1) in each slot is >= 0 and has no
+    bit outside the low t bits of its length slots: the digits plus 2^(t-1)
+    and the digits of that sum lie in one range of 2^bits integers, where
+    the digits of an int are unique.  One mask test covers both conditions,
+    since a negative int has bits set above every mask."""
+    ones = _bias(bits, length) >> (bits - 1)
+    shifted = v + (ones << (t - 1))
+    return not shifted & ~((ones << t) - ones)
 
 
 def _refreshed(v: int, bits: int, length: int, factors: int) -> tuple:

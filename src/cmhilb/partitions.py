@@ -19,6 +19,17 @@ class CapExceededError(ValueError):
     """A size refused before any work: over LISTABLE_SIZE_CAP, or over a CLI cap."""
 
 
+# The decimal numerals of 0..200: one lookup per part instead of one str call.  They cover every part of a
+# partition a command takes (at most 200 cells) and of a closure scan (n <= 45).
+_NUMERALS = tuple(map(str, range(201)))
+
+
+def _numerals(parts: tuple):
+    """The decimal strings of a partition's parts, which Partition.__str__ and the CLI's JSON writer join:
+    read from _NUMERALS when the first part, the largest, is in it, else written by str."""
+    return [_NUMERALS[p] for p in parts] if parts and parts[0] < len(_NUMERALS) else map(str, parts)
+
+
 class Partition:
     """Weakly decreasing tuple of positive integers; () is the partition of 0.
     Immutable, equal and hashed by `parts`, and equal to no tuple."""
@@ -61,7 +72,7 @@ class Partition:
         return len(self.parts)
 
     def __str__(self):
-        return ",".join(map(str, self.parts))
+        return ",".join(_numerals(self.parts))
 
 
 _new_partition, _set_parts = object.__new__, Partition.parts.__set__

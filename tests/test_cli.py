@@ -159,6 +159,26 @@ def test_json_dump_matches_the_library_encoder(obj):
     assert cli._json_dump(obj) == json.dumps(_plain(obj), indent=2, sort_keys=True)
 
 
+def test_numeral_table_covers_every_part_a_command_writes():
+    # the largest part of a partition argument, and of a closure scan's partitions
+    assert len(cmhilb.partitions._NUMERALS) > max(cli.PARTITION_CELL_CAP, cmhilb.partitions.LISTABLE_SIZE_CAP)
+
+
+# parts on both sides of the numeral table's last entry, 200, which str writes instead
+@example([200], "\n")
+@example([201], "\n")
+@example([201, 200, 1], "\n  ")
+@example([], "\n")
+@given(st.lists(st.integers(1, 400), max_size=8).map(lambda parts: sorted(parts, reverse=True)),
+       st.sampled_from(["\n", "\n  ", "\n      "]))
+def test_partition_numerals_are_their_str_forms(parts, pad):
+    inner = pad + "  "
+    assert str(P(parts)) == ",".join(map(str, parts))
+    assert cli._json_ints(tuple(parts), pad) == (f"[{inner}{(',' + inner).join(map(str, parts))}{pad}]"
+                                                 if parts else "[]")
+    assert cli._json_ints(tuple(parts), "\n") == json.dumps(parts, indent=2)
+
+
 @pytest.mark.parametrize("obj", [
     1.5, [1, 2.0], ["text"], {"a": None}, {1, 2}, frozenset(), {"a": "b"}, [None], {"p": [P(), 1j]},
     {"a": (1, 2.5)}, b"bytes", [object()],

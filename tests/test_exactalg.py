@@ -1,15 +1,16 @@
 import json
 import random
 import tracemalloc
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from cmhilb import LaurentPolynomial, NonPolynomialError
-from cmhilb import Partition, exactalg, hook_polynomial, regular_fiber_character
+from cmhilb import Partition, exactalg, hook_lengths, hook_polynomial, regular_fiber_character
 from cmhilb.cli import main
-from cmhilb.exactalg import _pack, _slot_bits, _unpack, one_minus_q_product, one_minus_q_quotient
+from cmhilb.exactalg import _digits_within, _pack, _slot_bits, _unpack, one_minus_q_product, one_minus_q_quotient
 from cmhilb.verify import (
     CHECKS, Limits, _binomial_product, _product_failures, _quotient_failures, _ring_failures, _schoolbook_product,
     run_checks,
@@ -245,6 +246,65 @@ def test_one_minus_q_product_reads_64_bit_slots(monkeypatch, count):
     assert widths == [64]
 
 
+# The certificate of one_minus_q_product: a bit test on the packed int that every digit lies in
+# [-2^(t-1), 2^(t-1)), tried before any coefficient is read back.
+
+@pytest.mark.parametrize("bits, t", [(64, 1), (64, 2), (64, 25), (64, 62), (72, 40), (136, 100)])
+def test_digits_within_reads_the_edges_of_its_range(bits, t):
+    half = 1 << (t - 1)
+    inside = [-half, half - 1, 0, half - 1, -half]
+    assert _digits_within(_pack(inside, bits), bits, len(inside), t)
+    # one digit just past either edge, in each slot: the top slot below -2^(t-1) makes the biased sum negative
+    for i in range(len(inside)):
+        for digit in (half, -half - 1):
+            outside = inside[:i] + [digit] + inside[i + 1 :]
+            assert not _digits_within(_pack(outside, bits), bits, len(outside), t)
+    # a nonzero slot above the length slots, of either sign
+    for digit in (1, -1, half, -half):
+        assert not _digits_within(_pack(inside + [digit], bits), bits, len(inside), t)
+        assert not _digits_within(_pack(inside + [0, digit], bits), bits, len(inside), t)
+
+
+def _certificates(ks) -> list:
+    """Whether each certificate one_minus_q_product(ks) tries passes, once the product is checked
+    against the schoolbook _binomial_product."""
+    seen = []
+
+    def recording(*args):
+        seen.append(_digits_within(*args))
+        return seen[-1]
+
+    with mock.patch.object(exactalg, "_digits_within", recording):
+        assert one_minus_q_product(ks) == _binomial_product(ks)
+    return seen
+
+
+def test_certified_and_reread_products_match_binomial_products():
+    seen = set()
+
+    # more than 62 factors, so that 64-bit slots fill: long runs of k <= 3 grow binomial coefficients
+    # past the certificate's room, spread k leave it room
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.integers(1, 3), min_size=63, max_size=160)
+           | st.lists(st.integers(1, 60), min_size=63, max_size=160))
+    def products_match(ks):
+        seen.update(_certificates(ks))
+
+    products_match()
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("parts, certificates", [((100,), [True]), ((50, 50), [True]), ((10,) * 10, [False] * 8)])
+def test_a_100_cell_hook_product_certifies_its_bound(monkeypatch, parts, certificates):
+    # hooks 1..100 fill 64-bit slots after 62 factors; the certificate leaves room for the other 38, and the
+    # product reads no coefficient back until the end.  The 10 x 10 square's coefficients are too wide for it.
+    rereads = []
+    refreshed = exactalg._refreshed
+    monkeypatch.setattr(exactalg, "_refreshed", lambda *args: rereads.append(args) or refreshed(*args))
+    assert _certificates(hook_lengths(Partition(parts))) == certificates
+    assert len(rereads) == certificates.count(False)
+
+
 @pytest.mark.parametrize("call", [
     lambda p: p * True, lambda p: p.scaled(True), lambda p: p.exact_div(True), lambda p: p ** True,
     lambda p: p.shifted(True), lambda p: p.exact_div(LaurentPolynomial.one()),
@@ -360,6 +420,10 @@ def test_laurent_check_covers_the_packed_kernel(monkeypatch, capsys):
     monkeypatch.setattr(exactalg, "_refreshed", lambda v, bits, length, factors: (v, bits, 1))
     assert not run_checks(["laurent-ring-axioms"], Limits())
     monkeypatch.undo()
+    # a product of (1 - q^k) whose certificate passes every packed int
+    monkeypatch.setattr(exactalg, "_digits_within", lambda v, bits, length, t: True)
+    assert not run_checks(["laurent-ring-axioms"], Limits())
+    monkeypatch.undo()
     # a packed multiply one byte narrower than its bound
     product = exactalg._packed_product
     monkeypatch.setattr(exactalg, "_packed_product", lambda a, b, bits: product(a, b, bits - 8))
@@ -378,7 +442,7 @@ def test_laurent_check_covers_the_packed_kernel(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == [
         "FAIL laurent-ring-axioms"
-    ] * 6
+    ] * 7
 
 
 # ---------------------------------------------------------------------------
