@@ -155,7 +155,7 @@ def check_laurent_ring_axioms(limits):
         a, b = (_random_laurent(rng, 40, size, rng.randint(16, 60)) for _ in range(2))
         flat = LaurentPolynomial({i: size for i in range(30)})
         pairs += [(a, b), (flat, flat)]
-    # (1 - q)^70 widens past 64-bit slots; the product over 1..100 rereads its bound
+    # (1 - q)^70 fails its bit test, rereads and widens past 64-bit slots; the product over 1..100 passes the test
     yield from _product_failures(pairs, ([1] * 14, [1] * 30, [1] * 70, [1, 2, 2, 3, 5, 8, 13], list(range(1, 101))))
 
 
