@@ -72,6 +72,7 @@ class Partition:
         return len(self.parts)
 
     def __str__(self):
+        """The parts in comma form, each written by _numerals: "4,3,3,1,1"."""
         return ",".join(_numerals(self.parts))
 
 
